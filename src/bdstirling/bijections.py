@@ -23,6 +23,7 @@ from math import factorial
 from .errors import (
     FlavorMismatch,
     InvalidOrderedPartition,
+    InvariantViolation,
     NotAPartition,
     NotTypeD,
     RepeatedValueInBlock,
@@ -222,6 +223,13 @@ def _window_and_cuts(op: OrderedPartition) -> tuple[list[int], list[int]]:
     return window, cuts
 
 
+def _check_round_trip(image: OrderedPartition, op: OrderedPartition) -> None:
+    if image != op:
+        raise InvariantViolation(
+            f"preimage maps to {image.to_doc()} instead of {op.to_doc()}"
+        )
+
+
 def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozenset[int]]:
     """The unique (window, artificial separators) preimage of op."""
     if op.kind != "B":
@@ -229,7 +237,7 @@ def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
     window, cuts = _window_and_cuts(op)
     beta = SignedPermutation(tuple(window))
     artificial = frozenset(cuts) - descent_set(beta, "B")
-    assert b_procedure(beta, artificial) == op
+    _check_round_trip(b_procedure(beta, artificial), op)
     return beta, artificial
 
 
@@ -273,5 +281,5 @@ def d_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
         cuts[0] = 1
     gamma = SignedPermutation(tuple(window))
     artificial = frozenset(cuts) - descent_set(gamma, "D")
-    assert d_procedure(gamma, artificial) == op
+    _check_round_trip(d_procedure(gamma, artificial), op)
     return gamma, artificial

@@ -85,6 +85,23 @@ class _Usage(Exception):
     """Malformed command input; maps to exit code 2."""
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one stderr line, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _caps_from_args(args) -> EnumerationCaps:
     cap = getattr(args, "cap", None)
     if cap is None:
@@ -105,26 +122,28 @@ def _caps_from_args(args) -> EnumerationCaps:
 # subcommands
 
 
+def _table_row(args, n: int, caps: EnumerationCaps):
+    if args.table == "stirling":
+        if args.kind == "Bstar":
+            return flag_stirling_row(n)
+        if args.kind == "G":
+            return stirling_row("G", n, args.m)
+        return stirling_row(args.kind, n)
+    if args.kind == "Bstar":
+        return flag_histogram(n, caps=caps)
+    if args.kind == "A":
+        return descent_histogram("A", n, caps=caps)[: max(n, 1)]
+    return descent_histogram(args.kind, n, args.m, caps=caps)
+
+
 def cmd_tables(args) -> int:
     caps = _caps_from_args(args)
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
-    rows_values = []
-    for n in ns:
-        if args.table == "stirling":
-            if args.kind == "Bstar":
-                row = flag_stirling_row(n)
-            elif args.kind == "G":
-                row = stirling_row("G", n, args.m)
-            else:
-                row = stirling_row(args.kind, n)
-        else:
-            if args.kind == "Bstar":
-                row = flag_histogram(n, caps=caps)
-            elif args.kind == "A":
-                row = descent_histogram("A", n)[: max(n, 1)]
-            else:
-                row = descent_histogram(args.kind, n, args.m, caps=caps)
-        rows_values.append((n, list(row)))
+    # Eulerian rows walk whole groups, largest first so that a size over
+    # the cap fails before any walk; Stirling rows build on smaller ones.
+    walk = ns if args.table == "stirling" else ns[::-1]
+    rows = {n: list(_table_row(args, n, caps)) for n in walk}
+    rows_values = [(n, rows[n]) for n in ns]
     width = max(len(r) for _, r in rows_values)
     header = ["n"] + [str(i) for i in range(width)]
     rows = [[str(n)] + [str(v) for v in r] for n, r in rows_values]
@@ -339,7 +358,7 @@ def cmd_oeis(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bdstirling",
         description="Exact Stirling/Eulerian tables, identity verification, "
         "block-procedure bijections, lattice censuses, OEIS checks.",
@@ -359,15 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="emit Stirling or Eulerian triangles")
     p.add_argument("table", choices=("stirling", "eulerian"))
     p.add_argument("--kind", choices=TABLE_KINDS, required=True)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--n", type=int, default=None, help="single row instead of 0..nmax")
+    p.add_argument("--nmax", type=_nonnegative, default=6)
+    p.add_argument("--n", type=_nonnegative, default=None,
+                   help="single row instead of 0..nmax")
     p.add_argument("--m", type=int, default=2, help="colors for kind G")
     add_common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run one identity over a parameter range")
     p.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_nonnegative, default=None)
     p.add_argument("--rmax", type=int, default=None)
     p.add_argument("--m", type=int, default=2)
     add_common(p)
@@ -385,10 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="lattice point census")
     p.add_argument("--kind", choices=("B", "D", "G"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--n", type=_nonnegative, required=True)
+    p.add_argument("--m", type=_nonnegative, default=None,
                    help="cube half-width (B/D) or colors (G)")
-    p.add_argument("--t", type=int, default=None, help="magnitudes per color (G)")
+    p.add_argument("--t", type=_nonnegative, default=None,
+                   help="magnitudes per color (G)")
     add_common(p)
     p.set_defaults(func=cmd_census)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 class EnumerationCaps:
     """Hard limits on how many objects a single call may walk.
 
-    signed_group bounds |B_n| and |D_n| streams (default |B_8|),
+    signed_group bounds |B_n|, |D_n| and |S_n| streams (default |B_8|),
     colored_group bounds |G_{m,n}| streams, census_points bounds the
     number of lattice points a census visits.
     """

@@ -20,6 +20,7 @@ __all__ = [
     "UnreachableForm",
     "BadIndex",
     "DimensionMismatch",
+    "InvariantViolation",
 ]
 
 
@@ -84,3 +85,7 @@ class BadIndex(ValueError):
 
 class DimensionMismatch(ValueError):
     """Operands built for different n, m, or kind were combined."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""

@@ -21,7 +21,13 @@ import itertools
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, EnumerationCaps
-from .errors import BadIndex, DimensionMismatch, SingletonZeroBlock, SizeOverflow
+from .errors import (
+    BadIndex,
+    DimensionMismatch,
+    InvariantViolation,
+    SingletonZeroBlock,
+    SizeOverflow,
+)
 from .partitions import BPartition, DPartition, GPartition
 from .polynomials import falling_factorial
 
@@ -98,9 +104,10 @@ class CensusResult:
 
     def __post_init__(self):
         total = sum(self.counts.values()) + self.missing
-        assert total == self.x**self.n, (
-            f"census lost points: {total} != {self.x}**{self.n}"
-        )
+        if total != self.x**self.n:
+            raise InvariantViolation(
+                f"census lost points: {total} != {self.x}**{self.n}"
+            )
 
     def expected(self, partition) -> int:
         """The per-partition count the falling-factorial bases predict."""

@@ -14,10 +14,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, gt, mul
 
 from .config import DEFAULT_CAPS, EnumerationCaps
-from .errors import BadIndex
-from .groups import des_stat, enumerate_group, fdes
+from .errors import BadIndex, SizeOverflow
+from .groups import group_order
 from .partitions import flag_stirling_row, stirling
 from .polynomials import IntPolynomial, falling_factorial, monomial
 
@@ -37,37 +38,115 @@ def _binom(a: int, b: int) -> int:
     return comb(a, b) if a >= 0 and b >= 0 else 0
 
 
+def _signed_sets(n: int, even: bool = False):
+    """Every signing of the letters 1..n, optionally with evenly many minuses.
+
+    All orderings of all these sets walk B_n (or D_n) exactly once.
+    """
+    for signs in itertools.product((1, -1), repeat=n):
+        if not even or signs.count(-1) % 2 == 0:
+            yield tuple(map(mul, signs, range(1, n + 1)))
+
+
+def _colored_sets(n: int, m: int):
+    """Every coloring of the letters 1..n, as color-order keys.
+
+    Value a with color z has key (m - 1 - z) * n + a, so a key of at most
+    (m - 1) * n marks a nonzero color.  All orderings walk G_{m,n} once.
+    """
+    shifts = [(m - 1 - z) * n for z in range(m)]
+    for shift in itertools.product(shifts, repeat=n):
+        yield tuple(map(add, shift, range(1, n + 1)))
+
+
 @lru_cache(maxsize=None)
+def _descent_histogram(kind: str, n: int, m: int) -> tuple[int, ...]:
+    counts = [0] * (n + 1)
+    if n == 0 or (kind == "D" and n == 1):  # the identity alone, no descents
+        counts[0] = 1
+    elif kind == "A":
+        for w in itertools.permutations(range(1, n + 1)):
+            counts[sum(map(gt, w, w[1:]))] += 1
+    elif kind == "B":
+        for letters in _signed_sets(n):
+            for w in itertools.permutations(letters):
+                counts[sum(map(gt, w, w[1:])) + (w[0] < 0)] += 1
+    elif kind == "D":
+        for letters in _signed_sets(n, even=True):
+            for w in itertools.permutations(letters):
+                counts[sum(map(gt, w, w[1:])) + (w[0] + w[1] < 0)] += 1
+    else:
+        top = (m - 1) * n
+        for letters in _colored_sets(n, m):
+            for w in itertools.permutations(letters):
+                counts[sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def _flag_histogram(n: int, order: str) -> tuple[int, ...]:
+    counts = [0] * max(2 * n, 1)
+    if n == 0:
+        counts[0] = 1
+        return tuple(counts)
+    # The color order is the two-colored one, negatives carrying color 1;
+    # either way the keys at most ``top`` are the negative letters.
+    if order == "natural":
+        sets, top = _signed_sets(n), -1
+    else:
+        sets, top = _colored_sets(n, 2), n
+    for letters in sets:
+        for w in itertools.permutations(letters):
+            counts[2 * sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
+    return tuple(counts)
+
+
+def _check_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise SizeOverflow(f"group of order {order} exceeds cap {cap}")
+
+
 def descent_histogram(
     kind: str, n: int, m: int = 2, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> tuple[int, ...]:
     """Counts of elements by descent statistic, index 0..n.
 
     Kind A uses plain descents of S_n, B/D/G their flavored statistics
-    over the corresponding groups.
+    over the corresponding groups.  Every element is walked as a raw int
+    tuple with its statistic counted inline; the route through validated
+    group elements and ``des_stat`` is kept as the test oracle
+    ``descent_histogram_by_elements`` in ``tests/oracles.py``.  Calls that
+    differ only in ``caps``, or in ``m`` outside kind G, share one cache
+    entry.
     """
-    counts = [0] * (n + 1)
     if kind == "A":
-        for w in itertools.permutations(range(1, n + 1)):
-            counts[sum(1 for i in range(n - 1) if w[i] > w[i + 1])] += 1
-        return tuple(counts)
-    stat = {"B": "desB", "D": "desD", "G": "desG"}.get(kind)
-    if stat is None:
+        _check_cap(factorial(n), caps.signed_group)
+    elif kind in ("B", "D"):
+        _check_cap(group_order(kind, n), caps.signed_group)
+    elif kind == "G":
+        _check_cap(group_order(kind, n, m), caps.colored_group)
+    else:
         raise ValueError(f"unknown histogram kind {kind!r}")
-    for g in enumerate_group(kind, n, m if kind == "G" else None, caps=caps):
-        counts[des_stat(g, stat)] += 1
-    return tuple(counts)
+    return _descent_histogram(kind, n, m if kind == "G" else 2)
 
 
-@lru_cache(maxsize=None)
 def flag_histogram(
     n: int, order: str = "natural", caps: EnumerationCaps = DEFAULT_CAPS
 ) -> tuple[int, ...]:
-    """Counts of B_n elements by flag descents, index 0..max(2n-1, 0)."""
-    counts = [0] * max(2 * n, 1)
-    for beta in enumerate_group("B", n, caps=caps):
-        counts[fdes(beta, order)] += 1
-    return tuple(counts)
+    """Counts of B_n elements by flag descents, index 0..max(2n-1, 0).
+
+    Walks raw int tuples like ``descent_histogram``.
+    """
+    if order not in ("natural", "color"):
+        raise ValueError(f"unknown fdes order {order!r}")
+    _check_cap(group_order("B", n), caps.signed_group)
+    return _flag_histogram(n, order)
+
+
+descent_histogram.cache_info = _descent_histogram.cache_info
+descent_histogram.cache_clear = _descent_histogram.cache_clear
+flag_histogram.cache_info = _flag_histogram.cache_info
+flag_histogram.cache_clear = _flag_histogram.cache_clear
 
 
 def eulerian(
@@ -81,7 +160,7 @@ def eulerian(
     if kind == "A":
         if n == 0:
             return 1 if k == 0 else 0
-        hist = descent_histogram("A", n)
+        hist = descent_histogram("A", n, caps=caps)
         return hist[k - 1] if 1 <= k <= n else 0
     if kind == "Bstar":
         if n == 0:
@@ -165,10 +244,6 @@ class VerificationReport:
         return all(inst.ok for inst in self.instances)
 
 
-def _coeffs(p: IntPolynomial) -> tuple[int, ...]:
-    return p.coeffs
-
-
 def _stirling_eulerian_report(name, kind, nmax, m, caps=DEFAULT_CAPS):
     base = {"A": 1, "B": 2, "D": 2, "G": m}[kind]
     instances = []
@@ -226,9 +301,7 @@ def _basis_report(name, kind, nmax, m, caps=DEFAULT_CAPS):
             rhs = rhs + n * correction
         params = [("n", n)] + ([("m", m)] if kind == "G" else [])
         instances.append(
-            IdentityCheck(
-                name, tuple(params), _coeffs(monomial(n)), _coeffs(rhs)
-            )
+            IdentityCheck(name, tuple(params), monomial(n).coeffs, rhs.coeffs)
         )
     return VerificationReport(name, tuple(instances))
 

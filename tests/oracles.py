@@ -4,13 +4,17 @@ Everything here is written from first principles with a different
 algorithmic route than the package modules: descent statistics read the
 window directly, partition counts come from filtering raw set partitions
 of the literal ground sets, and Stirling values come from the closed
-binomial formula over classical numbers.  Keep these dumb on purpose.
+binomial formula over classical numbers.  The descent histograms walk
+validated group elements through the package's element-level statistics,
+the route the tuple kernels replaced.  Keep these dumb on purpose.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
+
+from bdstirling.groups import des_stat, enumerate_group, fdes
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +31,8 @@ def classical_stirling(n, r):
     total = Fraction(0)
     for i in range(r + 1):
         total += Fraction((-1) ** i * comb(r, i) * (r - i) ** n, factorial(r))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError(f"S({n},{r}) came out as {total}")
     return int(total)
 
 
@@ -182,3 +187,28 @@ def colored_group(n, m):
     for perm in permutations(range(1, n + 1)):
         for colors in product(range(m), repeat=n):
             yield tuple(zip(perm, colors))
+
+
+# ---------------------------------------------------------------------------
+# descent histograms by walking group elements
+
+
+def descent_histogram_by_elements(kind, n, m=2):
+    """Histogram of the descent statistic over validated group elements."""
+    counts = [0] * (n + 1)
+    if kind == "A":
+        for w in permutations(range(1, n + 1)):
+            counts[sum(1 for i in range(n - 1) if w[i] > w[i + 1])] += 1
+        return tuple(counts)
+    stat = {"B": "desB", "D": "desD", "G": "desG"}[kind]
+    for g in enumerate_group(kind, n, m if kind == "G" else None):
+        counts[des_stat(g, stat)] += 1
+    return tuple(counts)
+
+
+def flag_histogram_by_elements(n, order="natural"):
+    """Histogram of fdes over the validated elements of B_n."""
+    counts = [0] * max(2 * n, 1)
+    for beta in enumerate_group("B", n):
+        counts[fdes(beta, order)] += 1
+    return tuple(counts)

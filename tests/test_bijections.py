@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bdstirling import bijections
 from bdstirling.bijections import (
     OrderedPartition,
     b_procedure,
@@ -17,6 +18,7 @@ from bdstirling.bijections import (
 )
 from bdstirling.errors import (
     InvalidOrderedPartition,
+    InvariantViolation,
     NotTypeD,
     SpotCollision,
     TooManySeparators,
@@ -140,6 +142,16 @@ class TestForward:
 
 
 class TestInverse:
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_failed_round_trip_raises(self, kind, monkeypatch):
+        op = OrderedPartition(kind, 2, (fs(1, -1, 2, -2),))
+        other = OrderedPartition(kind, 2, (fs(1), fs(-1), fs(2), fs(-2)))
+        procedure = "b_procedure" if kind == "B" else "d_procedure"
+        monkeypatch.setattr(bijections, procedure, lambda element, spots: other)
+        inverse = b_procedure_inverse if kind == "B" else d_procedure_inverse
+        with pytest.raises(InvariantViolation):
+            inverse(op)
+
     def test_recovers_window_and_artificial_spots(self):
         op = OrderedPartition(
             "B", 5, (fs(1, 4, -1, -4), fs(5), fs(-5), fs(-3, 2), fs(3, -2)))

@@ -63,6 +63,13 @@ class TestTables:
         assert res.returncode == 2
         assert "cap" in res.stderr
 
+    def test_classical_eulerian_table_is_capped(self):
+        res = run_cli("tables", "eulerian", "--kind", "A", "--nmax", "12")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "cap" in res.stderr and "Traceback" not in res.stderr
+
 
 class TestVerify:
     def test_passing_identity(self):
@@ -177,6 +184,15 @@ class TestCensus:
     def test_torus_needs_t(self):
         res = run_cli("census", "--kind", "G", "--n", "1", "--m", "3")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--t"])
+    def test_negative_size_is_one_line_usage_error(self, flag):
+        args = {"--n": "2", "--m": "3", "--t": "2", flag: "-1"}
+        res = run_cli("census", "--kind", "G", *[tok for kv in args.items() for tok in kv])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert f"argument {flag}: must be nonnegative" in res.stderr
 
     def test_census_cap(self):
         res = run_cli("census", "--kind", "B", "--n", "9", "--m", "5")

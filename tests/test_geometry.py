@@ -1,9 +1,19 @@
+import subprocess
+import sys
+
 import pytest
 
 from bdstirling.config import EnumerationCaps
-from bdstirling.errors import BadIndex, DimensionMismatch, SingletonZeroBlock, SizeOverflow
+from bdstirling.errors import (
+    BadIndex,
+    DimensionMismatch,
+    InvariantViolation,
+    SingletonZeroBlock,
+    SizeOverflow,
+)
 from bdstirling.geometry import (
     ZERO,
+    CensusResult,
     census,
     classify_point,
     free_point_count,
@@ -175,3 +185,27 @@ class TestBasisIdentitiesOnPoints:
         assert missing_point_count(3, 7) == 3 * (6**2 - 6 * 4)
         assert missing_point_count(2, 7) == 0
         assert missing_point_count(0, 7) == 0
+
+
+class TestCensusInvariant:
+    LOSSY = "CensusResult('B', 2, 3, None, {'p': 8}, free=0)"
+
+    def test_lost_point_raises(self):
+        with pytest.raises(InvariantViolation):
+            CensusResult("B", 2, 3, None, {"p": 8}, free=0)
+
+    def test_lost_point_raises_under_optimize(self):
+        code = (
+            "from bdstirling.errors import InvariantViolation\n"
+            "from bdstirling.geometry import CensusResult\n"
+            "assert False, 'asserts must be off'\n"
+            "try:\n"
+            f"    {self.LOSSY}\n"
+            "except InvariantViolation as e:\n"
+            "    print('raised:', e)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "raised: census lost points: 8 != 3**2\n"

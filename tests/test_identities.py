@@ -1,6 +1,6 @@
 import pytest
 
-from bdstirling.config import EnumerationCaps
+from bdstirling.config import DEFAULT_CAPS, EnumerationCaps
 from bdstirling.errors import BadIndex, SizeOverflow
 from bdstirling.groups import des_stat, enumerate_group, group_order
 from bdstirling.identities import (
@@ -56,6 +56,60 @@ class TestDescentHistograms:
         assert flag_histogram(1) == (1, 1)
         assert flag_histogram(2) == (1, 3, 3, 1)
         assert flag_histogram(2, order="color") == (1, 3, 3, 1)
+
+
+class TestKernelsMatchElementWalk:
+    @pytest.mark.parametrize("n", range(9))
+    def test_classical(self, n):
+        assert descent_histogram("A", n) == oracles.descent_histogram_by_elements("A", n)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_signed(self, kind, n):
+        assert descent_histogram(kind, n) == oracles.descent_histogram_by_elements(kind, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(5))
+    def test_colored(self, m, n):
+        assert descent_histogram("G", n, m) == oracles.descent_histogram_by_elements(
+            "G", n, m
+        )
+
+    @pytest.mark.parametrize("order", ["natural", "color"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_flag(self, order, n):
+        assert flag_histogram(n, order) == oracles.flag_histogram_by_elements(n, order)
+
+
+class TestHistogramCache:
+    def test_uncolored_calls_share_one_entry(self):
+        descent_histogram.cache_clear()
+        before = descent_histogram.cache_info().misses
+        first = descent_histogram("B", 5)
+        assert descent_histogram("B", 5, 3) is first
+        assert descent_histogram("B", 5, caps=DEFAULT_CAPS) is first
+        assert descent_histogram.cache_info().misses - before == 1
+
+    def test_colored_entries_keep_m(self):
+        assert descent_histogram("G", 3, 2) != descent_histogram("G", 3, 3)
+
+    def test_classical_honours_caps(self):
+        tens = EnumerationCaps(signed_group=10, colored_group=10, census_points=10)
+        with pytest.raises(SizeOverflow):
+            descent_histogram("A", 9, caps=tens)
+        with pytest.raises(SizeOverflow):
+            eulerian("A", 9, 1, caps=tens)
+
+    def test_flag_honours_caps(self):
+        tens = EnumerationCaps(signed_group=10, colored_group=10, census_points=10)
+        with pytest.raises(SizeOverflow):
+            flag_histogram(3, caps=tens)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            descent_histogram("C", 3)
+        with pytest.raises(ValueError):
+            flag_histogram(3, order="reverse")
 
 
 class TestEulerianNumbers:
