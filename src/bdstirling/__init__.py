@@ -53,7 +53,6 @@ from .partitions import (
     flag_stirling_row,
     stirling,
     stirling_row,
-    stirling_row_by_recurrence,
 )
 from .polynomials import IntPolynomial, falling_factorial, monomial
 

@@ -85,14 +85,20 @@ class _Usage(Exception):
     """Malformed command input; maps to exit code 2."""
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _at_least(low: int):
+    """Argument type: an int no smaller than low."""
+    bound = "nonnegative" if low == 0 else f"at least {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,24 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override enumeration caps")
             p.add_argument("--allow-large", action="store_true",
                            help="acknowledge caps above the defaults")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for randomized reports; fixed default")
 
     p = sub.add_parser("tables", help="emit Stirling or Eulerian triangles")
     p.add_argument("table", choices=("stirling", "eulerian"))
     p.add_argument("--kind", choices=TABLE_KINDS, required=True)
-    p.add_argument("--nmax", type=_nonnegative, default=6)
-    p.add_argument("--n", type=_nonnegative, default=None,
+    p.add_argument("--nmax", type=_at_least(0), default=6)
+    p.add_argument("--n", type=_at_least(0), default=None,
                    help="single row instead of 0..nmax")
-    p.add_argument("--m", type=int, default=2, help="colors for kind G")
+    p.add_argument("--m", type=_at_least(1), default=2, help="colors for kind G")
     add_common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run one identity over a parameter range")
     p.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
-    p.add_argument("--nmax", type=_nonnegative, default=None)
+    p.add_argument("--nmax", type=_at_least(0), default=None)
     p.add_argument("--rmax", type=int, default=None)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_at_least(1), default=2)
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -405,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="lattice point census")
     p.add_argument("--kind", choices=("B", "D", "G"), required=True)
-    p.add_argument("--n", type=_nonnegative, required=True)
-    p.add_argument("--m", type=_nonnegative, default=None,
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--m", type=_at_least(0), default=None,
                    help="cube half-width (B/D) or colors (G)")
-    p.add_argument("--t", type=_nonnegative, default=None,
+    p.add_argument("--t", type=_at_least(0), default=None,
                    help="magnitudes per color (G)")
     add_common(p)
     p.set_defaults(func=cmd_census)
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", choices=sorted(oeis_mod.SEQUENCES), required=True)
     p.add_argument("--fixture", default=None, help="path to a local b-file")
     p.add_argument("--fetch", action="store_true", help="fetch the live b-file")
-    p.add_argument("--nmax", type=int, default=12,
+    p.add_argument("--nmax", type=_at_least(0), default=12,
                    help="triangle rows to generate for the comparison")
     add_common(p, cap=False)
     p.set_defaults(func=cmd_oeis)

@@ -178,38 +178,22 @@ def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
     invert their 2^r r! analogues, D with the even-signed correction term
     subtracted.  The even-signed form is undefined at n = 1.
     """
-    if kind == "A":
-        return sum(
-            (-1) ** (k - r)
-            * factorial(r)
-            * stirling("A", n, r)
-            * _binom(n - r, k - r)
-            for r in range(min(k, n) + 1)
-        )
-    if kind == "B":
-        return sum(
-            (-1) ** (k - r)
-            * 2**r
-            * factorial(r)
-            * stirling("B", n, r)
-            * _binom(n - r, k - r)
-            for r in range(min(k, n) + 1)
-        )
-    if kind == "D":
-        if n == 1:
-            raise BadIndex("the even-signed inversion is undefined at n = 1")
-        base = sum(
-            (-1) ** (k - r)
-            * 2**r
-            * factorial(r)
-            * stirling("D", n, r)
-            * _binom(n - r, k - r)
-            for r in range(min(k, n) + 1)
-        )
-        if n >= 1 and k >= 1:
-            base -= n * 2 ** (n - 1) * eulerian("A", n - 1, k - 1)
-        return base
-    raise ValueError(f"no inversion formula for kind {kind!r}")
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"no inversion formula for kind {kind!r}")
+    if kind == "D" and n == 1:
+        raise BadIndex("the even-signed inversion is undefined at n = 1")
+    base = 1 if kind == "A" else 2
+    total = sum(
+        (-1) ** (k - r)
+        * base**r
+        * factorial(r)
+        * stirling(kind, n, r)
+        * _binom(n - r, k - r)
+        for r in range(min(k, n) + 1)
+    )
+    if kind == "D" and n >= 1 and k >= 1:
+        total -= n * 2 ** (n - 1) * eulerian("A", n - 1, k - 1)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +228,7 @@ class VerificationReport:
         return all(inst.ok for inst in self.instances)
 
 
-def _stirling_eulerian_report(name, kind, nmax, m, caps=DEFAULT_CAPS):
+def _stirling_eulerian_report(name, kind, nmax, m, caps):
     base = {"A": 1, "B": 2, "D": 2, "G": m}[kind]
     instances = []
     skipped = []
@@ -270,7 +254,7 @@ def _stirling_eulerian_report(name, kind, nmax, m, caps=DEFAULT_CAPS):
     return VerificationReport(name, tuple(instances), tuple(skipped))
 
 
-def _inversion_report(name, kind, nmax, caps=DEFAULT_CAPS):
+def _inversion_report(name, kind, nmax, m, caps):
     instances = []
     skipped = []
     for n in range(nmax + 1):
@@ -286,7 +270,7 @@ def _inversion_report(name, kind, nmax, caps=DEFAULT_CAPS):
     return VerificationReport(name, tuple(instances), tuple(skipped))
 
 
-def _basis_report(name, kind, nmax, m, caps=DEFAULT_CAPS):
+def _basis_report(name, kind, nmax, m, caps):
     instances = []
     for n in range(nmax + 1):
         stirling_kind = {"classical": "A", "B": "B", "D": "D", "G": "G"}[kind]
@@ -306,7 +290,7 @@ def _basis_report(name, kind, nmax, m, caps=DEFAULT_CAPS):
     return VerificationReport(name, tuple(instances))
 
 
-def _flag_report(name, nmax, m=2, caps=DEFAULT_CAPS):
+def _flag_report(name, kind, nmax, m, caps):
     instances = []
     for order in ("natural", "color"):
         for n in range(nmax + 1):
@@ -362,9 +346,4 @@ def verify_identity(
         nmax = entry["nmax"]
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    build = entry["build"]
-    if build is _flag_report:
-        return build(name, nmax, m, caps=caps)
-    if build is _inversion_report:
-        return build(name, entry["kind"], nmax, caps=caps)
-    return build(name, entry["kind"], nmax, m, caps=caps)
+    return entry["build"](name, entry["kind"], nmax, m, caps)

@@ -8,19 +8,20 @@ partitions {0} and the mn colored points (value, color) into a zero block
 (full color fibers) and orbits of a block under the color shift; a block
 never repeats a value, so every orbit has the full length m.
 
-Counting never materializes partitions.  Everything reduces to the
-weighted classical layer W_m(s, r): set partitions of an s-element set
-into r classes, each class of size k carrying weight m**(k-1), which obeys
-W_m(s, r) = W_m(s-1, r-1) + m * r * W_m(s-1, r).  A class of size k yields
-m**(k-1) colorings once the minimum element is pinned to color 0, and the
-zero support is an arbitrary subset (type D: never a single spot).
+Counting never materializes partitions.  Every row comes from one triangle
+recurrence, T(s, r) = T(s-1, r-1) + (a r + b) T(s-1, r) with T(0, 0) = 1:
+the new largest spot either opens a class of its own or joins one of the r
+classes in any of a colors, or (b = 1) the zero block.  Classical rows are
+(a, b) = (1, 0), type B (2, 1), m-colored (m, 1), and the layer W_2 of
+signed partitions with an empty zero support (2, 0).  Type D drops the
+n W_2(n-1, r) partitions whose zero support is a single spot.  The
+binomial-sum route over the zero support is kept as a test oracle.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -37,7 +38,6 @@ __all__ = [
     "classical_set_partitions",
     "stirling",
     "stirling_row",
-    "stirling_row_by_recurrence",
     "flag_stirling_row",
     "colored_literal_row",
     "enumerate_partitions",
@@ -48,26 +48,22 @@ __all__ = [
 # counting
 
 
-@lru_cache(maxsize=None)
-def _weighted_row(s: int, m: int) -> tuple[int, ...]:
-    """Row s of the weighted classical layer W_m."""
-    if s == 0:
-        return (1,)
-    prev = _weighted_row(s - 1, m)
-    row = []
-    for r in range(s + 1):
-        value = prev[r - 1] if r >= 1 else 0
-        if r < len(prev):
-            value += m * r * prev[r]
-        row.append(value)
-    return tuple(row)
+_TRIANGLES: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
-def _layer(s: int, m: int, r: int) -> int:
-    return _weighted_row(s, m)[r] if 0 <= r <= s else 0
+def _triangle_row(a: int, b: int, s: int) -> tuple[int, ...]:
+    """Row s of T(s, r) = T(s-1, r-1) + (a r + b) T(s-1, r), T(0, 0) = 1.
+
+    Each (a, b) triangle is kept and extended forward from its last row.
+    """
+    rows = _TRIANGLES.setdefault((a, b), [(1,)])
+    while len(rows) <= s:
+        prev = rows[-1]
+        factors = range(b, a * len(prev) + b + 1, a)
+        rows.append(tuple(map(add, (0,) + prev, map(mul, factors, prev + (0,)))))
+    return rows[s]
 
 
-@lru_cache(maxsize=None)
 def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
     """Row n of the second kind Stirling triangle for the given kind.
 
@@ -78,26 +74,20 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if kind == "A":
-        return _weighted_row(n, 1)
+        return _triangle_row(1, 0, n)
     if kind == "B":
-        m = 2
-    elif kind == "D":
-        return tuple(
-            sum(
-                comb(n, j) * _layer(n - j, 2, r)
-                for j in range(n + 1)
-                if j != 1
-            )
-            for r in range(n + 1)
-        )
-    elif kind != "G":
+        return _triangle_row(2, 1, n)
+    if kind == "D":
+        row = _triangle_row(2, 1, n)
+        if n == 0:
+            return row
+        single = _triangle_row(2, 0, n - 1) + (0,)
+        return tuple(v - n * w for v, w in zip(row, single))
+    if kind != "G":
         raise ValueError(f"unknown partition kind {kind!r}")
     if m < 1:
         raise ValueError("m must be at least 1")
-    return tuple(
-        sum(comb(n, j) * _layer(n - j, m, r) for j in range(n + 1))
-        for r in range(n + 1)
-    )
+    return _triangle_row(m, 1, n)
 
 
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
@@ -106,52 +96,20 @@ def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
     return stirling_row(kind, n, m)[r]
 
 
-def stirling_row_by_recurrence(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
-    """Same rows through the triangle recurrences, as an independent check.
-
-    A: S(n,r) = S(n-1,r-1) + r S(n-1,r).  B and G: the new largest spot
-    either seeds a class of its own or joins the zero block or one of r
-    classes in any of m colors, so the factor is (m r + 1).  D subtracts
-    the single-spot zero supports, n times the empty-support layer.
-    """
-    if kind == "B":
-        m = 2
-    elif kind == "D":
-        base = stirling_row_by_recurrence("B", n)
-        return tuple(
-            base[r] - (n * _layer(n - 1, 2, r) if n >= 1 else 0)
-            for r in range(n + 1)
-        )
-    elif kind not in ("A", "G"):
-        raise ValueError(f"unknown partition kind {kind!r}")
-    row = [1]
-    for s in range(1, n + 1):
-        row = [
-            (row[r - 1] if r >= 1 else 0)
-            + ((r if kind == "A" else m * r + 1) * row[r] if r < len(row) else 0)
-            for r in range(s + 1)
-        ]
-    return tuple(row)
-
-
 def flag_stirling_row(n: int) -> tuple[int, ...]:
     """Type B partitions graded by 2 * pairs + [zero support nonempty].
 
-    Index r runs 0..2n.  Even r = 2p: empty zero support and p pairs.
-    Odd r = 2p + 1: nonempty zero support and p pairs.
+    Index r runs 0..2n.  Even r = 2p: empty zero support and p pairs,
+    W_2(n, p).  Odd r = 2p + 1: nonempty zero support and p pairs, the
+    rest of S_B(n, p).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    empty, signed = _triangle_row(2, 0, n), _triangle_row(2, 1, n)
     row = []
-    for r in range(2 * n + 1):
-        p = r // 2
-        if r % 2 == 0:
-            row.append(_layer(n, 2, p))
-        else:
-            row.append(
-                sum(comb(n, j) * _layer(n - j, 2, p) for j in range(1, n + 1))
-            )
-    return tuple(row)
+    for p in range(n + 1):
+        row += [empty[p], signed[p] - empty[p]]
+    return tuple(row[:-1])
 
 
 # ---------------------------------------------------------------------------

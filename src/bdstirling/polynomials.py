@@ -10,7 +10,7 @@ from typing import Iterable
 
 from .errors import BadIndex
 
-__all__ = ["IntPolynomial", "ZERO", "ONE", "X", "monomial", "falling_factorial"]
+__all__ = ["IntPolynomial", "ZERO", "ONE", "monomial", "falling_factorial"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,6 @@ class IntPolynomial:
             value = value * x + c
         return value
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        return cls(tuple(coeffs))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -95,7 +91,6 @@ class IntPolynomial:
 
 ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
-X = IntPolynomial((0, 1))
 
 
 def monomial(k: int) -> IntPolynomial:

@@ -63,6 +63,24 @@ class TestTables:
         assert res.returncode == 2
         assert "cap" in res.stderr
 
+    def test_large_stirling_row_builds_without_recursion(self):
+        res = run_cli("tables", "stirling", "--kind", "B", "--n", "600", "--format", "csv")
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[1].startswith("600,1,")
+
+    def test_zero_colors_is_one_line_usage_error(self):
+        res = run_cli("tables", "stirling", "--kind", "G", "--m", "0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "argument --m: must be at least 1" in res.stderr
+
+    def test_seed_flag_is_gone(self):
+        res = run_cli("tables", "stirling", "--kind", "B", "--seed", "1")
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+
     def test_classical_eulerian_table_is_capped(self):
         res = run_cli("tables", "eulerian", "--kind", "A", "--nmax", "12")
         assert res.returncode == 2
@@ -98,6 +116,13 @@ class TestVerify:
     def test_unknown_identity_is_usage_error(self):
         res = run_cli("verify", "--identity", "thm-9.9")
         assert res.returncode == 2
+
+    def test_zero_colors_is_one_line_usage_error(self):
+        res = run_cli("verify", "--identity", "thm-6.9", "--m", "0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "argument --m: must be at least 1" in res.stderr
 
 
 class TestBijection:
@@ -211,6 +236,13 @@ class TestOeis:
         res = run_cli("oeis", "--seq", "A039755", "--fixture", str(bad))
         assert res.returncode == 1
         assert "mismatch" in res.stdout
+
+    def test_negative_nmax_is_one_line_usage_error(self):
+        res = run_cli("oeis", "--seq", "A039755", "--nmax", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "argument --nmax: must be nonnegative" in res.stderr
 
     def test_missing_fixture_is_usage_error(self):
         res = run_cli("oeis", "--seq", "A039755", "--fixture", "/no/such/file.txt")

@@ -18,7 +18,6 @@ from bdstirling.partitions import (
     flag_stirling_row,
     stirling,
     stirling_row,
-    stirling_row_by_recurrence,
 )
 
 from . import oracles
@@ -53,10 +52,17 @@ class TestStirlingRows:
         assert stirling_row("D", n) == TABLE_D[n]
 
     @pytest.mark.parametrize("kind", ["A", "B", "D", "G"])
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", [*range(9), 30])
     def test_recurrence_agrees_with_binomial_form(self, kind, n):
         for m in ((2,) if kind in ("A", "B", "D") else (1, 2, 3, 4)):
-            assert stirling_row_by_recurrence(kind, n, m) == stirling_row(kind, n, m)
+            if kind == "A":
+                expect = [oracles.classical_stirling(n, r) for r in range(n + 1)]
+            else:
+                expect = [
+                    oracles.signed_stirling(n, r, m, skip_single=kind == "D")
+                    for r in range(n + 1)
+                ]
+            assert stirling_row(kind, n, m) == tuple(expect)
 
     def test_classical_matches_oracle(self):
         for n in range(8):
@@ -91,7 +97,7 @@ class TestStirlingRows:
         assert flag_stirling_row(2) == (0, 1, 2, 2, 1)
 
     def test_flag_row_splits_by_parity(self):
-        for n in range(1, 6):
+        for n in [*range(1, 6), 30]:
             row = flag_stirling_row(n)
             assert len(row) == 2 * n + 1
             for p in range(n + 1):
