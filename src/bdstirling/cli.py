@@ -280,8 +280,10 @@ def cmd_census(args) -> int:
             raise _Usage("cube census needs --m (half-width)")
         result = census(args.kind, args.n, args.m, caps=caps)
     else:
-        if args.m is None or args.t is None:
-            raise _Usage("torus census needs --m (colors) and --t (magnitudes)")
+        if args.m is None or args.t is None or args.m < 2 or args.t < 1:
+            raise _Usage(
+                "torus census needs --m >= 2 (colors) and --t >= 1 (magnitudes)"
+            )
         result = torus_census(args.n, args.m, args.t, caps=caps)
     items = sorted(result.counts.items(), key=lambda kv: (kv[0].r, kv[0].sort_key()))
     header = ["partition", "r", "count", "expected"]
@@ -404,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spots", default="", help="artificial separator gaps, e.g. 0,3")
     p.add_argument("--doc", default=None,
                    help="ordered partition JSON (default: stdin) for inverse")
-    add_common(p, cap=False)
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("census", help="lattice point census")

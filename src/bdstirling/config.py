@@ -1,7 +1,9 @@
-"""Size guards for the exhaustive enumerations."""
+"""Size guards for the exhaustive enumerations, and the weights of each kind."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import BadIndex, SizeOverflow
 
 
 @dataclass(frozen=True)
@@ -19,3 +21,34 @@ class EnumerationCaps:
 
 
 DEFAULT_CAPS = EnumerationCaps()
+
+
+def _weights(kind: str, m: int | None = None) -> tuple[int, int]:
+    """The weights (a, b) every count of a kind is built from.
+
+    A new largest spot joins one of the r classes in any of a colors, or
+    (b = 1) the zero block.  So Stirling rows grow by a r + b, falling
+    factorials step through the roots b, b + a, b + 2a, ..., group orders
+    are a^n n! (halved for D), and the Stirling-Eulerian identities weigh
+    r classes by a^r r!.  Classical A is (1, 0), types B and D are (2, 1),
+    m-colored G is (m, 1); type B is G at m = 2.
+    """
+    if kind == "A":
+        return 1, 0
+    if kind in ("B", "D"):
+        return 2, 1
+    if kind != "G":
+        raise ValueError(f"unknown kind {kind!r}")
+    if m is None or m < 1:
+        raise BadIndex("kind G needs m >= 1")
+    return m, 1
+
+
+def _check_group_cap(kind: str, order: int, caps: EnumerationCaps) -> None:
+    """Refuse to walk a group of this order when it passes the kind's cap.
+
+    Colored groups answer to colored_group; S_n, B_n and D_n to signed_group.
+    """
+    cap = caps.colored_group if kind == "G" else caps.signed_group
+    if order > cap:
+        raise SizeOverflow(f"group of order {order} exceeds cap {cap}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import DEFAULT_CAPS, EnumerationCaps
+from .config import DEFAULT_CAPS, EnumerationCaps, _weights
 from .errors import (
     BadIndex,
     DimensionMismatch,
@@ -111,20 +111,27 @@ class CensusResult:
 
     def expected(self, partition) -> int:
         """The per-partition count the falling-factorial bases predict."""
-        if self.kind == "B":
-            poly = falling_factorial("B", partition.r)
-        elif self.kind == "D":
-            poly = falling_factorial("D", partition.r, n=self.n)
-        else:
-            poly = falling_factorial("G", partition.r, m=self.m)
-        return poly(self.x)
+        return falling_factorial(self.kind, partition.r, n=self.n, m=self.m)(self.x)
 
 
-def _check_cap(x: int, n: int, caps: EnumerationCaps):
+def _tally(kind: str, n: int, circle, m: int | None, caps: EnumerationCaps) -> CensusResult:
+    """Classify every point of circle^n, x = len(circle) values per axis."""
+    x = len(circle)
     if x**n > caps.census_points:
         raise SizeOverflow(
             f"census of {x}**{n} points exceeds cap {caps.census_points}"
         )
+    counts: dict = {}
+    missing = 0
+    for point in itertools.product(circle, repeat=n):
+        try:
+            p = classify_point(kind, point, m=m)
+        except SingletonZeroBlock:
+            missing += 1
+            continue
+        counts[p] = counts.get(p, 0) + 1
+    free = sum(c for p, c in counts.items() if p.r == n)
+    return CensusResult(kind, n, x, m, counts, free, missing)
 
 
 def census(kind: str, n: int, m: int, caps: EnumerationCaps = DEFAULT_CAPS) -> CensusResult:
@@ -133,19 +140,7 @@ def census(kind: str, n: int, m: int, caps: EnumerationCaps = DEFAULT_CAPS) -> C
         raise ValueError(f"cube census kind must be B or D, got {kind!r}")
     if m < 0:
         raise BadIndex("half-width m must be nonnegative")
-    x = 2 * m + 1
-    _check_cap(x, n, caps)
-    counts: dict = {}
-    missing = 0
-    for point in itertools.product(range(-m, m + 1), repeat=n):
-        try:
-            p = classify_point(kind, point)
-        except SingletonZeroBlock:
-            missing += 1
-            continue
-        counts[p] = counts.get(p, 0) + 1
-    free = sum(c for p, c in counts.items() if p.r == n)
-    return CensusResult(kind, n, x, None, counts, free, missing)
+    return _tally(kind, n, range(-m, m + 1), None, caps)
 
 
 def torus_census(n: int, m: int, t: int, caps: EnumerationCaps = DEFAULT_CAPS) -> CensusResult:
@@ -154,34 +149,22 @@ def torus_census(n: int, m: int, t: int, caps: EnumerationCaps = DEFAULT_CAPS) -
         raise BadIndex("torus census needs m >= 2")
     if t < 1:
         raise BadIndex("torus census needs t >= 1")
-    x = m * t + 1
-    _check_cap(x, n, caps)
-    circle = [ZERO] + [
-        (z, i) for z in range(m) for i in range(1, t + 1)
-    ]
-    counts: dict = {}
-    for point in itertools.product(circle, repeat=n):
-        p = classify_point("G", point, m=m)
-        counts[p] = counts.get(p, 0) + 1
-    free = sum(c for p, c in counts.items() if p.r == n)
-    return CensusResult("G", n, x, m, counts, free, 0)
+    circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
+    return _tally("G", n, circle, m, caps)
 
 
 def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:
-    """Points on no hyperplane, by the closed falling-factorial form."""
-    if kind in ("B", "D"):
-        if x < 1 or x % 2 == 0:
-            raise BadIndex("cube censuses need odd x = 2m + 1")
-        if kind == "B":
-            return falling_factorial("B", n)(x)
-        return falling_factorial("D", n, n=n)(x)
-    if kind == "G":
-        if m is None or m < 1:
-            raise BadIndex("kind G needs m >= 1")
-        if x < 1 or (x - 1) % m != 0:
-            raise BadIndex("torus censuses need x = m * t + 1")
-        return falling_factorial("G", n, m=m)(x)
-    raise ValueError(f"unknown census kind {kind!r}")
+    """Points on no hyperplane, by the closed falling-factorial form.
+
+    A census with weights (a, b) has x = b (mod a) values per axis: odd
+    x = 2m + 1 for the cube, x = m t + 1 for the torus.
+    """
+    if kind not in ("B", "D", "G"):
+        raise ValueError(f"unknown census kind {kind!r}")
+    a, b = _weights(kind, m)
+    if x < 1 or (x - b) % a:
+        raise BadIndex(f"kind {kind} censuses need x = {b} (mod {a}), got {x}")
+    return falling_factorial(kind, n, n=n, m=m)(x)
 
 
 def missing_point_count(n: int, x: int) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .config import DEFAULT_CAPS, EnumerationCaps
-from .errors import FlavorMismatch, OddNegativeCount, SizeOverflow
+from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
+from .errors import FlavorMismatch, OddNegativeCount
 
 __all__ = [
     "SignedPermutation",
@@ -210,17 +210,12 @@ def des_stat(element, stat: str) -> int:
 
 
 def group_order(kind: str, n: int, m: int | None = None) -> int:
+    """Order a^n n! of the group of a kind with weights (a, b), halved for D."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if kind == "B":
-        return 2**n * factorial(n)
-    if kind == "D":
-        return 2 ** (n - 1) * factorial(n) if n >= 1 else 1
-    if kind == "G":
-        if m is None or m < 1:
-            raise ValueError("kind G needs m >= 1")
-        return m**n * factorial(n)
-    raise ValueError(f"unknown group kind {kind!r}")
+    a, _ = _weights(kind, m)
+    order = a**n * factorial(n)
+    return order // 2 if kind == "D" and n >= 1 else order
 
 
 def enumerate_group(
@@ -235,10 +230,9 @@ def enumerate_group(
     (value, color) pairs.  Raises SizeOverflow when the group order exceeds
     the configured cap.
     """
-    order = group_order(kind, n, m)
-    cap = caps.colored_group if kind == "G" else caps.signed_group
-    if order > cap:
-        raise SizeOverflow(f"group of order {order} exceeds cap {cap}")
+    if kind not in ("B", "D", "G"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    _check_group_cap(kind, group_order(kind, n, m), caps)
     if kind == "B":
         return _signed_windows(n)
     if kind == "D":

@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import add, gt, mul
 
-from .config import DEFAULT_CAPS, EnumerationCaps
-from .errors import BadIndex, SizeOverflow
+from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
+from .errors import BadIndex
 from .groups import group_order
 from .partitions import flag_stirling_row, stirling
 from .polynomials import IntPolynomial, falling_factorial, monomial
@@ -101,11 +101,6 @@ def _flag_histogram(n: int, order: str) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _check_cap(order: int, cap: int) -> None:
-    if order > cap:
-        raise SizeOverflow(f"group of order {order} exceeds cap {cap}")
-
-
 def descent_histogram(
     kind: str, n: int, m: int = 2, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> tuple[int, ...]:
@@ -119,14 +114,7 @@ def descent_histogram(
     differ only in ``caps``, or in ``m`` outside kind G, share one cache
     entry.
     """
-    if kind == "A":
-        _check_cap(factorial(n), caps.signed_group)
-    elif kind in ("B", "D"):
-        _check_cap(group_order(kind, n), caps.signed_group)
-    elif kind == "G":
-        _check_cap(group_order(kind, n, m), caps.colored_group)
-    else:
-        raise ValueError(f"unknown histogram kind {kind!r}")
+    _check_group_cap(kind, group_order(kind, n, m), caps)
     return _descent_histogram(kind, n, m if kind == "G" else 2)
 
 
@@ -139,7 +127,7 @@ def flag_histogram(
     """
     if order not in ("natural", "color"):
         raise ValueError(f"unknown fdes order {order!r}")
-    _check_cap(group_order("B", n), caps.signed_group)
+    _check_group_cap("B", group_order("B", n), caps)
     return _flag_histogram(n, order)
 
 
@@ -182,7 +170,7 @@ def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
         raise ValueError(f"no inversion formula for kind {kind!r}")
     if kind == "D" and n == 1:
         raise BadIndex("the even-signed inversion is undefined at n = 1")
-    base = 1 if kind == "A" else 2
+    base, _ = _weights(kind)
     total = sum(
         (-1) ** (k - r)
         * base**r
@@ -229,7 +217,7 @@ class VerificationReport:
 
 
 def _stirling_eulerian_report(name, kind, nmax, m, caps):
-    base = {"A": 1, "B": 2, "D": 2, "G": m}[kind]
+    base, _ = _weights(kind, m)
     instances = []
     skipped = []
     for n in range(nmax + 1):

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
+from .config import _weights
 from .errors import (
     MirrorViolation,
     NotAPartition,
@@ -48,20 +50,23 @@ __all__ = [
 # counting
 
 
-_TRIANGLES: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+_TRIANGLES: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def _triangle_row(a: int, b: int, s: int) -> tuple[int, ...]:
     """Row s of T(s, r) = T(s-1, r-1) + (a r + b) T(s-1, r), T(0, 0) = 1.
 
-    Each (a, b) triangle is kept and extended forward from its last row.
+    Only the last row built per (a, b) is kept: a later row extends it
+    forward, an earlier one is rebuilt from row 0.  Row s has s + 1 entries.
     """
-    rows = _TRIANGLES.setdefault((a, b), [(1,)])
-    while len(rows) <= s:
-        prev = rows[-1]
-        factors = range(b, a * len(prev) + b + 1, a)
-        rows.append(tuple(map(add, (0,) + prev, map(mul, factors, prev + (0,)))))
-    return rows[s]
+    row = _TRIANGLES.get((a, b), (1,))
+    if len(row) > s + 1:
+        row = (1,)
+    while len(row) <= s:
+        factors = range(b, a * len(row) + b + 1, a)
+        row = tuple(map(add, (0,) + row, map(mul, factors, row + (0,))))
+    _TRIANGLES[a, b] = row
+    return row
 
 
 def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
@@ -73,21 +78,11 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if kind == "A":
-        return _triangle_row(1, 0, n)
-    if kind == "B":
-        return _triangle_row(2, 1, n)
-    if kind == "D":
-        row = _triangle_row(2, 1, n)
-        if n == 0:
-            return row
-        single = _triangle_row(2, 0, n - 1) + (0,)
-        return tuple(v - n * w for v, w in zip(row, single))
-    if kind != "G":
-        raise ValueError(f"unknown partition kind {kind!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return _triangle_row(m, 1, n)
+    row = _triangle_row(*_weights(kind, m), n)
+    if kind != "D" or n == 0:
+        return row
+    single = _triangle_row(2, 0, n - 1) + (0,)
+    return tuple(v - n * w for v, w in zip(row, single))
 
 
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
@@ -398,40 +393,25 @@ def colored_literal_row(n: int, m: int) -> tuple[int, ...]:
 
     Blocks only need to be permuted nontrivially by the color shift, so a
     block may repeat a value across colors (possible once m is composite).
-    Computed by brute force over set partitions of the colored points, so
-    keep m * n small.  Agrees with stirling_row("G", n, m) for prime m.
+    The blocks over a class of c values then form one shift orbit of d
+    blocks, d > 1 dividing m, each block taking one residue of colors mod d
+    per value: w(c) = sum of d^(c-1) orbits per class.  Classes are counted
+    by the class holding the least value, P(s, r) = sum_c C(s-1, c-1) w(c)
+    P(s-c, r-1), and the zero support by a binomial.  Agrees with
+    stirling_row("G", n, m) for prime m, where w(c) = m^(c-1).
     """
-    points = [0] + [(a, z) for a in range(1, n + 1) for z in range(m)]
-
-    def shift(p):
-        if p == 0:
-            return 0
-        a, z = p
-        return (a, (z + 1) % m)
-
-    counts = [0] * (n + 1)
-    for blocks in classical_set_partitions(points):
-        family = set(blocks)
-        ok = True
-        for b in blocks:
-            image = frozenset(shift(p) for p in b)
-            if image not in family:
-                ok = False
-                break
-            if 0 not in b and image == b:
-                ok = False
-                break
-        if not ok:
-            continue
-        orbits = 0
-        seen = set()
-        for b in blocks:
-            if 0 in b or b in seen:
-                continue
-            orbits += 1
-            cur = b
-            while cur not in seen:
-                seen.add(cur)
-                cur = frozenset(shift(p) for p in cur)
-        counts[orbits] += 1
-    return tuple(counts)
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    w = [0] + [sum(d ** (c - 1) for d in divisors) for c in range(1, n + 1)]
+    classes = [(1,)]  # classes[s][r] = P(s, r)
+    for s in range(1, n + 1):
+        classes.append((0,) + tuple(
+            sum(
+                comb(s - 1, c - 1) * w[c] * classes[s - c][r - 1]
+                for c in range(1, s - r + 2)
+            )
+            for r in range(1, s + 1)
+        ))
+    return tuple(
+        sum(comb(n, j) * classes[n - j][r] for j in range(n - r + 1))
+        for r in range(n + 1)
+    )

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .config import _weights
 from .errors import BadIndex
 
 __all__ = ["IntPolynomial", "ZERO", "ONE", "monomial", "falling_factorial"]
@@ -111,6 +112,7 @@ def falling_factorial(
 ) -> IntPolynomial:
     """Degree-k basis polynomial for the requested kind.
 
+    The roots step by the kind's weights (a, b): b, b + a, ..., b + (k-1)a.
     classical: x(x-1)...(x-k+1).  B: (x-1)(x-3)...(x-2k+1).  D: as B for
     k < n, while k = n swaps the last factor (x-2n+1) for (x-n+1); needs
     n and 0 <= k <= n.  G: (x-1)(x-1-m)...(x-1-(k-1)m); needs m >= 1.
@@ -118,22 +120,13 @@ def falling_factorial(
     """
     if k < 0:
         raise BadIndex("negative falling factorial index")
-    if kind == "classical":
-        return _product(range(k))
-    if kind == "B":
-        return _product(2 * i - 1 for i in range(1, k + 1))
+    a, b = _weights("A" if kind == "classical" else kind, m)
+    roots = [b + a * i for i in range(k)]
     if kind == "D":
         if n is None:
             raise BadIndex("kind D needs n")
         if k > n:
             raise BadIndex(f"kind D is only defined for k <= n, got k={k} n={n}")
-        if k < n or n == 0:
-            return _product(2 * i - 1 for i in range(1, k + 1))
-        return _product(2 * i - 1 for i in range(1, n)) * IntPolynomial(
-            (-(n - 1), 1)
-        )
-    if kind == "G":
-        if m is None or m < 1:
-            raise BadIndex("kind G needs m >= 1")
-        return _product(1 + i * m for i in range(k))
-    raise ValueError(f"unknown falling factorial kind {kind!r}")
+        if k == n > 0:
+            roots[-1] = n - 1
+    return _product(roots)

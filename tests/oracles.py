@@ -137,6 +137,44 @@ def colored_partition_count(n, m, r):
     return hits
 
 
+def colored_literal_row_by_partitions(n, m):
+    """Literal colored counts: walk every set partition of {0} and the mn
+    colored points, keep the families the color shift permutes with no
+    nonzero block fixed, and count shift orbits of the nonzero blocks."""
+    points = [0] + [(a, z) for a in range(1, n + 1) for z in range(m)]
+
+    def shift(p):
+        if p == 0:
+            return 0
+        a, z = p
+        return (a, (z + 1) % m)
+
+    counts = [0] * (n + 1)
+    for part in set_partitions(points):
+        blocks = [frozenset(b) for b in part]
+        family = set(blocks)
+        ok = True
+        for b in blocks:
+            image = frozenset(shift(p) for p in b)
+            if image not in family or (0 not in b and image == b):
+                ok = False
+                break
+        if not ok:
+            continue
+        orbits = 0
+        seen = set()
+        for b in blocks:
+            if 0 in b or b in seen:
+                continue
+            orbits += 1
+            cur = b
+            while cur not in seen:
+                seen.add(cur)
+                cur = frozenset(shift(p) for p in cur)
+        counts[orbits] += 1
+    return tuple(counts)
+
+
 # ---------------------------------------------------------------------------
 # descent statistics straight from the window
 

@@ -188,6 +188,13 @@ class TestBijection:
         res = run_cli("bijection", "forward", "--kind", "B")
         assert res.returncode == 2
 
+    def test_format_flag_is_gone(self):
+        res = run_cli("bijection", "forward", "--kind", "B", "--perm", "1,2",
+                      "--format", "csv")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+
 
 class TestCensus:
     def test_signed_census_totals(self):
@@ -209,6 +216,14 @@ class TestCensus:
     def test_torus_needs_t(self):
         res = run_cli("census", "--kind", "G", "--n", "1", "--m", "3")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("m,t", [("0", "1"), ("1", "1"), ("3", "0")])
+    def test_degenerate_torus_is_one_line_usage_error(self, m, t):
+        res = run_cli("census", "--kind", "G", "--n", "1", "--m", m, "--t", t)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "--m >= 2" in res.stderr and "--t >= 1" in res.stderr
 
     @pytest.mark.parametrize("flag", ["--n", "--m", "--t"])
     def test_negative_size_is_one_line_usage_error(self, flag):

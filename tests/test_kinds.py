@@ -1,0 +1,116 @@
+"""Each kind is defined once, by its weights (a, b), and every layer reads them."""
+from math import factorial
+
+import pytest
+
+from bdstirling.config import EnumerationCaps, _weights
+from bdstirling.errors import BadIndex, SizeOverflow
+from bdstirling.geometry import census, free_point_count, torus_census
+from bdstirling.groups import enumerate_group, group_order
+from bdstirling.identities import descent_histogram, flag_histogram
+from bdstirling.partitions import stirling_row
+from bdstirling.polynomials import falling_factorial
+
+KINDS = [("A", None), ("B", None), ("D", None), ("G", 1), ("G", 3), ("G", 4)]
+
+
+def test_weight_table():
+    assert _weights("A") == (1, 0)
+    assert _weights("B") == _weights("D") == (2, 1)
+    assert _weights("G", 5) == (5, 1)
+    for m in (None, 0, -1):
+        with pytest.raises(BadIndex):
+            _weights("G", m)
+    with pytest.raises(ValueError):
+        _weights("C")
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_type_b_is_two_colors(n):
+    assert stirling_row("B", n) == stirling_row("G", n, 2)
+    assert falling_factorial("B", n) == falling_factorial("G", n, m=2)
+    assert group_order("B", n) == group_order("G", n, 2)
+
+
+@pytest.mark.parametrize("kind,m", KINDS)
+def test_group_order_is_a_to_the_n_times_n_factorial(kind, m):
+    a, _ = _weights(kind, m)
+    for n in range(8):
+        halved = 2 if kind == "D" and n >= 1 else 1
+        assert group_order(kind, n, m) * halved == a**n * factorial(n)
+
+
+@pytest.mark.parametrize("kind,m", KINDS)
+def test_falling_factorial_roots_step_by_a_from_b(kind, m):
+    a, b = _weights(kind, m)
+    for k in range(7):
+        n = k + 1  # below the top, where type D steps like type B
+        poly = falling_factorial(kind, k, n=n, m=m)
+        assert poly.degree == k
+        assert all(poly(b + a * i) == 0 for i in range(k))
+        assert poly(b + a * k) != 0
+
+
+def test_classical_name_is_kind_a():
+    for k in range(7):
+        assert falling_factorial("classical", k) == falling_factorial("A", k)
+
+
+@pytest.mark.parametrize(
+    "kind,m,accepted,rejected",
+    [
+        ("B", None, (1, 3, 7, 9), (2, 4, 6, 8)),
+        ("D", None, (1, 5, 7), (2, 6)),
+        ("G", 3, (1, 4, 16), (2, 3, 5, 17)),
+        ("G", 4, (1, 5, 9), (2, 3, 4, 6, 7)),
+    ],
+)
+def test_free_points_need_x_congruent_to_b_mod_a(kind, m, accepted, rejected):
+    for x in accepted:
+        assert free_point_count(kind, 2, x, m=m) == falling_factorial(
+            kind, 2, n=2, m=m
+        )(x)
+    for x in rejected:
+        with pytest.raises(BadIndex):
+            free_point_count(kind, 2, x, m=m)
+
+
+def test_free_points_reject_kinds_without_a_census():
+    with pytest.raises(ValueError):
+        free_point_count("A", 2, 3)
+
+
+def test_each_overflow_names_its_cap():
+    caps = EnumerationCaps(signed_group=10, colored_group=20, census_points=30)
+    over = {
+        "cap 10": [
+            lambda: descent_histogram("A", 4, caps=caps),
+            lambda: descent_histogram("B", 3, caps=caps),
+            lambda: descent_histogram("D", 3, caps=caps),
+            lambda: flag_histogram(3, caps=caps),
+            lambda: enumerate_group("B", 3, caps=caps),
+            lambda: enumerate_group("D", 3, caps=caps),
+        ],
+        "cap 20": [
+            lambda: descent_histogram("G", 2, 4, caps=caps),
+            lambda: enumerate_group("G", 2, 4, caps=caps),
+        ],
+        "cap 30": [
+            lambda: census("B", 2, 3, caps=caps),
+            lambda: census("D", 2, 3, caps=caps),
+            lambda: torus_census(2, 3, 5, caps=caps),
+        ],
+    }
+    for cap, calls in over.items():
+        for call in calls:
+            with pytest.raises(SizeOverflow, match=f"exceeds {cap}$"):
+                call()
+    # colored groups answer to their own cap, not to the signed one
+    assert sum(descent_histogram("G", 1, 15, caps=caps)) == 15
+    assert len(list(enumerate_group("G", 1, 15, caps=caps))) == 15
+
+
+@pytest.mark.parametrize("kind", ["A", "C", "Bstar", "classical"])
+def test_enumerate_group_rejects_kinds_it_cannot_walk(kind):
+    with pytest.raises(ValueError, match="unknown group kind"):
+        enumerate_group(kind, 2)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,6 +111,27 @@ class TestStirlingRows:
                     for j in range(1, n - p + 1)
                 )
                 assert row[2 * p + 1] == odd
+
+    def test_earlier_row_is_rebuilt_after_a_later_one(self):
+        for kind in ("A", "B", "D", "G"):
+            late = stirling_row(kind, 12, 3)
+            early = stirling_row(kind, 5, 3)
+            assert stirling_row(kind, 12, 3) == late
+            assert stirling_row(kind, 5, 3) == early
+        assert early == tuple(oracles.signed_stirling(5, r, 3) for r in range(6))
+        assert flag_stirling_row(3) == (0, 1, 4, 9, 6, 3, 1)
+
+    def test_cold_thousandth_row_keeps_memory_small(self):
+        code = (
+            "import resource\n"
+            "from bdstirling.partitions import stirling_row\n"
+            "assert len(stirling_row('D', 1000)) == 1001\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert int(res.stdout) < 100 * 1024  # KiB on Linux
 
     def test_flag_row_total_counts_all_signed_partitions(self):
         # every signed partition lands at exactly one flag index
@@ -248,9 +272,15 @@ class TestEnumeration:
 
 class TestLiteralColoredRule:
     def test_prime_color_counts_coincide_with_strict(self):
-        for n in (1, 2):
-            for m in (2, 3, 5):
+        for n in range(8):
+            for m in (2, 3, 5, 7):
                 assert colored_literal_row(n, m) == stirling_row("G", n, m)
+
+    @pytest.mark.parametrize(
+        "n,m", [(0, 3), (1, 1), (1, 4), (1, 6), (1, 8), (1, 9), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
+    )
+    def test_orbit_count_matches_brute_force(self, n, m):
+        assert colored_literal_row(n, m) == oracles.colored_literal_row_by_partitions(n, m)
 
     def test_composite_color_count_differs(self):
         # a block family invariant under a proper shift power is literal
