@@ -17,8 +17,9 @@ first block have no preimage at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
+from operator import neg
 
 from .errors import (
     FlavorMismatch,
@@ -47,7 +48,7 @@ __all__ = [
 
 
 def _mirror(block: frozenset[int]) -> frozenset[int]:
-    return frozenset(-v for v in block)
+    return frozenset(map(neg, block))
 
 
 @dataclass(frozen=True)
@@ -56,67 +57,67 @@ class OrderedPartition:
 
     The zero block is stored as the full +-support set without the 0
     marker; it is recognized by being its own mirror.  Pair blocks appear
-    adjacently as (C, -C) in procedure order.
+    adjacently as (C, -C) in procedure order.  The constructor validates
+    the whole shape once; the zero support it finds is kept beside the
+    blocks and takes no part in equality, hashing or repr.
     """
 
     kind: str
     n: int
     blocks: tuple[frozenset[int], ...]
+    _support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.n
         if self.kind not in ("B", "D"):
             raise ValueError(f"unknown ordered partition kind {self.kind!r}")
-        blocks = tuple(frozenset(int(v) for v in b) for b in self.blocks)
+        blocks = tuple(frozenset(map(int, b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         for b in blocks:
             if not b:
                 raise NotAPartition("empty block")
-            if any(v == 0 or abs(v) > self.n for v in b):
-                raise NotAPartition(
-                    f"block {sorted(b)} outside +-1..+-{self.n}"
-                )
-        start = 0
-        support: list[int] = []
+            if 0 in b or min(b) < -n or max(b) > n:
+                raise NotAPartition(f"block {sorted(b)} outside +-1..+-{n}")
+        support: frozenset[int] = frozenset()
+        pairs = blocks
         if blocks and blocks[0] == _mirror(blocks[0]):
-            support = sorted(v for v in blocks[0] if v > 0)
-            start = 1
-        pairs = blocks[start:]
+            support = frozenset(v for v in blocks[0] if v > 0)
+            pairs = blocks[1:]
         if len(pairs) % 2:
             raise InvalidOrderedPartition("dangling block without its mirror")
-        covered = list(support)
-        for i in range(0, len(pairs), 2):
-            c = pairs[i]
-            if len({abs(v) for v in c}) != len(c):
+        spots = set(support)
+        count = len(support)
+        for c, mirror in zip(pairs[::2], pairs[1::2]):
+            absolute = set(map(abs, c))
+            if len(absolute) != len(c):
                 raise RepeatedValueInBlock(
                     f"block {sorted(c)} repeats an absolute value"
                 )
-            if pairs[i + 1] != _mirror(c):
+            if mirror != _mirror(c):
                 raise InvalidOrderedPartition(
-                    f"block {sorted(pairs[i + 1])} is not the mirror of {sorted(c)}"
+                    f"block {sorted(mirror)} is not the mirror of {sorted(c)}"
                 )
-            covered.extend(abs(v) for v in c)
-        if sorted(covered) != list(range(1, self.n + 1)):
-            raise NotAPartition(
-                f"spots covered {sorted(covered)} do not tile 1..{self.n}"
-            )
+            spots |= absolute
+            count += len(c)
+        if count != len(spots) or spots != set(range(1, n + 1)):
+            covered = sorted([*support, *(abs(v) for c in pairs[::2] for v in c)])
+            raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
         if self.kind == "D" and len(support) == 1:
-            raise NotTypeD(f"zero support {support} has size 1")
+            raise NotTypeD(f"zero support {sorted(support)} has size 1")
+        object.__setattr__(self, "_support", support)
 
     @property
     def has_zero_block(self) -> bool:
-        return bool(self.blocks) and self.blocks[0] == _mirror(self.blocks[0])
+        return bool(self._support)
 
     @property
     def zero_support(self) -> frozenset[int]:
-        if not self.has_zero_block:
-            return frozenset()
-        return frozenset(v for v in self.blocks[0] if v > 0)
+        return self._support
 
     @property
     def class_blocks(self) -> tuple[frozenset[int], ...]:
         """First block of each mirror pair, in procedure order."""
-        start = 1 if self.has_zero_block else 0
-        return self.blocks[start::2]
+        return self.blocks[1 if self._support else 0 :: 2]
 
     @property
     def r(self) -> int:
@@ -177,17 +178,26 @@ def _checked_separators(
 def _blocks_from_cut_window(
     window: tuple[int, ...], separators: set[int]
 ) -> tuple[frozenset[int], ...]:
-    n = len(window)
     gaps = sorted(separators)
     blocks: list[frozenset[int]] = []
     lead = window[: gaps[0]] if gaps else window
     if lead:
-        blocks.append(frozenset(lead) | frozenset(-v for v in lead))
-    for a, b in zip(gaps, gaps[1:] + [n]):
+        blocks.append(frozenset((*lead, *map(neg, lead))))
+    for a, b in zip(gaps, gaps[1:] + [len(window)]):
         seg = frozenset(window[a:b])
-        blocks.append(seg)
-        blocks.append(_mirror(seg))
+        blocks += (seg, _mirror(seg))
     return tuple(blocks)
+
+
+def _slid_blocks(
+    window: tuple[int, ...], separators: set[int]
+) -> tuple[frozenset[int], ...]:
+    """Even-signed cut: an occupied gap 1 with gap 0 free slides to gap 0,
+    flipping the first entry."""
+    if 1 in separators and 0 not in separators:
+        window = (-window[0],) + window[1:]
+        separators = (separators - {1}) | {0}
+    return _blocks_from_cut_window(window, separators)
 
 
 def b_procedure(beta: SignedPermutation, artificial=()) -> OrderedPartition:
@@ -205,13 +215,7 @@ def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
     if not isinstance(gamma, SignedPermutation):
         raise FlavorMismatch("the block procedure needs a SignedPermutation")
     separators = _checked_separators(gamma, artificial, "D")
-    window = gamma.window
-    if 1 in separators and 0 not in separators:
-        window = (-window[0],) + window[1:]
-        separators = (separators - {1}) | {0}
-    return OrderedPartition(
-        "D", gamma.n, _blocks_from_cut_window(window, separators)
-    )
+    return OrderedPartition("D", gamma.n, _slid_blocks(gamma.window, separators))
 
 
 def _window_and_cuts(op: OrderedPartition) -> tuple[list[int], list[int]]:
@@ -223,11 +227,13 @@ def _window_and_cuts(op: OrderedPartition) -> tuple[list[int], list[int]]:
     return window, cuts
 
 
-def _check_round_trip(image: OrderedPartition, op: OrderedPartition) -> None:
-    if image != op:
-        raise InvariantViolation(
-            f"preimage maps to {image.to_doc()} instead of {op.to_doc()}"
-        )
+def _check_round_trip(
+    op: OrderedPartition, n: int, image: tuple[frozenset[int], ...]
+) -> None:
+    """Raise unless the forward cut of the n-spot preimage gives op back."""
+    if n != op.n or image != op.blocks:
+        doc = {"kind": op.kind, "n": n, "blocks": [sorted(b) for b in image]}
+        raise InvariantViolation(f"preimage maps to {doc} instead of {op.to_doc()}")
 
 
 def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozenset[int]]:
@@ -236,8 +242,10 @@ def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
         raise FlavorMismatch(f"expected an ordered partition of kind B, got {op.kind!r}")
     window, cuts = _window_and_cuts(op)
     beta = SignedPermutation(tuple(window))
-    artificial = frozenset(cuts) - descent_set(beta, "B")
-    _check_round_trip(b_procedure(beta, artificial), op)
+    descents = descent_set(beta, "B")
+    artificial = frozenset(cuts) - descents
+    image = _blocks_from_cut_window(beta.window, descents | artificial)
+    _check_round_trip(op, beta.n, image)
     return beta, artificial
 
 
@@ -280,6 +288,8 @@ def d_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
         window[0] = -window[0]
         cuts[0] = 1
     gamma = SignedPermutation(tuple(window))
-    artificial = frozenset(cuts) - descent_set(gamma, "D")
-    _check_round_trip(d_procedure(gamma, artificial), op)
+    descents = descent_set(gamma, "D")
+    artificial = frozenset(cuts) - descents
+    image = _slid_blocks(gamma.window, descents | artificial)
+    _check_round_trip(op, gamma.n, image)
     return gamma, artificial

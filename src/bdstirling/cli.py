@@ -5,7 +5,8 @@ sweeps), bijection (block procedure round trips on user input), census
 (lattice-point classification), oeis (b-file cross-checks).
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage or
-malformed input (size-cap violations included), 3 fetch failure.
+malformed input (size-cap violations included), 3 fetch failure, 4 internal
+error (a failed consistency check: a bug, not bad input).
 Output in csv and json modes is byte-deterministic for a fixed invocation.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .bijections import (
     d_procedure_inverse,
 )
 from .config import DEFAULT_CAPS, EnumerationCaps
-from .errors import SizeOverflow, UnreachableForm
+from .errors import InvariantViolation, SizeOverflow, UnreachableForm
 from .geometry import census, torus_census
 from .groups import SignedPermutation
 from .identities import IDENTITIES, descent_histogram, flag_histogram, verify_identity
@@ -461,6 +462,9 @@ def main(argv=None) -> int:
     except SizeOverflow as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InvariantViolation as e:
+        print(f"error: internal error: {e}", file=sys.stderr)
+        return 4
     except TypeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -37,9 +37,9 @@ class SignedPermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(int(v) for v in self.window))
+        object.__setattr__(self, "window", tuple(map(int, self.window)))
         n = len(self.window)
-        if sorted(abs(v) for v in self.window) != list(range(1, n + 1)):
+        if sorted(map(abs, self.window)) != list(range(1, n + 1)):
             raise ValueError(f"window {self.window!r} is not a signed permutation")
 
     @property

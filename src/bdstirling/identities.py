@@ -19,7 +19,7 @@ from operator import add, gt, mul
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
 from .errors import BadIndex
 from .groups import group_order
-from .partitions import flag_stirling_row, stirling
+from .partitions import flag_stirling_row, stirling_row
 from .polynomials import IntPolynomial, falling_factorial, monomial
 
 __all__ = [
@@ -171,11 +171,12 @@ def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
     if kind == "D" and n == 1:
         raise BadIndex("the even-signed inversion is undefined at n = 1")
     base, _ = _weights(kind)
+    row = stirling_row(kind, max(n, 0))  # a negative n sums no terms
     total = sum(
         (-1) ** (k - r)
         * base**r
         * factorial(r)
-        * stirling(kind, n, r)
+        * row[r]
         * _binom(n - r, k - r)
         for r in range(min(k, n) + 1)
     )
@@ -224,8 +225,10 @@ def _stirling_eulerian_report(name, kind, nmax, m, caps):
         if kind == "D" and n == 1:
             skipped.append("n=1")
             continue
+        row = stirling_row(kind, n, m)
+        classical = stirling_row("A", n - 1) if kind == "D" and n >= 1 else ()
         for r in range(n + 1):
-            lhs = base**r * factorial(r) * stirling(kind, n, r, m)
+            lhs = base**r * factorial(r) * row[r]
             rhs = sum(
                 eulerian(kind, n, k, m, caps=caps) * _binom(n - k, r - k)
                 for k in range(n + 1)
@@ -235,7 +238,7 @@ def _stirling_eulerian_report(name, kind, nmax, m, caps):
                     n
                     * 2 ** (n - 1)
                     * factorial(r - 1)
-                    * stirling("A", n - 1, r - 1)
+                    * classical[r - 1]
                 )
             params = [("n", n), ("r", r)] + ([("m", m)] if kind == "G" else [])
             instances.append(IdentityCheck(name, tuple(params), lhs, rhs))
@@ -263,8 +266,7 @@ def _basis_report(name, kind, nmax, m, caps):
     for n in range(nmax + 1):
         stirling_kind = {"classical": "A", "B": "B", "D": "D", "G": "G"}[kind]
         rhs = IntPolynomial(())
-        for k in range(n + 1):
-            coeff = stirling(stirling_kind, n, k, m)
+        for k, coeff in enumerate(stirling_row(stirling_kind, n, m)):
             rhs = rhs + coeff * falling_factorial(kind, k, n=n, m=m)
         if kind == "D" and n >= 1:
             correction = IntPolynomial((-1, 1)) ** (n - 1) - falling_factorial(

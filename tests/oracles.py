@@ -14,6 +14,12 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
+from bdstirling.errors import (
+    InvalidOrderedPartition,
+    NotAPartition,
+    NotTypeD,
+    RepeatedValueInBlock,
+)
 from bdstirling.groups import des_stat, enumerate_group, fdes
 
 
@@ -250,3 +256,59 @@ def flag_histogram_by_elements(n, order="natural"):
     for beta in enumerate_group("B", n):
         counts[fdes(beta, order)] += 1
     return tuple(counts)
+
+
+# ---------------------------------------------------------------------------
+# ordered mirror partitions checked value by value
+
+
+def ordered_partition_reference(kind, n, blocks):
+    """Validate an ordered mirror partition one value at a time.
+
+    Returns the blocks as a tuple of frozensets, or raises the error, with
+    the message, that bijections.OrderedPartition must raise on the same
+    input.  The checks run in this order: kind, each block nonempty and
+    inside +-1..+-n, an optional self-mirrored zero block, blocks pairing
+    up, no repeated absolute value in a class block, each pair's second
+    block the mirror of its first, the spots tiling 1..n, and for kind D
+    a zero support of any size but 1.
+    """
+    if kind not in ("B", "D"):
+        raise ValueError(f"unknown ordered partition kind {kind!r}")
+    blocks = tuple(frozenset(int(v) for v in b) for b in blocks)
+
+    def mirror(block):
+        return frozenset(-v for v in block)
+
+    for b in blocks:
+        if not b:
+            raise NotAPartition("empty block")
+        if any(v == 0 or abs(v) > n for v in b):
+            raise NotAPartition(f"block {sorted(b)} outside +-1..+-{n}")
+    start = 0
+    support = []
+    if blocks and blocks[0] == mirror(blocks[0]):
+        support = sorted(v for v in blocks[0] if v > 0)
+        start = 1
+    pairs = blocks[start:]
+    if len(pairs) % 2:
+        raise InvalidOrderedPartition("dangling block without its mirror")
+    covered = list(support)
+    for i in range(0, len(pairs), 2):
+        c = pairs[i]
+        if len({abs(v) for v in c}) != len(c):
+            raise RepeatedValueInBlock(
+                f"block {sorted(c)} repeats an absolute value"
+            )
+        if pairs[i + 1] != mirror(c):
+            raise InvalidOrderedPartition(
+                f"block {sorted(pairs[i + 1])} is not the mirror of {sorted(c)}"
+            )
+        covered.extend(abs(v) for v in c)
+    if sorted(covered) != list(range(1, n + 1)):
+        raise NotAPartition(
+            f"spots covered {sorted(covered)} do not tile 1..{n}"
+        )
+    if kind == "D" and len(support) == 1:
+        raise NotTypeD(f"zero support {support} has size 1")
+    return blocks

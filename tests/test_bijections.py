@@ -1,8 +1,11 @@
+import subprocess
+import sys
+from dataclasses import fields
 from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdstirling import bijections
@@ -27,6 +30,7 @@ from bdstirling.errors import (
 from bdstirling.groups import SignedPermutation, descent_set, enumerate_group
 from bdstirling.partitions import enumerate_partitions, stirling
 
+from .oracles import ordered_partition_reference
 from .strategies import signed_perms
 
 S = SignedPermutation.from_text
@@ -94,6 +98,134 @@ class TestOrderedPartition:
         part = op.to_unordered()
         assert part.r == 2 and part.zero_support == frozenset()
 
+    def test_derived_support_stays_out_of_identity(self):
+        op = OrderedPartition("B", 2, (fs(1, -1), fs(2), fs(-2)))
+        assert [f.name for f in fields(op) if f.compare] == ["kind", "n", "blocks"]
+        assert repr(op) == f"OrderedPartition(kind='B', n=2, blocks={op.blocks!r})"
+        bare = OrderedPartition("B", 2, (fs(1), fs(-1), fs(2), fs(-2)))
+        assert not bare.has_zero_block and bare.zero_support == frozenset()
+        assert bare.class_blocks == (fs(1), fs(2))
+
+
+MUTATIONS = ("empty", "zero", "range", "drop", "lose", "double", "flip",
+             "repeat", "swap")
+
+
+@st.composite
+def ordered_block_lists(draw):
+    """(kind, n, blocks) from a valid ordered partition, each block a list,
+    then up to two mutations that may break a rule: an empty block, a 0, a
+    value out of range, a dropped block or pair, a doubled pair, one sign
+    flipped, a repeated absolute value, two blocks swapped."""
+    kind = draw(st.sampled_from(("B", "D")))
+    n = draw(st.integers(0, 5))
+    spots = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n))
+    zero, rest = spots[:k], spots[k:]
+    blocks = [sorted([*zero, *(-v for v in zero)])] if zero else []
+    i = 0
+    while i < len(rest):
+        size = draw(st.integers(1, len(rest) - i))
+        c = [v * draw(st.sampled_from((1, -1))) for v in rest[i : i + size]]
+        blocks += [c, [-v for v in c]]
+        i += size
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        at = draw(st.integers(0, len(blocks)))
+        if mutation == "empty":
+            blocks.insert(at, [])
+            continue
+        if not blocks:
+            continue
+        j = at % len(blocks)
+        if mutation == "zero":
+            blocks[j] = blocks[j] + [0]
+        elif mutation == "range":
+            blocks[j] = blocks[j] + [draw(st.sampled_from((n + 1, -n - 1)))]
+        elif mutation == "drop":
+            del blocks[j]
+        elif mutation == "lose":
+            del blocks[j : j + 2]
+        elif mutation == "double":
+            blocks += blocks[j : j + 2]
+        elif mutation == "flip":
+            blocks[j] = [-blocks[j][0]] + blocks[j][1:] if blocks[j] else [1]
+        elif mutation == "repeat":
+            blocks[j] = blocks[j] + [-blocks[j][0]] if blocks[j] else [1, -1]
+        else:
+            blocks[j], blocks[-1] = blocks[-1], blocks[j]
+    return kind, n, blocks
+
+
+raw_block_lists = st.tuples(
+    st.sampled_from(("B", "D", "C")),
+    st.integers(-1, 4),
+    st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=6),
+)
+
+
+def assert_validates_like_reference(kind, n, blocks):
+    try:
+        expected = ordered_partition_reference(kind, n, blocks)
+    except ValueError as err:
+        with pytest.raises(type(err)) as got:
+            OrderedPartition(kind, n, tuple(blocks))
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+    else:
+        assert OrderedPartition(kind, n, tuple(blocks)).blocks == expected
+
+
+class TestValidatorAgainstReference:
+    @pytest.mark.parametrize("kind, n, blocks", [
+        ("C", 1, [[1], [-1]]),
+        ("B", 1, [[], [1], [-1]]),
+        ("B", 1, [[1, 0], [-1]]),
+        ("B", 1, [[2], [-2]]),
+        ("B", 1, [[-2], [2]]),
+        ("B", 2, [[1], [-1], [2]]),
+        ("B", 2, [[1, -1], [2, -2, 1], [-2, 2, -1]]),
+        ("B", 2, [[1], [1], [2], [-2]]),
+        ("B", 3, [[1], [-1], [1], [-1], [2], [-2]]),
+        ("B", 2, [[1], [-1], [1], [-1], [2], [-2]]),
+        ("B", 3, [[1], [-1]]),
+        ("D", 2, [[1, -1], [2], [-2]]),
+        ("D", 3, [[3, -3, 1, -1], [2], [-2]]),
+        ("B", 0, []),
+        ("B", -1, []),
+        ("D", 3, [[-3, 1], [3, -1], [2], [-2]]),
+    ])
+    def test_each_rule(self, kind, n, blocks):
+        assert_validates_like_reference(kind, n, blocks)
+
+    @settings(max_examples=400)
+    @given(st.one_of(ordered_block_lists(), raw_block_lists))
+    def test_same_blocks_or_same_error(self, case):
+        assert_validates_like_reference(*case)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_forward_outputs_rebuild_equal(self, kind, n):
+        procedure = b_procedure if kind == "B" else d_procedure
+        for g in enumerate_group(kind, n):
+            gaps = sorted(free_gaps(g, kind))
+            for k in range(len(gaps) + 1):
+                for art in combinations(gaps, k):
+                    try:
+                        op = procedure(g, art)
+                    except NotTypeD:
+                        assert kind == "D" and n == 1 and art == ()
+                        continue
+                    rebuilt = OrderedPartition(op.kind, op.n, op.blocks)
+                    assert rebuilt == op and hash(rebuilt) == hash(op)
+                    lead = op.blocks[0] if op.blocks else frozenset()
+                    leads = bool(lead) and lead == frozenset(-v for v in lead)
+                    assert rebuilt.has_zero_block == leads
+                    assert rebuilt.zero_support == frozenset(
+                        v for v in lead if leads and v > 0)
+                    assert rebuilt.class_blocks == op.blocks[leads::2]
+                    assert ordered_partition_reference(
+                        op.kind, op.n, op.blocks) == op.blocks
+
 
 class TestForward:
     def test_descents_only(self):
@@ -145,12 +277,38 @@ class TestInverse:
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_failed_round_trip_raises(self, kind, monkeypatch):
         op = OrderedPartition(kind, 2, (fs(1, -1, 2, -2),))
-        other = OrderedPartition(kind, 2, (fs(1), fs(-1), fs(2), fs(-2)))
-        procedure = "b_procedure" if kind == "B" else "d_procedure"
-        monkeypatch.setattr(bijections, procedure, lambda element, spots: other)
+        other = (fs(1), fs(-1), fs(2), fs(-2))
+        monkeypatch.setattr(
+            bijections, "_blocks_from_cut_window", lambda window, separators: other
+        )
         inverse = b_procedure_inverse if kind == "B" else d_procedure_inverse
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="preimage maps to"):
             inverse(op)
+
+    def test_failed_round_trip_raises_under_optimize(self):
+        code = (
+            "from bdstirling import bijections\n"
+            "from bdstirling.bijections import (\n"
+            "    OrderedPartition, b_procedure_inverse, d_procedure_inverse)\n"
+            "from bdstirling.errors import InvariantViolation\n"
+            "assert False, 'asserts must be off'\n"
+            "bijections._blocks_from_cut_window = lambda window, separators: ()\n"
+            "for kind, inverse in (('B', b_procedure_inverse), ('D', d_procedure_inverse)):\n"
+            "    try:\n"
+            "        inverse(OrderedPartition(kind, 2, (frozenset({1, -1, 2, -2}),)))\n"
+            "    except InvariantViolation as e:\n"
+            "        print(kind, 'raised:', e)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "".join(
+            f"{kind} raised: preimage maps to {{'kind': '{kind}', 'n': 2, "
+            f"'blocks': []}} instead of {{'kind': '{kind}', 'n': 2, "
+            f"'blocks': [[-2, -1, 1, 2]]}}\n"
+            for kind in "BD"
+        )
 
     def test_recovers_window_and_artificial_spots(self):
         op = OrderedPartition(

@@ -188,6 +188,27 @@ class TestBijection:
         res = run_cli("bijection", "forward", "--kind", "B")
         assert res.returncode == 2
 
+    def test_internal_error_is_exit_4(self):
+        code = (
+            "import sys\n"
+            "from bdstirling import bijections, cli\n"
+            "bijections._blocks_from_cut_window = lambda window, separators: ()\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        doc = '{"kind":"B","n":2,"blocks":[[1,-1],[2],[-2]]}'
+        res = subprocess.run(
+            [sys.executable, "-c", code, "bijection", "inverse", "--doc", doc],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: internal error: preimage maps to {'kind': 'B', 'n': 2, "
+            "'blocks': []} instead of {'kind': 'B', 'n': 2, "
+            "'blocks': [[-1, 1], [2], [-2]]}"
+        ]
+        assert "Traceback" not in res.stderr
+
     def test_format_flag_is_gone(self):
         res = run_cli("bijection", "forward", "--kind", "B", "--perm", "1,2",
                       "--format", "csv")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bdstirling.config import DEFAULT_CAPS, EnumerationCaps
@@ -152,6 +154,12 @@ class TestEulerianNumbers:
         assert eulerian_from_stirling("A", 3, 2) == 4
         assert eulerian_from_stirling("D", 2, 0) == 1
 
+    @pytest.mark.parametrize("kind", ["A", "B", "D"])
+    def test_inversion_outside_the_triangle_is_zero(self, kind):
+        assert eulerian_from_stirling(kind, -2, 1) == 0
+        assert eulerian_from_stirling(kind, 3, -1) == 0
+        assert eulerian_from_stirling(kind, 3, 5) == 0
+
 
 class TestVerification:
     @pytest.mark.parametrize("name", ASSERTED)
@@ -208,6 +216,22 @@ class TestVerification:
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError):
             verify_identity("thm-0.0")
+
+    # SHA-256 of repr(report), recorded when every entry was read through
+    # stirling(kind, n, r) inside the r or k loop; each report now reads
+    # its Stirling rows once per n and must keep every instance.
+    @pytest.mark.parametrize("name, nmax, digest", [
+        ("thm-4.2", None,
+         "8ece5160e56e6fb30b2696d5e032eb97858512a154dddb3384511b420372d94f"),
+        ("cor-4.4", None,
+         "a51a5bdf6412a191f295b3da10717cec3c1b7426499296381e343432a282c35d"),
+        ("thm-5.3", 12,
+         "63ac70f1ac072ecf0e282ff5e385fbffbf4f1b77ba83e99282c8a971ff3309b6"),
+    ])
+    def test_even_signed_reports_keep_their_instances(self, name, nmax, digest):
+        report = verify_identity(name, nmax=nmax)
+        assert report.passed
+        assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
     def test_registry_default_sizes(self):
         for name, entry in IDENTITIES.items():
