@@ -99,7 +99,8 @@ class OrderedPartition:
                 )
             spots |= absolute
             count += len(c)
-        if count != len(spots) or spots != set(range(1, n + 1)):
+        # Spots lie in 1..n, so n distinct ones tile it; n < 0 never tiles.
+        if not count == len(spots) == n:
             covered = sorted([*support, *(abs(v) for c in pairs[::2] for v in c)])
             raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
         if self.kind == "D" and len(support) == 1:

@@ -4,18 +4,24 @@ Subcommands: tables (Stirling/Eulerian triangles), verify (identity
 sweeps), bijection (block procedure round trips on user input), census
 (lattice-point classification), oeis (b-file cross-checks).
 
+Each subcommand returns one _Result; main writes it through _emit, the
+only writer of stdout, and maps every exception to an exit code through
+the one table _ERRORS.
+
 Exit codes: 0 success, 1 verification or validation failure, 2 usage or
 malformed input (size-cap violations included), 3 fetch failure, 4 internal
-error (a failed consistency check: a bug, not bad input).
+error (a failed consistency check or any unexpected exception: a bug, not
+bad input).  Every error is one line on stderr, never a traceback.
 Output in csv and json modes is byte-deterministic for a fixed invocation.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import oeis as oeis_mod
 from .bijections import (
@@ -32,8 +38,6 @@ from .groups import SignedPermutation
 from .identities import IDENTITIES, descent_histogram, flag_histogram, verify_identity
 from .partitions import flag_stirling_row, stirling_row
 
-TABLE_KINDS = ("A", "B", "D", "G", "Bstar")
-
 
 def _compact_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -41,34 +45,42 @@ def _compact_json(obj) -> str:
 
 def _cell(value) -> str:
     if isinstance(value, (tuple, list)):
-        return _compact_json(list(value))
+        return _compact_json(value)
     return str(value)
 
 
-def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_obj, footer: list[str] = ()):
+def _one_line(text: str) -> str:
+    return " ".join(text.splitlines())
+
+
+@dataclass(frozen=True)
+class _Result:
+    """One subcommand's answer: the JSON document, a table of raw cells
+    (no header, no table), the lines after it and the exit code."""
+
+    doc: object
+    header: tuple[str, ...] = ()
+    rows: list | tuple = ()
+    footer: tuple[str, ...] = ()
+    code: int = 0
+
+
+def _emit(fmt: str, result: _Result) -> None:
+    """Write result to stdout in the requested format; nothing else does."""
     if fmt == "json":
-        print(_compact_json(json_obj))
+        print(_compact_json(result.doc))
         return
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+    table = [list(result.header)] + [[_cell(v) for v in row] for row in result.rows]
+    if fmt == "csv" and result.header:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
         return
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            if i < len(widths):
-                widths[i] = max(widths[i], len(cell))
-    def line(cells):
-        padded = [c.ljust(widths[i]) for i, c in enumerate(cells)]
-        return "| " + " | ".join(padded) + " |"
-    print(line(header))
-    print(line(["-" * w for w in widths]))
-    for row in rows:
-        print(line(row + [""] * (len(header) - len(row))))
-    for text in footer:
+    if result.header:
+        widths = [max(map(len, column)) for column in zip_longest(*table, fillvalue="")]
+        table.insert(1, ["-" * w for w in widths])
+        for row in table:
+            cells = zip_longest(row, widths, fillvalue="")
+            print("| " + " | ".join(c.ljust(w) for c, w in cells) + " |")
+    for text in result.footer:
         print(text)
 
 
@@ -106,7 +118,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are one stderr line, exit code 2."""
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.prog}: error: {_one_line(message)}\n")
 
 
 def _caps_from_args(args) -> EnumerationCaps:
@@ -133,9 +145,7 @@ def _table_row(args, n: int, caps: EnumerationCaps):
     if args.table == "stirling":
         if args.kind == "Bstar":
             return flag_stirling_row(n)
-        if args.kind == "G":
-            return stirling_row("G", n, args.m)
-        return stirling_row(args.kind, n)
+        return stirling_row(args.kind, n, args.m)
     if args.kind == "Bstar":
         return flag_histogram(n, caps=caps)
     if args.kind == "A":
@@ -143,28 +153,27 @@ def _table_row(args, n: int, caps: EnumerationCaps):
     return descent_histogram(args.kind, n, args.m, caps=caps)
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> _Result:
     caps = _caps_from_args(args)
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
     # Eulerian rows walk whole groups, largest first so that a size over
     # the cap fails before any walk; Stirling rows build on smaller ones.
     walk = ns if args.table == "stirling" else ns[::-1]
-    rows = {n: list(_table_row(args, n, caps)) for n in walk}
-    rows_values = [(n, rows[n]) for n in ns]
-    width = max(len(r) for _, r in rows_values)
-    header = ["n"] + [str(i) for i in range(width)]
-    rows = [[str(n)] + [str(v) for v in r] for n, r in rows_values]
-    json_obj = {
-        "table": args.table,
-        "kind": args.kind,
-        "m": args.m if args.kind == "G" else None,
-        "rows": [{"n": n, "values": r} for n, r in rows_values],
-    }
-    _emit_table(args.format, header, rows, json_obj)
-    return 0
+    rows = {n: _table_row(args, n, caps) for n in walk}
+    width = max(len(rows[n]) for n in ns)
+    return _Result(
+        {
+            "table": args.table,
+            "kind": args.kind,
+            "m": args.m if args.kind == "G" else None,
+            "rows": [{"n": n, "values": rows[n]} for n in ns],
+        },
+        header=("n", *map(str, range(width))),
+        rows=[(n, *rows[n]) for n in ns],
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> _Result:
     caps = _caps_from_args(args)
     report = verify_identity(args.identity, args.nmax, args.m, caps=caps)
     instances = report.instances
@@ -177,12 +186,6 @@ def cmd_verify(args) -> int:
                 for key, value in inst.params
             )
         )
-    header = ["params", "lhs", "rhs", "ok", "note"]
-    rows = [
-        [inst.params_text(), _cell(inst.lhs), _cell(inst.rhs),
-         "yes" if inst.ok else "no", inst.note]
-        for inst in instances
-    ]
     failures = sum(1 for inst in instances if not inst.ok)
     passed = failures == 0
     summary = (
@@ -192,29 +195,30 @@ def cmd_verify(args) -> int:
         + ("; report only, not asserted" if not report.asserted else "")
         + ")"
     )
-    json_obj = {
-        "identity": report.identity,
-        "asserted": report.asserted,
-        "passed": passed,
-        "skipped": list(report.skipped),
-        "instances": [
-            {
-                "params": dict(inst.params),
-                "lhs": list(inst.lhs) if isinstance(inst.lhs, tuple) else inst.lhs,
-                "rhs": list(inst.rhs) if isinstance(inst.rhs, tuple) else inst.rhs,
-                "ok": inst.ok,
-                "note": inst.note,
-            }
+    return _Result(
+        {
+            "identity": report.identity,
+            "asserted": report.asserted,
+            "passed": passed,
+            "skipped": report.skipped,
+            "instances": [
+                {"params": dict(inst.params), "lhs": inst.lhs, "rhs": inst.rhs,
+                 "ok": inst.ok, "note": inst.note}
+                for inst in instances
+            ],
+        },
+        header=("params", "lhs", "rhs", "ok", "note"),
+        rows=[
+            (inst.params_text(), inst.lhs, inst.rhs,
+             "yes" if inst.ok else "no", inst.note)
             for inst in instances
         ],
-    }
-    _emit_table(args.format, header, rows, json_obj, footer=[summary])
-    if not report.asserted:
-        return 0
-    return 0 if passed else 1
+        footer=(summary,),
+        code=1 if report.asserted and not passed else 0,
+    )
 
 
-def cmd_bijection(args) -> int:
+def cmd_bijection(args) -> _Result:
     if args.direction == "forward":
         if args.perm is None:
             raise _Usage("forward needs --perm")
@@ -222,9 +226,7 @@ def cmd_bijection(args) -> int:
         spots = _parse_int_list(args.spots, "--spots")
         beta = SignedPermutation(tuple(window))
         proc = d_procedure if args.kind == "D" else b_procedure
-        op = proc(beta, frozenset(spots))
-        print(_compact_json(op.to_doc()))
-        return 0
+        return _Result(proc(beta, frozenset(spots)).to_doc())
     text = args.doc if args.doc is not None else sys.stdin.read()
     try:
         data = json.loads(text)
@@ -249,32 +251,14 @@ def cmd_bijection(args) -> int:
     try:
         element, spots = inverse(op)
     except UnreachableForm as e:
-        print(
-            _compact_json(
-                {
-                    "kind": op.kind,
-                    "n": op.n,
-                    "unreachable": True,
-                    "reason": str(e),
-                    "witness": e.witness["blocks"],
-                }
-            )
-        )
-        return 0
-    print(
-        _compact_json(
-            {
-                "kind": op.kind,
-                "n": op.n,
-                "perm": element.to_text(),
-                "spots": sorted(spots),
-            }
-        )
+        return _Result({"kind": op.kind, "n": op.n, "unreachable": True,
+                        "reason": str(e), "witness": e.witness["blocks"]})
+    return _Result(
+        {"kind": op.kind, "n": op.n, "perm": element.to_text(), "spots": sorted(spots)}
     )
-    return 0
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> _Result:
     caps = _caps_from_args(args)
     if args.kind in ("B", "D"):
         if args.m is None:
@@ -287,35 +271,31 @@ def cmd_census(args) -> int:
             )
         result = torus_census(args.n, args.m, args.t, caps=caps)
     items = sorted(result.counts.items(), key=lambda kv: (kv[0].r, kv[0].sort_key()))
-    header = ["partition", "r", "count", "expected"]
-    rows = [
-        [p.text(), str(p.r), str(c), str(result.expected(p))]
-        for p, c in items
-    ]
+    header = ("partition", "r", "count", "expected")
+    rows = [(p.text(), p.r, c, result.expected(p)) for p, c in items]
     total = sum(result.counts.values()) + result.missing
-    footer = [
-        f"total {total} = {result.x}^{result.n}",
-        f"free {result.free}",
-        f"missing {result.missing}",
-    ]
-    json_obj = {
-        "kind": result.kind,
-        "n": result.n,
-        "x": result.x,
-        "m": result.m,
-        "rows": [
-            {"partition": p.text(), "r": p.r, "count": c, "expected": result.expected(p)}
-            for p, c in items
-        ],
-        "total": total,
-        "free": result.free,
-        "missing": result.missing,
-    }
-    _emit_table(args.format, header, rows, json_obj, footer=footer)
-    return 0
+    return _Result(
+        {
+            "kind": result.kind,
+            "n": result.n,
+            "x": result.x,
+            "m": result.m,
+            "rows": [dict(zip(header, row)) for row in rows],
+            "total": total,
+            "free": result.free,
+            "missing": result.missing,
+        },
+        header,
+        rows,
+        footer=(
+            f"total {total} = {result.x}^{result.n}",
+            f"free {result.free}",
+            f"missing {result.missing}",
+        ),
+    )
 
 
-def cmd_oeis(args) -> int:
+def cmd_oeis(args) -> _Result:
     if args.fetch and args.fixture:
         raise _Usage("--fetch and --fixture are mutually exclusive")
     if args.fetch:
@@ -328,38 +308,27 @@ def cmd_oeis(args) -> int:
             raise _Usage(f"cannot read fixture: {e}") from None
         source = args.fixture or "packaged fixture"
     report = oeis_mod.compare(args.seq, reference, rows=args.nmax)
-    if args.format == "json":
-        print(
-            _compact_json(
-                {
-                    "seq": report.seq,
-                    "source": source,
-                    "checked": report.checked,
-                    "ok": report.ok,
-                    "mismatch": (
-                        None
-                        if report.first_mismatch is None
-                        else {
-                            "index": report.first_mismatch[0],
-                            "ours": report.first_mismatch[1],
-                            "reference": report.first_mismatch[2],
-                        }
-                    ),
-                }
-            )
-        )
+    mismatch = report.first_mismatch
+    if report.ok:
+        line = f"{report.seq}: {report.checked} terms checked against {source}: OK"
+    elif mismatch is None:
+        line = f"{report.seq}: no overlapping terms with {source}"
     else:
-        if report.ok:
-            print(f"{report.seq}: {report.checked} terms checked against {source}: OK")
-        elif report.first_mismatch is None:
-            print(f"{report.seq}: no overlapping terms with {source}")
-        else:
-            idx, ours, theirs = report.first_mismatch
-            print(
-                f"{report.seq}: first mismatch at index {idx}:"
-                f" computed {ours}, reference {theirs}"
-            )
-    return 0 if report.ok else 1
+        line = (
+            f"{report.seq}: first mismatch at index {mismatch[0]}:"
+            f" computed {mismatch[1]}, reference {mismatch[2]}"
+        )
+    return _Result(
+        {
+            "seq": report.seq,
+            "source": source,
+            "checked": report.checked,
+            "ok": report.ok,
+            "mismatch": mismatch and dict(zip(("index", "ours", "reference"), mismatch)),
+        },
+        footer=(line,),
+        code=0 if report.ok else 1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="emit Stirling or Eulerian triangles")
     p.add_argument("table", choices=("stirling", "eulerian"))
-    p.add_argument("--kind", choices=TABLE_KINDS, required=True)
+    p.add_argument("--kind", choices=("A", "B", "D", "G", "Bstar"), required=True)
     p.add_argument("--nmax", type=_at_least(0), default=6)
     p.add_argument("--n", type=_at_least(0), default=None,
                    help="single row instead of 0..nmax")
@@ -407,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spots", default="", help="artificial separator gaps, e.g. 0,3")
     p.add_argument("--doc", default=None,
                    help="ordered partition JSON (default: stdin) for inverse")
-    p.set_defaults(func=cmd_bijection)
+    p.set_defaults(func=cmd_bijection, format="json")
 
     p = sub.add_parser("census", help="lattice point census")
     p.add_argument("--kind", choices=("B", "D", "G"), required=True)
@@ -449,31 +418,30 @@ def _glue_negative_values(argv):
     return out
 
 
+# Exception class, exit code and message prefix; the first matching row wins.
+_ERRORS = (
+    (_Usage, 2, ""),
+    (SizeOverflow, 2, ""),
+    (InvariantViolation, 4, "internal error: "),
+    (TypeError, 2, ""),
+    (OSError, 3, "fetch failed: "),
+    (ValueError, 1, ""),
+    (Exception, 4, "internal error: {}: "),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_glue_negative_values(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_glue_negative_values(argv))
     try:
-        return args.func(args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SizeOverflow as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InvariantViolation as e:
-        print(f"error: internal error: {e}", file=sys.stderr)
-        return 4
-    except TypeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: fetch failed: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        result = args.func(args)
+        _emit(args.format, result)
+        return result.code
+    except Exception as e:
+        code, prefix = next((c, p) for cls, c, p in _ERRORS if isinstance(e, cls))
+        message = prefix.format(type(e).__name__) + str(e)
+        print(f"error: {_one_line(message)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

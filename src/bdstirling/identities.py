@@ -264,9 +264,8 @@ def _inversion_report(name, kind, nmax, m, caps):
 def _basis_report(name, kind, nmax, m, caps):
     instances = []
     for n in range(nmax + 1):
-        stirling_kind = {"classical": "A", "B": "B", "D": "D", "G": "G"}[kind]
         rhs = IntPolynomial(())
-        for k, coeff in enumerate(stirling_row(stirling_kind, n, m)):
+        for k, coeff in enumerate(stirling_row(kind, n, m)):
             rhs = rhs + coeff * falling_factorial(kind, k, n=n, m=m)
         if kind == "D" and n >= 1:
             correction = IntPolynomial((-1, 1)) ** (n - 1) - falling_factorial(
@@ -308,7 +307,7 @@ def _flag_report(name, kind, nmax, m, caps):
 
 IDENTITIES: dict[str, dict] = {
     "thm-1.1": {"nmax": 6, "kind": "A", "build": _stirling_eulerian_report},
-    "thm-1.2": {"nmax": 8, "kind": "classical", "build": _basis_report},
+    "thm-1.2": {"nmax": 8, "kind": "A", "build": _basis_report},
     "thm-4.1": {"nmax": 6, "kind": "B", "build": _stirling_eulerian_report},
     "thm-4.2": {"nmax": 6, "kind": "D", "build": _stirling_eulerian_report},
     "cor-4.3": {"nmax": 6, "kind": "B", "build": _inversion_report},

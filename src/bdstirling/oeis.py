@@ -81,10 +81,16 @@ def load_fixture(seq: str, path: str | None = None) -> list[tuple[int, int]]:
 
 
 def fetch_bfile(seq: str, timeout: float = 30.0) -> list[tuple[int, int]]:
-    """Fetch and parse the live b-file; raises OSError on transport failure."""
+    """Fetch and parse the live b-file; raises OSError on transport failure
+    and TypeError when the URL template is malformed."""
     _entry(seq)
     template = os.environ.get(URL_ENV_VAR, DEFAULT_URL_TEMPLATE)
-    url = template.format(seq=seq, num=seq[1:])
+    try:
+        url = template.format(seq=seq, num=seq[1:])
+    except (LookupError, AttributeError, ValueError) as e:
+        raise TypeError(
+            f"{URL_ENV_VAR} {template!r} takes only {{seq}} and {{num}}: {e!r}"
+        ) from None
     with urllib.request.urlopen(url, timeout=timeout) as response:
         text = response.read().decode("utf-8")
     return parse_bfile(text)

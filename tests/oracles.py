@@ -270,8 +270,8 @@ def ordered_partition_reference(kind, n, blocks):
     input.  The checks run in this order: kind, each block nonempty and
     inside +-1..+-n, an optional self-mirrored zero block, blocks pairing
     up, no repeated absolute value in a class block, each pair's second
-    block the mirror of its first, the spots tiling 1..n, and for kind D
-    a zero support of any size but 1.
+    block the mirror of its first, the spots tiling 1..n (never for a
+    negative n), and for kind D a zero support of any size but 1.
     """
     if kind not in ("B", "D"):
         raise ValueError(f"unknown ordered partition kind {kind!r}")
@@ -305,7 +305,7 @@ def ordered_partition_reference(kind, n, blocks):
                 f"block {sorted(pairs[i + 1])} is not the mirror of {sorted(c)}"
             )
         covered.extend(abs(v) for v in c)
-    if sorted(covered) != list(range(1, n + 1)):
+    if n < 0 or sorted(covered) != list(range(1, n + 1)):
         raise NotAPartition(
             f"spots covered {sorted(covered)} do not tile 1..{n}"
         )

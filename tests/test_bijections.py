@@ -22,6 +22,7 @@ from bdstirling.bijections import (
 from bdstirling.errors import (
     InvalidOrderedPartition,
     InvariantViolation,
+    NotAPartition,
     NotTypeD,
     SpotCollision,
     TooManySeparators,
@@ -97,6 +98,26 @@ class TestOrderedPartition:
         op = OrderedPartition("B", 2, (fs(2), fs(-2), fs(1), fs(-1)))
         part = op.to_unordered()
         assert part.r == 2 and part.zero_support == frozenset()
+
+    @pytest.mark.parametrize("kind, n", [("B", -1), ("D", -2)])
+    def test_negative_size_never_tiles(self, kind, n):
+        with pytest.raises(NotAPartition, match=rf"spots covered \[\] do not tile 1\.\.{n}$"):
+            OrderedPartition(kind, n, ())
+
+    def test_huge_size_is_refused_without_building_its_spots(self):
+        code = (
+            "import resource\n"
+            "from bdstirling.bijections import OrderedPartition\n"
+            "from bdstirling.errors import NotAPartition\n"
+            "try:\n"
+            "    OrderedPartition('B', 10**7, ())\n"
+            "except NotAPartition:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert int(res.stdout) < 100 * 1024  # KiB on Linux
 
     def test_derived_support_stays_out_of_identity(self):
         op = OrderedPartition("B", 2, (fs(1, -1), fs(2), fs(-2)))
@@ -193,6 +214,7 @@ class TestValidatorAgainstReference:
         ("B", 0, []),
         ("B", -1, []),
         ("D", 3, [[-3, 1], [3, -1], [2], [-2]]),
+        ("D", -2, []),
     ])
     def test_each_rule(self, kind, n, blocks):
         assert_validates_like_reference(kind, n, blocks)

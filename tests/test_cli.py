@@ -1,11 +1,35 @@
+import argparse
+import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path, PurePath
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdstirling import cli
 
 CLI = [sys.executable, "-m", "bdstirling"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_in_process(argv, stdin=""):
+    """(exit code, stdout, stderr) of cli.main, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -314,3 +338,260 @@ class TestDeterminism:
         res = run_cli("census", "--kind", "B", "--n", "1", "--m", "1", "--format", "json")
         doc = json.loads(res.stdout)
         assert res.stdout.strip() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+class TestErrorLines:
+    def test_negative_size_document_is_validation_error(self):
+        res = run_cli("bijection", "inverse", "--doc", '{"kind":"B","n":-1,"blocks":[]}')
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: spots covered [] do not tile 1..-1"]
+
+    def test_unknown_url_placeholder_is_usage_error(self):
+        res = run_cli("oeis", "--seq", "A039755", "--fetch",
+                      env={"BDSTIRLING_OEIS_URL": "file:///tmp/{x}.txt"})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "BDSTIRLING_OEIS_URL" in res.stderr and "Traceback" not in res.stderr
+
+    def test_unexpected_exception_is_exit_4(self):
+        code = (
+            "import sys\n"
+            "from bdstirling import cli\n"
+            "def boom(args):\n"
+            "    raise KeyError('x')\n"
+            "cli.cmd_census = boom\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code, "census", "--kind", "B", "--n", "1", "--m", "1"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: internal error: KeyError: 'x'"]
+
+    def test_line_breaks_in_a_message_stay_on_one_line(self):
+        doc = json.dumps({"kind": "a\nb", "n": 1, "blocks": []})
+        code, out, err = run_in_process(["bijection", "inverse", "--kind", "B", "--doc", doc])
+        assert (code, out) == (2, "")
+        assert err == "error: --kind B disagrees with document kind a b\n"
+        code, out, err = run_in_process(["oeis", "--seq", "A039755", "x\ny"])
+        assert (code, out) == (2, "")
+        assert err == "bdstirling: error: unrecognized arguments: x y\n"
+
+
+def pinned_examples():
+    """(key, argv, stdin) for each README command line example in every
+    --format it takes; the live fetch and the placeholder path are skipped.
+    thm-1.2, which no README example runs, is pinned as well."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line")[1].split("```sh")[1].split("```")[0]
+    for line in [*block.splitlines(), "bdstirling verify --identity thm-1.2"]:
+        words = shlex.split(line, comments=True)
+        stdin = ""
+        if words[:1] == ["echo"]:
+            stdin, words = words[1] + "\n", words[3:]
+        argv = words[1:]
+        if not argv or "--fetch" in argv or any(w.startswith("path/") for w in argv):
+            continue
+        if "--format" in argv:
+            at = argv.index("--format")
+            del argv[at : at + 2]
+        formats = [()] if argv[0] == "bijection" else [
+            ("--format", fmt) for fmt in ("md", "csv", "json")]
+        for fmt in formats:
+            yield shlex.join([*argv, *fmt]), [*argv, *fmt], stdin
+
+
+PINNED_EXAMPLES = {key: (argv, stdin) for key, argv, stdin in pinned_examples()}
+
+# SHA-256 of f"{exit code}\n{stdout}" for each pinned example.
+PINNED_DIGESTS = {
+    'bijection forward --kind B --perm -2,3,5,1,-4 --spots 1,2':
+        '4290286361d851a59a1ef88c0922202d03d885a743f64776765e20d6e1ebb7d8',
+    'bijection forward --kind D --perm -1,3,4,-2,-6,-5 --spots 1':
+        'b47386aa6453833c5a20c8b65a6554cfd876d40f47c2b050bbc769ac8826d498',
+    'bijection inverse':
+        'ae84d26f5bdbd94cc27453ad13cbc98dff1f590771b28f794fc26fd38a01424a',
+    'bijection inverse --doc \'{"kind":"B","n":2,"blocks":[[1,-1],[2],[-2]]}\'':
+        'caf478d7bc7749d96272763dd594271bd7ca7a8a1b7d10cdfc3d5e791effa015',
+    'census --kind B --n 2 --m 3 --format csv':
+        '9f2eb76bc1d02f7b755af9cb25a5b468bc62dc492e22358fda4bb2c49fdf4c3d',
+    'census --kind B --n 2 --m 3 --format json':
+        'ceef41d19f368e046db7bb9f7aedab268d5072d83a99ac63d3e375fa3930d362',
+    'census --kind B --n 2 --m 3 --format md':
+        '6c475b6a61077337949a759238b19d6e089f8bb4bb6982230ca117872054332b',
+    'census --kind D --n 3 --m 3 --format csv':
+        'fb1f8b3cca5672345e8c8bf5b1d161f5b7362001791640f454ff205491933f1d',
+    'census --kind D --n 3 --m 3 --format json':
+        '84a69a77e3e4841f53f9e8b54260bee3ff2e696c5eb58b30d51463f82bffa31a',
+    'census --kind D --n 3 --m 3 --format md':
+        '1bc65358d684bf57e534b7a3b948774d7c2451b45638841ba47688d2392aebce',
+    'census --kind G --n 2 --m 3 --t 5 --format csv':
+        'eeb8dfb8795aedd97de05e0dfce086dfa5edc2c5eca6441f0cd78e1864bd62a9',
+    'census --kind G --n 2 --m 3 --t 5 --format json':
+        '21caa96e2f5c55bbbf1828b1159124d0023f744677af5a19d5d8e9120c85b015',
+    'census --kind G --n 2 --m 3 --t 5 --format md':
+        'aa0901d150586330ebb83356d3413bb786033d56ab063facfb1f04438f4fa3de',
+    'oeis --seq A039755 --format csv':
+        'e823362b6e8a981d01f80ce954ce6e971eac1e9946f42670b0ba90ea571fa029',
+    'oeis --seq A039755 --format json':
+        'ab86560031659edc03098aacc462494f23347a0112c547057b3d1e075a4b8c4b',
+    'oeis --seq A039755 --format md':
+        'e823362b6e8a981d01f80ce954ce6e971eac1e9946f42670b0ba90ea571fa029',
+    'tables eulerian --kind D --nmax 5 --format csv':
+        'a0ad63d55aba3778ddcd289a7feb6eba39d4319bc0a38a50fd0afada3c2226d7',
+    'tables eulerian --kind D --nmax 5 --format json':
+        '707065d9f4b2171208246ec456516fda0ff716a33dd4f3a1c7cd0743c9842fa1',
+    'tables eulerian --kind D --nmax 5 --format md':
+        'ca95365c35627722cccf970fd58cb6ab33b5852e08bded3f00dfc00addf48b05',
+    'tables stirling --kind B --nmax 6 --format csv':
+        'a9861996cd32c5f50ce2693a070519e95ddeacd460e14e22eca97371d3cab079',
+    'tables stirling --kind B --nmax 6 --format json':
+        'e7eb51e6ecb955a78153eb2a7611165985a71780451f1920cc88d4a4ef90ecf4',
+    'tables stirling --kind B --nmax 6 --format md':
+        '894d8349d4db0d0942ea77df0017e248dcde95a6aca78ecbb1c41bd2723fa367',
+    'tables stirling --kind Bstar --nmax 4 --format csv':
+        '567bc3885a808a39f720e1bee78dd31060a4893207282af7acc580a3dcf50ab2',
+    'tables stirling --kind Bstar --nmax 4 --format json':
+        '31b7f97bc831455c6fa325d833de2c3a668dd1d4ef72ac98e076d625b3b3526d',
+    'tables stirling --kind Bstar --nmax 4 --format md':
+        '718b020d6d300e81b28f241df3ed1e65942cda3f10097ea0a13b6d22f15241f2',
+    'tables stirling --kind G --m 3 --nmax 5 --format csv':
+        '4df11eb1d4839a9acf081230b48f2b600ce8ae3820b3934828c8de3a0824bf73',
+    'tables stirling --kind G --m 3 --nmax 5 --format json':
+        '568bb5506ec5221d186ede36348222b83794c244e00535ec8b650510d82b90dd',
+    'tables stirling --kind G --m 3 --nmax 5 --format md':
+        '09c00d0ef39380f9c8a2e07c323fbd55b1bf03a5c9b146dbe24441cbac8af258',
+    'verify --identity thm-1.2 --format csv':
+        'edcf077adf8c3263d430bbc2986cb5e812160d7657d42244ba561c8de4af76ce',
+    'verify --identity thm-1.2 --format json':
+        '9ea5d83492e984c9fc7fc7c4d1bc0f59cf7a944b44e909c1069f8fe8d664f5de',
+    'verify --identity thm-1.2 --format md':
+        '7bb7f2a97c6c918d6f6ed1af08350b60ee8f9ffb27d608307b12d9477e040cd0',
+    'verify --identity thm-4.1 --nmax 6 --format csv':
+        'bfd8f351769756047f0a070937a170c78396acf7a257c857746a2c2f4089c22c',
+    'verify --identity thm-4.1 --nmax 6 --format json':
+        'e3fab53c77e232ac74306bea6fb8f6085000988c18c66e01ecca048027ba0340',
+    'verify --identity thm-4.1 --nmax 6 --format md':
+        '4253a1d3576738108bdec0111da5d5e2f21987a7c038a10cd526f035d350e184',
+    'verify --identity thm-6.11-report --nmax 4 --format csv':
+        '6ae3b7c523a269c5bdd788a5c3ce57e67d3d996d854d2145929813016089f641',
+    'verify --identity thm-6.11-report --nmax 4 --format json':
+        '9d4436d6034cc1d8831aa17cf4b4930215e2069cc20aa7c126a68ac59672fb1f',
+    'verify --identity thm-6.11-report --nmax 4 --format md':
+        '70bce7be936b27e1cf6a6b10f263c4eb2765957b11a9dc70bba92ad978662956',
+    'verify --identity thm-6.9 --m 4 --nmax 4 --format csv':
+        'b70028c0b238ffe08260df1dec74d0b9f11b68c17b1401c0cdea20b19cd4260a',
+    'verify --identity thm-6.9 --m 4 --nmax 4 --format json':
+        'b5eebd30ebd92ff917cbe4118691cccfb19c9d40c83c836f3a323ba51313295f',
+    'verify --identity thm-6.9 --m 4 --nmax 4 --format md':
+        '60cdb7dd5f7cfac9813afadfdf1d00a1f9b2647fcc831834c71261b6799b1ede',
+}
+
+
+class TestPinnedExamples:
+    def test_every_example_is_pinned(self):
+        assert sorted(PINNED_EXAMPLES) == sorted(PINNED_DIGESTS)
+
+    @pytest.mark.parametrize("key", sorted(PINNED_EXAMPLES))
+    def test_output_is_unchanged(self, key):
+        code, out, _ = run_in_process(*PINNED_EXAMPLES[key])
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == PINNED_DIGESTS[key]
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+SUBCOMMANDS = _subcommands()
+JUNK = ["", "x", "1.5", "-", "1,2", "٣", "a\nb"]
+BFILES = {
+    "good.txt": b"0 1\n1 1\n2 1\n3 1\n4 4\n5 1\n",
+    "bad.txt": b"0 1\n1 1\n2 1\n3 999\n",
+    "far.txt": b"9999 1\n",
+    "junk.txt": b"1 2 3\n",
+    "words.txt": b"a b\n",
+    "empty.txt": b"",
+    "latin1.txt": b"0 \xff\n",
+}
+_ints = st.integers(-3, 3)
+_any = st.one_of(st.none(), st.booleans(), _ints, st.text(max_size=3),
+                 st.lists(_ints, max_size=2), st.sampled_from(["B", "D", "C"]))
+_shaped = st.fixed_dictionaries({
+    "kind": st.sampled_from(["B", "D"]),
+    "n": st.integers(-2, 3),
+    "blocks": st.one_of(st.just([]), st.lists(st.lists(_ints, max_size=3), max_size=4)),
+})
+_loose = st.dictionaries(st.sampled_from(["kind", "n", "blocks", "x"]), _any, max_size=4)
+_texts = st.sampled_from(["{broken", "[]", "null", "3", '"B"', "",
+                          '{"kind":"B","n":2,"blocks":[[1,-1],[2],[-2]]}',
+                          '{"kind":"D","n":2,"blocks":[[1],[-1],[2],[-2]]}'])
+# Mostly well-shaped documents, then loose objects and non-objects.
+DOCS = st.integers(0, 9).flatmap(
+    lambda i: _shaped.map(json.dumps) if i < 6
+    else _loose.map(json.dumps) if i < 8 else _texts
+)
+
+
+def _mostly(valid):
+    """A token from valid, or one time in ten from JUNK."""
+    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(JUNK if i == 0 else valid))
+
+
+def _value(action):
+    if action.dest == "doc":
+        return DOCS
+    if action.dest in ("perm", "spots"):
+        windows = st.lists(_ints, max_size=4).map(lambda v: ",".join(map(str, v)))
+        return st.integers(0, 9).flatmap(lambda i: st.sampled_from(JUNK) if i == 0 else windows)
+    if action.dest == "fixture":
+        return st.sampled_from([*BFILES, "missing.txt", "sub"]).map(PurePath)
+    return _mostly(list(action.choices or ["-1", "0", "1", "2", "3"]))
+
+
+@st.composite
+def argvs(draw):
+    """argv from the parser's own vocabulary: sizes in -1..3 or junk, every
+    bijection with --doc, oeis never with --fetch, fixtures as PurePath
+    names under a test directory."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv, options = [name], []
+    for action in SUBCOMMANDS[name]._actions:
+        if action.dest in ("help", "fetch"):
+            continue
+        if not action.option_strings:
+            argv.append(draw(_mostly(list(action.choices))))
+        elif action.dest == "doc" or draw(st.integers(0, 9)) < (9 if action.required else 5):
+            flag = [draw(st.sampled_from(action.option_strings))]
+            options.append(flag if action.nargs == 0 else flag + [draw(_value(action))])
+    for option in draw(st.permutations(options)):
+        argv += option
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from([*JUNK, "--stray"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def bfile_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bfiles")
+    for name, body in BFILES.items():
+        (root / name).write_bytes(body)
+    (root / "sub").mkdir()
+    return root
+
+
+@settings(max_examples=250)
+@given(argv=argvs())
+def test_fuzzed_argv_ends_with_a_documented_code(argv, bfile_dir):
+    argv = [str(bfile_dir / t) if isinstance(t, PurePath) else t for t in argv]
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code:
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+    assert run_in_process(argv) == (code, out, err), argv
