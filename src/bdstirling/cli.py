@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -435,7 +436,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_negative_values(argv))
     try:
         result = args.func(args)
-        _emit(args.format, result)
+        try:
+            _emit(args.format, result)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (say, head): end quietly with the
+            # verdict, and point stdout at devnull so the exit flush is silent.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return result.code
     except Exception as e:
         code, prefix = next((c, p) for cls, c, p in _ERRORS if isinstance(e, cls))

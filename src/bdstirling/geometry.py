@@ -14,11 +14,22 @@ coordinates form a zero support only when at least two of them vanish,
 and a point with exactly one zero plus a repeated absolute value among
 the rest fits no even-signed partition at all; censuses tally those as
 missing.
+
+A census still walks every point, but it keys each one by a cheap tuple
+(_signature) that refines its classification, and classifies one point
+per distinct key: for B the keys are exactly the classes, for D and the
+torus at most about twice as many.  On one core of a 2-core x86 VM,
+keying costs 4 to 6.5 us per point for n = 4 to 8, where classifying
+every point cost 18 to 32 us, so the keys of a census at the 10^8-point
+cap take some 7 to 11 minutes.  Classifying adds some 40 us per key at
+n = 8, which matters only where keys are many per point: B at n = 8,
+m = 2 has one key per eight points and spends nearly half its time there.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ne, sub
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _weights
 from .errors import (
@@ -114,22 +125,70 @@ class CensusResult:
         return falling_factorial(self.kind, partition.r, n=self.n, m=self.m)(self.x)
 
 
-def _tally(kind: str, n: int, circle, m: int | None, caps: EnumerationCaps) -> CensusResult:
-    """Classify every point of circle^n, x = len(circle) values per axis."""
+def _cube_axis(m: int):
+    """The cube's axis values -m..m, their magnitudes, and how the indices
+    of two values with one magnitude relate: equal or not, as their signs."""
+    circle = range(-m, m + 1)
+    return circle, tuple(map(abs, circle)), ne
+
+
+def _torus_axis(m: int, t: int):
+    """The torus circle [ZERO, (color, magnitude), ...], its magnitudes (0
+    for ZERO), and how the indices of two values with one magnitude relate:
+    color-major order makes their difference t times the color difference."""
+    circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
+    return circle, (0,) + tuple(i for _, i in circle[1:]), sub
+
+
+def _signature(point, magnitudes, relate) -> tuple:
+    """A key that refines classify_point on the points of an axis^n.
+
+    point holds indices into the axis values.  The key is the first spot of
+    each spot's magnitude class, each spot related to that first spot, and
+    the first vanishing spot (-1 if none).  The partitions read a class's
+    signs or colors relative to its first spot too, so two points with one
+    key classify alike.
+    """
+    a = tuple(map(magnitudes.__getitem__, point))
+    first = tuple(map(a.index, a))
+    rel = tuple(map(relate, point, map(point.__getitem__, first)))
+    return first, rel, a.index(0) if 0 in a else -1
+
+
+def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> CensusResult:
+    """Census of circle^n for axis = (circle, magnitudes, relate), x =
+    len(circle) values per axis.
+
+    Every point is walked and keyed by its _signature; classify_point runs
+    once per distinct key, on the first point with that key, and the key's
+    count goes to the partition (or to missing).
+    """
+    if n < 0:
+        raise BadIndex("n must be nonnegative")
+    circle, magnitudes, relate = axis
     x = len(circle)
     if x**n > caps.census_points:
         raise SizeOverflow(
             f"census of {x}**{n} points exceeds cap {caps.census_points}"
         )
+    keyed: dict = {}
+    first_point: dict = {}
+    for point in itertools.product(range(x), repeat=n):
+        key = _signature(point, magnitudes, relate)
+        if key in keyed:
+            keyed[key] += 1
+        else:
+            keyed[key] = 1
+            first_point[key] = point
     counts: dict = {}
     missing = 0
-    for point in itertools.product(circle, repeat=n):
+    for key, count in keyed.items():
         try:
-            p = classify_point(kind, point, m=m)
+            p = classify_point(kind, map(circle.__getitem__, first_point[key]), m=m)
         except SingletonZeroBlock:
-            missing += 1
+            missing += count
             continue
-        counts[p] = counts.get(p, 0) + 1
+        counts[p] = counts.get(p, 0) + count
     free = sum(c for p, c in counts.items() if p.r == n)
     return CensusResult(kind, n, x, m, counts, free, missing)
 
@@ -140,7 +199,7 @@ def census(kind: str, n: int, m: int, caps: EnumerationCaps = DEFAULT_CAPS) -> C
         raise ValueError(f"cube census kind must be B or D, got {kind!r}")
     if m < 0:
         raise BadIndex("half-width m must be nonnegative")
-    return _tally(kind, n, range(-m, m + 1), None, caps)
+    return _tally(kind, n, None, caps, _cube_axis(m))
 
 
 def torus_census(n: int, m: int, t: int, caps: EnumerationCaps = DEFAULT_CAPS) -> CensusResult:
@@ -149,8 +208,7 @@ def torus_census(n: int, m: int, t: int, caps: EnumerationCaps = DEFAULT_CAPS) -
         raise BadIndex("torus census needs m >= 2")
     if t < 1:
         raise BadIndex("torus census needs t >= 1")
-    circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
-    return _tally("G", n, circle, m, caps)
+    return _tally("G", n, m, caps, _torus_axis(m, t))
 
 
 def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:

@@ -50,22 +50,23 @@ __all__ = [
 # counting
 
 
-_TRIANGLES: dict[tuple[int, int], tuple[int, ...]] = {}
+_TRIANGLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def _triangle_row(a: int, b: int, s: int) -> tuple[int, ...]:
     """Row s of T(s, r) = T(s-1, r-1) + (a r + b) T(s-1, r), T(0, 0) = 1.
 
-    Only the last row built per (a, b) is kept: a later row extends it
-    forward, an earlier one is rebuilt from row 0.  Row s has s + 1 entries.
+    The last two rows asked for per (a, b) are kept, so callers that
+    alternate two rows (D rows and the flag grading share W_2) build
+    neither again; any other row extends the longest kept row no longer
+    than it, or row 0.  Row s has s + 1 entries.
     """
-    row = _TRIANGLES.get((a, b), (1,))
-    if len(row) > s + 1:
-        row = (1,)
+    kept = _TRIANGLES.get((a, b), ())
+    row = max((r for r in kept if len(r) <= s + 1), key=len, default=(1,))
     while len(row) <= s:
         factors = range(b, a * len(row) + b + 1, a)
         row = tuple(map(add, (0,) + row, map(mul, factors, row + (0,))))
-    _TRIANGLES[a, b] = row
+    _TRIANGLES[a, b] = tuple(r for r in kept if r is not row)[-1:] + (row,)
     return row
 
 

@@ -6,7 +6,8 @@ window directly, partition counts come from filtering raw set partitions
 of the literal ground sets, and Stirling values come from the closed
 binomial formula over classical numbers.  The descent histograms walk
 validated group elements through the package's element-level statistics,
-the route the tuple kernels replaced.  Keep these dumb on purpose.
+the route the tuple kernels replaced.  Censuses classify every point on
+its own, the route the keyed tally replaced.  Keep these dumb on purpose.
 """
 
 from fractions import Fraction
@@ -19,7 +20,9 @@ from bdstirling.errors import (
     NotAPartition,
     NotTypeD,
     RepeatedValueInBlock,
+    SingletonZeroBlock,
 )
+from bdstirling.geometry import CensusResult, classify_point
 from bdstirling.groups import des_stat, enumerate_group, fdes
 
 
@@ -312,3 +315,26 @@ def ordered_partition_reference(kind, n, blocks):
     if kind == "D" and len(support) == 1:
         raise NotTypeD(f"zero support {support} has size 1")
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# lattice-point censuses point by point
+
+
+def census_by_points(kind, n, circle, m=None):
+    """Census of circle^n that classifies every point on its own.
+
+    circle is a cube axis range(-w, w + 1) for kind B or D (m None), or
+    the torus circle [ZERO, (color, magnitude), ...] for kind G, m colors.
+    """
+    counts = {}
+    missing = 0
+    for point in product(circle, repeat=n):
+        try:
+            p = classify_point(kind, point, m=m)
+        except SingletonZeroBlock:
+            missing += 1
+            continue
+        counts[p] = counts.get(p, 0) + 1
+    free = sum(c for p, c in counts.items() if p.r == n)
+    return CensusResult(kind, n, len(circle), m, counts, free, missing)

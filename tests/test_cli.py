@@ -373,6 +373,29 @@ class TestErrorLines:
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: internal error: KeyError: 'x'"]
 
+    def test_reader_closing_early_ends_quietly(self):
+        # several megabytes of csv, so the writer meets the closed pipe
+        proc = subprocess.Popen(
+            CLI + ["tables", "stirling", "--kind", "B", "--nmax", "400", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b"n,0,1,2,3,"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert b"fetch failed" not in err
+        assert err == b""
+
+    def test_broken_pipe_outside_the_writer_is_a_fetch_failure(self):
+        def fetch(args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        with mock.patch.object(cli, "cmd_oeis", fetch):
+            code, out, err = run_in_process(["oeis", "--seq", "A039755"])
+        assert (code, out) == (3, "")
+        assert err == "error: fetch failed: [Errno 32] Broken pipe\n"
+
     def test_line_breaks_in_a_message_stay_on_one_line(self):
         doc = json.dumps({"kind": "a\nb", "n": 1, "blocks": []})
         code, out, err = run_in_process(["bijection", "inverse", "--kind", "B", "--doc", doc])
@@ -501,6 +524,89 @@ class TestPinnedExamples:
     def test_output_is_unchanged(self, key):
         code, out, _ = run_in_process(*PINNED_EXAMPLES[key])
         assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == PINNED_DIGESTS[key]
+
+
+# SHA-256 of f"{exit code}\n{stdout}" for censuses over the cube, the torus
+# and the cap, recorded from the census that classified every point.
+CENSUS_DIGESTS = {
+    'census --kind B --n 2 --m 40 --format md':
+        'ef8f78fb1348e5a126b4a66d3db22b641f9cfb7b3ada1578613754087d5b0785',
+    'census --kind B --n 2 --m 40 --format csv':
+        '8e7113f14f5fe65ac9ab10ad96abaa2a48b080264f30eeb88f61132997be6b09',
+    'census --kind B --n 2 --m 40 --format json':
+        '7fc83c9437ccd1a3b08b4670c204e5362bd156cc624d57828e91991fbc5e028d',
+    'census --kind B --n 4 --m 5 --format md':
+        '0f64ba3f220a5d98306064d4b598b9b4d62a1938482c583cfecf486fb94cc6b3',
+    'census --kind B --n 4 --m 5 --format csv':
+        '4fe08798e1fe8e9e8ae339e897785a0f2cb6788bb9a84158de02e82065064d72',
+    'census --kind B --n 4 --m 5 --format json':
+        '0f01e23f92679742f24ff7d475ffa07b397862a6b36d8ea848e4bdcea72b4024',
+    'census --kind B --n 6 --m 2 --format md':
+        'e267e6d7b13d177a1eb75a50250da8516742fb789df861d63c2f71901d6df20e',
+    'census --kind B --n 6 --m 2 --format csv':
+        'efc85fae10c3a662ad7724f893d28608d9191a6b37befa84aab1d726498e2bc5',
+    'census --kind B --n 6 --m 2 --format json':
+        '54f99eea34e871bc9b161171b68efb4f6e395dd67f52a9db095d6079b8afc12c',
+    'census --kind B --n 3 --m 0 --format md':
+        '115e2efc932a1f7a42cb5c79ed2bb503afc6a8d07ebe4c5b86a124f24d3bca09',
+    'census --kind B --n 3 --m 0 --format csv':
+        '9032dc6a8258dc0be92a2f43a5e9cdb3ab3c59466666b786535932c42017ab58',
+    'census --kind B --n 3 --m 0 --format json':
+        '025e68ee89407d892a5742c1871ceee026b45e87fbeaf60cda1084ac142170c6',
+    'census --kind D --n 2 --m 40 --format md':
+        '7ec888e58013ac80c339d72997142f59b78a5a733b69d472be71e116982a1d7a',
+    'census --kind D --n 2 --m 40 --format csv':
+        '195fd376ae468803f3858829657b050abc67c952acf68ebfd91f2c0841961488',
+    'census --kind D --n 2 --m 40 --format json':
+        '24d16986dc05229506f77ece9a2d4faafa1072557d6f53e7a24030cc8c48b04a',
+    'census --kind D --n 4 --m 5 --format md':
+        'c48efc1bc6e93511286aa2b5d5bd9d2ce79b62a949ab88b0b9c4065571d9bc9e',
+    'census --kind D --n 4 --m 5 --format csv':
+        '8c409a23a83b27721ac0e4344811bdbcb55a0796f39531cb81d1e7d5a87d7c03',
+    'census --kind D --n 4 --m 5 --format json':
+        '08ec16662fbd3da106160a5b20b28b8ae23e91aec49a90ea203305fda8d1120e',
+    'census --kind D --n 6 --m 2 --format md':
+        'f01e06da7365135438f1a1f7e8c20aca857eac4c8e28282d2c5037e7940d654f',
+    'census --kind D --n 6 --m 2 --format csv':
+        '9029830b54f90d41aa74b39f3dd59c4de808497165dbae4fdcaa09e7aa14b1ad',
+    'census --kind D --n 6 --m 2 --format json':
+        'aea3b5f97bca19d756de94f4f62199cd2e3d4dcdbc5acfc03c4d647031becd4f',
+    'census --kind D --n 3 --m 0 --format md':
+        '115e2efc932a1f7a42cb5c79ed2bb503afc6a8d07ebe4c5b86a124f24d3bca09',
+    'census --kind D --n 3 --m 0 --format csv':
+        '9032dc6a8258dc0be92a2f43a5e9cdb3ab3c59466666b786535932c42017ab58',
+    'census --kind D --n 3 --m 0 --format json':
+        '7ed1d84cce82b055442d790de35a887b433d330d77db7d0c3a6ab241741fb16e',
+    'census --kind G --n 3 --m 2 --t 5 --format md':
+        '26d0aa004c325679e51ba8311f097eacec420bb55638d73efd11e96640277c8a',
+    'census --kind G --n 3 --m 2 --t 5 --format csv':
+        'deca436771ddff8034d4d477779be931c18b3eae8d910ff655ad4e3ac6484bab',
+    'census --kind G --n 3 --m 2 --t 5 --format json':
+        'c8c320ba5faab3f8078903151b3fe25d8d1917de255f6a594f485eedc63560d0',
+    'census --kind G --n 4 --m 3 --t 2 --format md':
+        '3189741542492cd590b9bee6e48f10d52008ca7991824e9a27ebb841a0f11eea',
+    'census --kind G --n 4 --m 3 --t 2 --format csv':
+        '6c420106f686d525208d0be81e2376f1d1ba2c6bca3ce8a495649b3a758deca8',
+    'census --kind G --n 4 --m 3 --t 2 --format json':
+        'b0eea7f3a12c6bfecc13bdcb3151e9081ff8f95b9e379630efc1a237551cb329',
+    'census --kind B --n 9 --m 4 --format md':
+        '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+    'census --kind B --n 9 --m 4 --format csv':
+        '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+    'census --kind B --n 9 --m 4 --format json':
+        '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+}
+
+
+@pytest.mark.parametrize("key", sorted(CENSUS_DIGESTS))
+def test_census_output_is_unchanged(key):
+    code, out, _ = run_in_process(key.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CENSUS_DIGESTS[key]
+
+
+def test_census_over_the_cap_is_pinned():
+    assert run_in_process("census --kind B --n 9 --m 4".split()) == (
+        2, "", "error: census of 9**9 points exceeds cap 100000000\n")
 
 
 def _subcommands():

@@ -1,7 +1,14 @@
 import subprocess
 import sys
+from functools import lru_cache
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bdstirling import geometry
 
 from bdstirling.config import EnumerationCaps
 from bdstirling.errors import (
@@ -22,6 +29,8 @@ from bdstirling.geometry import (
 )
 from bdstirling.partitions import stirling_row
 from bdstirling.polynomials import falling_factorial
+
+from .oracles import census_by_points
 
 
 class TestClassification:
@@ -125,6 +134,14 @@ class TestCubeCensus:
         with pytest.raises(SizeOverflow):
             census("B", 2, 3, caps=tiny)
 
+    def test_negative_dimension_is_a_bad_index(self):
+        with pytest.raises(BadIndex, match="n must be nonnegative"):
+            census("B", -1, 2)
+        # n is checked before the cap, which a negative n would pass
+        tiny = EnumerationCaps(signed_group=1, colored_group=1, census_points=1)
+        with pytest.raises(BadIndex, match="n must be nonnegative"):
+            census("D", -3, 2, caps=tiny)
+
 
 class TestTorusCensus:
     def test_one_dimensional_circle(self):
@@ -167,6 +184,10 @@ class TestTorusCensus:
         with pytest.raises(SizeOverflow):
             torus_census(2, 3, 5, caps=tiny)
 
+    def test_negative_dimension_is_a_bad_index(self):
+        with pytest.raises(BadIndex, match="n must be nonnegative"):
+            torus_census(-2, 2, 1)
+
 
 class TestBasisIdentitiesOnPoints:
     def test_signed_total_is_power(self):
@@ -185,6 +206,90 @@ class TestBasisIdentitiesOnPoints:
         assert missing_point_count(3, 7) == 3 * (6**2 - 6 * 4)
         assert missing_point_count(2, 7) == 0
         assert missing_point_count(0, 7) == 0
+
+
+def _same_result(fast, slow):
+    assert (fast.kind, fast.n, fast.x, fast.m) == (slow.kind, slow.n, slow.x, slow.m)
+    assert fast.counts == slow.counts
+    assert (fast.free, fast.missing) == (slow.free, slow.missing)
+
+
+class TestKeyedTallyAgainstPointOracle:
+    """The keyed tally equals classifying every point on its own."""
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("n", range(6))
+    def test_cube(self, kind, n, m):
+        _same_result(census(kind, n, m), census_by_points(kind, n, range(-m, m + 1)))
+
+    @pytest.mark.parametrize("t", range(1, 4))
+    @pytest.mark.parametrize("m", range(2, 5))
+    @pytest.mark.parametrize("n", range(5))
+    def test_torus(self, n, m, t):
+        circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
+        _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
+
+    def test_classifies_once_per_key_and_walks_every_point(self):
+        calls = mock.patch.object(
+            geometry, "classify_point", wraps=geometry.classify_point
+        )
+        with calls as spy:
+            res = census("B", 4, 5)
+        # B keys are exactly the classes, one call each, for 11**4 points
+        assert spy.call_count == len(res.counts) == 116
+        assert sum(res.counts.values()) == 11**4
+
+
+@lru_cache(maxsize=None)
+def _points_by_signature(kind, n, m, t):
+    """The points of a small cube or torus grouped by their census key,
+    each group a tuple of points."""
+    circle, *tables = geometry._torus_axis(m, t) if kind == "G" else geometry._cube_axis(m)
+    groups = {}
+    for point in product(range(len(circle)), repeat=n):
+        key = geometry._signature(point, *tables)
+        groups.setdefault(key, []).append(tuple(circle[i] for i in point))
+    return tuple(map(tuple, groups.values()))
+
+
+def _classify_or_missing(kind, point, m):
+    try:
+        return classify_point(kind, point, m=m)
+    except SingletonZeroBlock:
+        return "missing"
+
+
+@st.composite
+def same_signature_pairs(draw):
+    kind = draw(st.sampled_from("BDG"))
+    n = draw(st.integers(0, 4))
+    if kind == "G":
+        m, t = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    else:
+        m, t = draw(st.integers(0, 3)), None
+    group = draw(st.sampled_from(_points_by_signature(kind, n, m, t)))
+    colors = m if kind == "G" else None
+    return kind, colors, draw(st.sampled_from(group)), draw(st.sampled_from(group))
+
+
+class TestSignatureRefinesClassification:
+    @given(same_signature_pairs())
+    def test_points_with_one_key_classify_alike(self, pair):
+        kind, m, p, q = pair
+        assert _classify_or_missing(kind, p, m) == _classify_or_missing(kind, q, m)
+
+    def test_no_zero_and_zero_at_first_spot_differ(self):
+        # (1, 2) and (0, 1) share every magnitude class and sign; only the
+        # zero class tells them apart, and 0 == False, so a key written
+        # "0 in a and a.index(0)" would merge them
+        circle, *tables = geometry._cube_axis(2)
+        no_zero, zero_first = (1, 2), (0, 1)
+        keys = [geometry._signature(tuple(map(circle.index, p)), *tables)
+                for p in (no_zero, zero_first)]
+        assert keys[0][:2] == keys[1][:2]
+        assert keys[0] != keys[1]
+        assert classify_point("B", no_zero) != classify_point("B", zero_first)
 
 
 class TestCensusInvariant:

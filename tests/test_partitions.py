@@ -1,10 +1,13 @@
+import operator
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bdstirling import partitions
 from bdstirling.errors import (
     MirrorViolation,
     NotAPartition,
@@ -120,6 +123,44 @@ class TestStirlingRows:
             assert stirling_row(kind, 5, 3) == early
         assert early == tuple(oracles.signed_stirling(5, r, 3) for r in range(6))
         assert flag_stirling_row(3) == (0, 1, 4, 9, 6, 3, 1)
+
+    def test_alternating_rows_of_one_triangle_are_kept(self):
+        # D row 40 reads W_2 row 39, the flag row 40 reads W_2 row 40
+        with mock.patch.dict(partitions._TRIANGLES, clear=True):
+            stirling_row("D", 40)
+            flag_stirling_row(40)
+            w39 = partitions._triangle_row(2, 0, 39)
+            w40 = partitions._triangle_row(2, 0, 40)
+            for _ in range(3):
+                stirling_row("D", 40)
+                flag_stirling_row(40)
+                assert partitions._triangle_row(2, 0, 39) is w39
+                assert partitions._triangle_row(2, 0, 40) is w40
+            assert [len(r) for r in partitions._TRIANGLES[2, 0]] == [40, 41]
+
+    @pytest.mark.parametrize("kept,s,steps", [
+        ((10, 20), 25, range(21, 26)),  # extends the longer kept row
+        ((10, 20), 15, range(11, 16)),  # extends the one not past it
+        ((10, 20), 5, range(1, 6)),  # no kept row fits: from row 0
+    ])
+    def test_a_row_extends_the_longest_kept_row_not_past_it(self, kept, s, steps):
+        entries = []
+
+        def counting_add(x, y):
+            entries.append(1)
+            return operator.add(x, y)
+
+        with mock.patch.dict(partitions._TRIANGLES, clear=True):
+            for k in kept:
+                partitions._triangle_row(2, 1, k)
+            with mock.patch.object(partitions, "add", counting_add):
+                row = partitions._triangle_row(2, 1, s)
+            # building row j from row j - 1 adds j + 1 entries
+            assert len(entries) == sum(j + 1 for j in steps)
+            assert [len(r) for r in partitions._TRIANGLES[2, 1]] == [kept[-1] + 1, s + 1]
+        with mock.patch.dict(partitions._TRIANGLES, clear=True):
+            assert row == partitions._triangle_row(2, 1, s)
+        assert row == tuple(oracles.signed_stirling(s, r) for r in range(s + 1))
 
     def test_cold_thousandth_row_keeps_memory_small(self):
         code = (
