@@ -10,20 +10,21 @@ import argparse
 import sys
 import time
 
+from bdstirling.cli import _at_least
 from bdstirling.identities import IDENTITIES, verify_identity
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmax", type=int, default=None,
+    ap.add_argument("--nmax", type=_at_least(0), default=None,
                     help="override the per-identity default size")
-    ap.add_argument("--m", type=int, default=3,
+    ap.add_argument("--m", type=_at_least(1), default=3,
                     help="color count for the colored identities")
     args = ap.parse_args()
 
     failures = 0
     for name in sorted(IDENTITIES):
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = verify_identity(name, nmax=args.nmax, m=args.m)
         bad = sum(1 for c in report.instances if not c.ok)
         if report.asserted:
@@ -34,7 +35,7 @@ def main() -> int:
         skipped = f" skipped={','.join(report.skipped)}" if report.skipped else ""
         print(
             f"{name:18s} {state:6s} {len(report.instances):4d} instances "
-            f"{bad:3d} mismatches{skipped} ({time.time() - t0:.2f}s)"
+            f"{bad:3d} mismatches{skipped} ({time.perf_counter() - t0:.2f}s)"
         )
     return failures
 

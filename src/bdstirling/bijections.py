@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from operator import neg
+from operator import index, neg
 
 from .errors import (
     FlavorMismatch,
@@ -71,7 +71,7 @@ class OrderedPartition:
         n = self.n
         if self.kind not in ("B", "D"):
             raise ValueError(f"unknown ordered partition kind {self.kind!r}")
-        blocks = tuple(frozenset(map(int, b)) for b in self.blocks)
+        blocks = tuple(frozenset(map(index, b)) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         for b in blocks:
             if not b:
@@ -165,7 +165,7 @@ def _checked_separators(
     element: SignedPermutation, artificial, flavor: str
 ) -> set[int]:
     descents = descent_set(element, flavor)
-    artificial = set(int(g) for g in artificial)
+    artificial = set(map(index, artificial))
     for g in artificial:
         if not 0 <= g < element.n:
             raise TooManySeparators(

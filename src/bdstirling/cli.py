@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one identity over a parameter range")
     p.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
     p.add_argument("--nmax", type=_at_least(0), default=None)
-    p.add_argument("--rmax", type=int, default=None)
+    p.add_argument("--rmax", type=_at_least(0), default=None)
     p.add_argument("--m", type=_at_least(1), default=2)
     add_common(p)
     p.set_defaults(func=cmd_verify)

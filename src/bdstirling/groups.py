@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import index
 from typing import Iterator
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
@@ -37,7 +38,7 @@ class SignedPermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(map(int, self.window)))
+        object.__setattr__(self, "window", tuple(map(index, self.window)))
         n = len(self.window)
         if sorted(map(abs, self.window)) != list(range(1, n + 1)):
             raise ValueError(f"window {self.window!r} is not a signed permutation")
@@ -81,7 +82,7 @@ class ColoredPermutation:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "entries", tuple((int(a), int(z)) for a, z in self.entries)
+            self, "entries", tuple((index(a), index(z)) for a, z in self.entries)
         )
         if self.m < 1:
             raise ValueError("m must be at least 1")

@@ -20,7 +20,7 @@ from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
 from .errors import BadIndex
 from .groups import group_order
 from .partitions import flag_stirling_row, stirling_row
-from .polynomials import IntPolynomial, falling_factorial, monomial
+from .polynomials import IntPolynomial, _times_linear, monomial
 
 __all__ = [
     "descent_histogram",
@@ -262,16 +262,32 @@ def _inversion_report(name, kind, nmax, m, caps):
 
 
 def _basis_report(name, kind, nmax, m, caps):
+    """x^n against sum_k S(n, k) p_k, with p_k = falling_factorial(kind, k).
+
+    The basis p_0..p_nmax is built once, one linear factor per step, and
+    each n adds its row into one plain coefficient list.  For D, the top
+    member p_{n-1} (x - n + 1) and the correction n ((x - 1)^(n-1) - p_{n-1})
+    come from the same basis and a running power of (x - 1).
+    """
+    a, b = _weights(kind, m)
+    basis = [(1,)]
+    for k in range(nmax):
+        basis.append(_times_linear(basis[k], b + a * k))
+    power = (1,)  # (x - 1)^(n - 1) for D
     instances = []
     for n in range(nmax + 1):
-        rhs = IntPolynomial(())
+        rhs = [0] * (n + 1)
         for k, coeff in enumerate(stirling_row(kind, n, m)):
-            rhs = rhs + coeff * falling_factorial(kind, k, n=n, m=m)
+            p = basis[k]
+            if kind == "D" and k == n > 0:
+                p = _times_linear(basis[n - 1], n - 1)
+            for i, c in enumerate(p):
+                rhs[i] += coeff * c
         if kind == "D" and n >= 1:
-            correction = IntPolynomial((-1, 1)) ** (n - 1) - falling_factorial(
-                "B", n - 1
-            )
-            rhs = rhs + n * correction
+            for i, (c, d) in enumerate(zip(power, basis[n - 1])):
+                rhs[i] += n * (c - d)
+            power = _times_linear(power, 1)
+        rhs = IntPolynomial(tuple(rhs))
         params = [("n", n)] + ([("m", m)] if kind == "G" else [])
         instances.append(
             IdentityCheck(name, tuple(params), monomial(n).coeffs, rhs.coeffs)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Iterator, Sequence
 
 from .config import _weights
@@ -126,12 +126,12 @@ class BPartition:
     pair_reps: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        zs = frozenset(int(v) for v in self.zero_support)
+        zs = frozenset(map(index, self.zero_support))
         if any(v < 1 or v > self.n for v in zs):
             raise NotAPartition(f"zero support {sorted(zs)} outside 1..{self.n}")
         reps = []
         for rep in self.pair_reps:
-            rep = frozenset(int(v) for v in rep)
+            rep = frozenset(map(index, rep))
             if not rep:
                 raise NotAPartition("empty block")
             if any(v == 0 or abs(v) > self.n for v in rep):
@@ -182,7 +182,7 @@ class BPartition:
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "BPartition":
         """Rebuild the canonical form from raw blocks, checking closure."""
-        family = [frozenset(int(v) for v in b) for b in blocks]
+        family = [frozenset(map(index, b)) for b in blocks]
         seen: list[frozenset[int]] = []
         for b in family:
             if not b:
@@ -201,14 +201,14 @@ class BPartition:
             raise MirrorViolation("zero block is not closed under negation")
         reps = []
         rest = [b for b in family if b is not zero]
-        index = {b: i for i, b in enumerate(rest)}
+        present = set(rest)
         for b in rest:
             mirror = frozenset(-v for v in b)
             if mirror == b:
                 raise MirrorViolation(
                     f"nonzero block {sorted(b)} equals its own mirror"
                 )
-            if mirror not in index:
+            if mirror not in present:
                 raise MirrorViolation(
                     f"mirror of block {sorted(b)} is missing"
                 )
@@ -245,12 +245,12 @@ class GPartition:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        zs = frozenset(int(v) for v in self.zero_support)
+        zs = frozenset(map(index, self.zero_support))
         if any(v < 1 or v > self.n for v in zs):
             raise NotAPartition(f"zero support {sorted(zs)} outside 1..{self.n}")
         reps = []
         for rep in self.orbit_reps:
-            rep = frozenset((int(a), int(z) % self.m) for a, z in rep)
+            rep = frozenset((index(a), index(z) % self.m) for a, z in rep)
             if not rep:
                 raise NotAPartition("empty block")
             values = [a for a, _ in rep]

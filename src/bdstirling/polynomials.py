@@ -2,11 +2,19 @@
 
 Coefficients are stored ascending by degree with trailing zeros stripped,
 so the zero polynomial is the empty tuple and equality is structural.
+Every coefficient must be an exact integer (``operator.index``); a float
+raises ``TypeError`` instead of being truncated.
+
+A falling-factorial basis is built one linear factor at a time: the
+degree-(k + 1) member is the degree-k member times (x - root_k), one
+pass over plain coefficient tuples (``_times_linear``).  So a whole basis
+p_0..p_kmax costs O(kmax^2) integer steps, and the identity reports build
+each basis once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import index, sub
 
 from .config import _weights
 from .errors import BadIndex
@@ -19,7 +27,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(index, self.coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -100,11 +108,9 @@ def monomial(k: int) -> IntPolynomial:
     return IntPolynomial((0,) * k + (1,))
 
 
-def _product(roots: Iterable[int]) -> IntPolynomial:
-    result = ONE
-    for c in roots:
-        result = result * IntPolynomial((-c, 1))
-    return result
+def _times_linear(coeffs: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Ascending coefficients of coeffs(x) * (x - c), in one pass."""
+    return tuple(map(sub, (0, *coeffs), (*(c * v for v in coeffs), 0)))
 
 
 def falling_factorial(
@@ -129,4 +135,7 @@ def falling_factorial(
             raise BadIndex(f"kind D is only defined for k <= n, got k={k} n={n}")
         if k == n > 0:
             roots[-1] = n - 1
-    return _product(roots)
+    coeffs = (1,)
+    for root in roots:
+        coeffs = _times_linear(coeffs, root)
+    return IntPolynomial(coeffs)

@@ -7,7 +7,10 @@ of the literal ground sets, and Stirling values come from the closed
 binomial formula over classical numbers.  The descent histograms walk
 validated group elements through the package's element-level statistics,
 the route the tuple kernels replaced.  Censuses classify every point on
-its own, the route the keyed tally replaced.  Keep these dumb on purpose.
+its own, the route the keyed tally replaced.  The basis-change reports
+rebuild every falling factorial from its roots through the generic
+polynomial multiply, the route the once-built basis replaced.  Keep these
+dumb on purpose.
 """
 
 from fractions import Fraction
@@ -24,6 +27,9 @@ from bdstirling.errors import (
 )
 from bdstirling.geometry import CensusResult, classify_point
 from bdstirling.groups import des_stat, enumerate_group, fdes
+from bdstirling.identities import IdentityCheck, VerificationReport
+from bdstirling.partitions import stirling_row
+from bdstirling.polynomials import IntPolynomial, monomial
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +344,54 @@ def census_by_points(kind, n, circle, m=None):
         counts[p] = counts.get(p, 0) + 1
     free = sum(c for p, c in counts.items() if p.r == n)
     return CensusResult(kind, n, len(circle), m, counts, free, missing)
+
+
+# ---------------------------------------------------------------------------
+# basis-change identities, one falling factorial at a time
+
+
+def falling_factorial_roots(kind, k, n=None, m=None):
+    """Roots of the degree-k falling factorial, spelled out per kind.
+
+    classical/A: 0, 1, ..., k-1.  B and D: 1, 3, ..., 2k-1, with D's top
+    member (k = n > 0) ending at n - 1 instead.  G: 1, 1 + m, ..., 1 + (k-1)m.
+    """
+    if kind in ("classical", "A"):
+        roots = list(range(k))
+    elif kind in ("B", "D"):
+        roots = list(range(1, 2 * k, 2))
+    else:
+        roots = [1 + m * i for i in range(k)]
+    if kind == "D" and k == n > 0:
+        roots[-1] = n - 1
+    return roots
+
+
+def _product(roots):
+    result = IntPolynomial((1,))
+    for c in roots:
+        result = result * IntPolynomial((-c, 1))
+    return result
+
+
+def basis_report_by_products(name, kind, nmax, m):
+    """x^n against sum_k S(n, k) p_k, every p_k rebuilt from its roots.
+
+    For D the correction n ((x - 1)^(n-1) - p_{n-1}) is added with the
+    generic power.  Instances match ``verify_identity(name, nmax, m)``.
+    """
+    instances = []
+    for n in range(nmax + 1):
+        rhs = IntPolynomial(())
+        for k, coeff in enumerate(stirling_row(kind, n, m)):
+            rhs = rhs + coeff * _product(falling_factorial_roots(kind, k, n, m))
+        if kind == "D" and n >= 1:
+            correction = IntPolynomial((-1, 1)) ** (n - 1) - _product(
+                falling_factorial_roots("B", n - 1)
+            )
+            rhs = rhs + n * correction
+        params = [("n", n)] + ([("m", m)] if kind == "G" else [])
+        instances.append(
+            IdentityCheck(name, tuple(params), monomial(n).coeffs, rhs.coeffs)
+        )
+    return VerificationReport(name, tuple(instances))

@@ -75,6 +75,10 @@ class TestOrderedPartition:
         with pytest.raises(InvalidOrderedPartition):
             OrderedPartition("B", 1, (fs(1),))
 
+    def test_float_values_rejected(self):
+        with pytest.raises(TypeError):
+            OrderedPartition("B", 2, ({1.5, 2.2}, {-1.5, -2.2}))
+
     def test_single_zero_value_fails_kind_d(self):
         OrderedPartition("B", 1, (fs(1, -1),))
         with pytest.raises(NotTypeD):
@@ -105,14 +109,15 @@ class TestOrderedPartition:
             OrderedPartition(kind, n, ())
 
     def test_huge_size_is_refused_without_building_its_spots(self):
+        # VmHWM: the child's own peak, not the one ru_maxrss inherits
         code = (
-            "import resource\n"
             "from bdstirling.bijections import OrderedPartition\n"
             "from bdstirling.errors import NotAPartition\n"
             "try:\n"
             "    OrderedPartition('B', 10**7, ())\n"
             "except NotAPartition:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "               if line.startswith('VmHWM:')))\n"
         )
         res = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -268,6 +273,11 @@ class TestForward:
     def test_artificial_on_descent_collides(self):
         with pytest.raises(SpotCollision):
             b_procedure(S("2,1"), {1})
+
+    @pytest.mark.parametrize("proc", [b_procedure, d_procedure])
+    def test_float_separator_rejected(self, proc):
+        with pytest.raises(TypeError):
+            proc(S("1,2"), (1.9,))
 
     def test_separator_out_of_range(self):
         with pytest.raises(TooManySeparators):

@@ -137,6 +137,13 @@ class TestVerify:
         assert "report only" in res.stdout.splitlines()[-1]
         assert "mismatch" in res.stdout
 
+    def test_negative_rank_bound_is_one_line_usage_error(self):
+        res = run_cli("verify", "--identity", "thm-4.1", "--rmax", "-1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "argument --rmax: must be nonnegative" in res.stderr
+
     def test_unknown_identity_is_usage_error(self):
         res = run_cli("verify", "--identity", "thm-9.9")
         assert res.returncode == 2
@@ -602,6 +609,66 @@ CENSUS_DIGESTS = {
 def test_census_output_is_unchanged(key):
     code, out, _ = run_in_process(key.split())
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == CENSUS_DIGESTS[key]
+
+
+# SHA-256 of f"{exit code}\n{stdout}" for the basis-change identities,
+# recorded when every falling factorial was rebuilt for every (n, k).
+BASIS_DIGESTS = {
+    'verify --identity thm-1.2 --format md':
+        '7bb7f2a97c6c918d6f6ed1af08350b60ee8f9ffb27d608307b12d9477e040cd0',
+    'verify --identity thm-1.2 --format csv':
+        'edcf077adf8c3263d430bbc2986cb5e812160d7657d42244ba561c8de4af76ce',
+    'verify --identity thm-1.2 --format json':
+        '9ea5d83492e984c9fc7fc7c4d1bc0f59cf7a944b44e909c1069f8fe8d664f5de',
+    'verify --identity thm-1.2 --nmax 36 --format md':
+        'f5c78ad3fc4d5cb8df2d82ac63eb795eb51a83c05c6b94de60d94ec655d9ff4c',
+    'verify --identity thm-1.2 --nmax 36 --format csv':
+        '4cd103d20e8e7fc23cd537cdda6f0eb59cdeccd2e6d6e90dc8386fcc74f7c272',
+    'verify --identity thm-1.2 --nmax 36 --format json':
+        '5bd330f34bcb7bf468fb6783b93cc0b6499eda183cc2b503f9ae3f4d27fcd91f',
+    'verify --identity thm-5.1 --format md':
+        'fb3e3b76843fe6ddcf896310310806570d2cf1d9f57b1d1faf590731c500ea16',
+    'verify --identity thm-5.1 --format csv':
+        'edcf077adf8c3263d430bbc2986cb5e812160d7657d42244ba561c8de4af76ce',
+    'verify --identity thm-5.1 --format json':
+        '509d3b23ce64a1bf33abc086e9be3610cbaedc290219af4a62ac316388495d20',
+    'verify --identity thm-5.1 --nmax 36 --format md':
+        '2722fc1172f4e67124e625ae5e53ece80077787dacb7b7d8c3fde391f26675bd',
+    'verify --identity thm-5.1 --nmax 36 --format csv':
+        '4cd103d20e8e7fc23cd537cdda6f0eb59cdeccd2e6d6e90dc8386fcc74f7c272',
+    'verify --identity thm-5.1 --nmax 36 --format json':
+        '1a63742b40fcd5b03e18c1ae7cdbfcc9aad4ef34043b668c923e4fd7c0deddc9',
+    'verify --identity thm-5.3 --format md':
+        '8909ec61444823220b40dcb24cceb823088df9cae52e5671d347151a9e8191b7',
+    'verify --identity thm-5.3 --format csv':
+        'edcf077adf8c3263d430bbc2986cb5e812160d7657d42244ba561c8de4af76ce',
+    'verify --identity thm-5.3 --format json':
+        'fc6ac62e2f11bd5dc329e91c5cbfa890d11f5326e559c5c6ac734729a34d0473',
+    'verify --identity thm-5.3 --nmax 36 --format md':
+        'a5d4c91473a8f86d9076fcafb0d5aad0e5926d8d3596b311550842571354245d',
+    'verify --identity thm-5.3 --nmax 36 --format csv':
+        '4cd103d20e8e7fc23cd537cdda6f0eb59cdeccd2e6d6e90dc8386fcc74f7c272',
+    'verify --identity thm-5.3 --nmax 36 --format json':
+        'be6df22dd9e7e55ab8c86247525fc87d55d0d78b5d876c3568cbc45e8c5c7d68',
+    'verify --identity thm-6.10 --m 3 --format md':
+        'e4e05c52feae29090f4bd9f891a6b1f611bbe2c769d253cd7b273ae7bc526057',
+    'verify --identity thm-6.10 --m 3 --format csv':
+        'b9c4a0db92e5a7ae4ff6a93a6ceac44b77c396983913b82364de36868f06395d',
+    'verify --identity thm-6.10 --m 3 --format json':
+        '3fa06a0d9e7cf0c0700ad67d16635e8b3482519f587ef7bff3a651ce31fe74a7',
+    'verify --identity thm-6.10 --m 3 --nmax 36 --format md':
+        '9e5b9632f292d493a53bc7472c940d5cd78a0b742f0806619cafc28f1acd3c24',
+    'verify --identity thm-6.10 --m 3 --nmax 36 --format csv':
+        'b2020c2dc229f992258b7fe62297498fe347725cdea45f9b33b093078159ecb3',
+    'verify --identity thm-6.10 --m 3 --nmax 36 --format json':
+        'a399b02d395a70148cf344fa69c1b5a69ae436fac1b4d57a059e5f9493cf4c83',
+}
+
+
+@pytest.mark.parametrize("key", sorted(BASIS_DIGESTS))
+def test_basis_verify_output_is_unchanged(key):
+    code, out, _ = run_in_process(key.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == BASIS_DIGESTS[key]
 
 
 def test_census_over_the_cap_is_pinned():

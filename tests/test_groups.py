@@ -32,6 +32,12 @@ class TestSignedPermutation:
         with pytest.raises(ValueError):
             SignedPermutation((1, -1))
 
+    def test_float_entries_rejected(self):
+        with pytest.raises(TypeError):
+            SignedPermutation((1.9, -2.7))
+        with pytest.raises(TypeError):
+            SignedPermutation((1.0, 2))
+
     def test_text_round_trip(self):
         beta = S("-2,3,5,1,-4")
         assert beta.window == (-2, 3, 5, 1, -4)
@@ -68,6 +74,12 @@ class TestColoredPermutation:
             ColoredPermutation(2, ((1, 2),))
         with pytest.raises(ValueError):
             ColoredPermutation(2, ((1, 0), (1, 1)))
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(TypeError):
+            ColoredPermutation(3, ((1.2, 2.9),))
+        with pytest.raises(TypeError):
+            ColoredPermutation(3, ((1, 2.0),))
 
     def test_order_key_sorts_high_colors_first(self):
         g = ColoredPermutation(3, ((1, 0), (2, 0)))

@@ -233,6 +233,14 @@ class TestVerification:
         assert report.passed
         assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", ["thm-1.2", "thm-5.1", "thm-5.3", "thm-6.10"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_basis_reports_match_products_of_roots(self, name, m):
+        kind = IDENTITIES[name]["kind"]
+        for nmax in range(15):
+            want = oracles.basis_report_by_products(name, kind, nmax, m)
+            assert verify_identity(name, nmax=nmax, m=m) == want
+
     def test_registry_default_sizes(self):
         for name, entry in IDENTITIES.items():
             assert entry["nmax"] >= 3

@@ -163,11 +163,13 @@ class TestStirlingRows:
         assert row == tuple(oracles.signed_stirling(s, r) for r in range(s + 1))
 
     def test_cold_thousandth_row_keeps_memory_small(self):
+        # VmHWM is the child's own peak; its ru_maxrss starts at the peak of
+        # the test process that spawned it, so it depends on earlier tests.
         code = (
-            "import resource\n"
             "from bdstirling.partitions import stirling_row\n"
             "assert len(stirling_row('D', 1000)) == 1001\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n"
         )
         res = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -202,6 +204,16 @@ class TestPartitionObjects:
             BPartition(3, frozenset({1}), (frozenset({2}),))
         with pytest.raises(NotAPartition):
             BPartition(2, frozenset({1}), (frozenset({1}),))
+
+    def test_float_values_rejected(self):
+        with pytest.raises(TypeError):
+            BPartition(2, frozenset({1.5}), (frozenset({2}),))
+        with pytest.raises(TypeError):
+            BPartition(2, frozenset(), (frozenset({1.0, 2}),))
+        with pytest.raises(TypeError):
+            BPartition.from_blocks(1, [{0}, {1.0}, {-1.0}])
+        with pytest.raises(TypeError):
+            GPartition(2, 3, frozenset(), (frozenset({(1, 0), (2.0, 1)}),))
 
     def test_repeated_absolute_value_rejected(self):
         with pytest.raises(RepeatedValueInBlock):

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from bdstirling.errors import BadIndex
 from bdstirling.polynomials import ONE, ZERO, IntPolynomial, falling_factorial, monomial
 
+from . import oracles
 from .strategies import small_polys
 
 ints = st.integers(-30, 30)
@@ -48,6 +51,11 @@ class TestIntPolynomial:
         p = IntPolynomial(a)
         assert p(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
 
+    @pytest.mark.parametrize("coeffs", [(0.5, 1.5), (1, 2.0), ("1",)])
+    def test_inexact_coefficients_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            IntPolynomial(coeffs)
+
 
 class TestFallingFactorials:
     def test_classical(self):
@@ -89,6 +97,15 @@ class TestFallingFactorials:
     def test_two_colors_match_signed(self):
         for k in range(5):
             assert falling_factorial("G", k, m=2) == falling_factorial("B", k)
+
+    @given(
+        st.sampled_from(["classical", "A", "B", "D", "G"]),
+        st.integers(0, 12), st.integers(0, 2), st.integers(1, 5), ints,
+    )
+    def test_value_is_the_product_over_the_roots(self, kind, k, extra, m, x):
+        n = k + extra  # extra = 0 is D's top member, the swapped factor
+        roots = oracles.falling_factorial_roots(kind, k, n, m)
+        assert falling_factorial(kind, k, n=n, m=m)(x) == prod(x - r for r in roots)
 
     def test_negative_index_rejected(self):
         with pytest.raises(BadIndex):
