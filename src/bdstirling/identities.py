@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from operator import add, gt, mul
+from operator import gt, mul
+from types import MappingProxyType
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
 from .errors import BadIndex
@@ -38,67 +39,85 @@ def _binom(a: int, b: int) -> int:
     return comb(a, b) if a >= 0 and b >= 0 else 0
 
 
-def _signed_sets(n: int, even: bool = False):
-    """Every signing of the letters 1..n, optionally with evenly many minuses.
+@lru_cache(maxsize=None)
+def _standard_tally(n: int) -> MappingProxyType:
+    """Permutations of the ranks 0..n-1 by (descents, first rank, second rank).
 
-    All orderings of all these sets walk B_n (or D_n) exactly once.
+    A rank the permutation is too short to have reads as n.  Replacing
+    the letters of any window by their ranks (standardizing it) keeps
+    every descent at gaps 1..n-1, so this one walk of S_n serves every
+    kind; only gap 0 depends on which letters were signed or colored.
     """
-    for signs in itertools.product((1, -1), repeat=n):
-        if not even or signs.count(-1) % 2 == 0:
-            yield tuple(map(mul, signs, range(1, n + 1)))
+    # S_0 and S_1 have no pair of first ranks to walk by.
+    tally = {(0, 0, n): 1} if n < 2 else {}
+    for first, second in itertools.permutations(range(n), 2):
+        rest = [r for r in range(n) if r != first and r != second]
+        counts = [0] * n
+        for p in itertools.permutations(rest):
+            counts[sum(map(gt, (second, *p), p))] += 1
+        for d, count in enumerate(counts):
+            if count:
+                tally[d + (first > second), first, second] = count
+    return MappingProxyType(tally)  # cached, so read-only
 
 
-def _colored_sets(n: int, m: int):
-    """Every coloring of the letters 1..n, as color-order keys.
+def _first_gap_sum(
+    n: int, weights: list[int], step: int, size: int
+) -> tuple[int, ...]:
+    """Counts by step * des(pi) + [pi_1 < j] over the tally of S_n.
 
-    Value a with color z has key (m - 1 - z) * n + a, so a key of at most
-    (m - 1) * n marks a nonzero color.  All orderings walk G_{m,n} once.
+    weights[j] counts the ways to choose j letters that take the j lowest
+    ranks and make gap 0 a descent when one of them comes first.
     """
-    shifts = [(m - 1 - z) * n for z in range(m)]
-    for shift in itertools.product(shifts, repeat=n):
-        yield tuple(map(add, shift, range(1, n + 1)))
+    below = list(itertools.accumulate(weights))  # gap 0 ascends: j <= pi_1
+    counts = [0] * size
+    for (d, first, _), count in _standard_tally(n).items():
+        counts[step * d] += count * below[first]
+        counts[step * d + 1] += count * (below[-1] - below[first])
+    return tuple(counts)
+
+
+def _even_signed_sum(n: int) -> tuple[int, ...]:
+    """hist_D over the even signings L of 1..n and the tally of S_n.
+
+    With L sorted, gap 0 is a descent iff L[pi_1] + L[pi_2] < 0.
+    """
+    signings = [
+        sorted(map(mul, signs, range(1, n + 1)))
+        for signs in itertools.product((1, -1), repeat=n)
+        if signs.count(-1) % 2 == 0
+    ]
+    counts = [0] * (n + 1)
+    for (d, first, second), count in _standard_tally(n).items():
+        drops = sum(L[first] + L[second] < 0 for L in signings)
+        counts[d] += count * (len(signings) - drops)
+        counts[d + 1] += count * drops
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
 def _descent_histogram(kind: str, n: int, m: int) -> tuple[int, ...]:
-    counts = [0] * (n + 1)
     if n == 0 or (kind == "D" and n == 1):  # the identity alone, no descents
-        counts[0] = 1
-    elif kind == "A":
-        for w in itertools.permutations(range(1, n + 1)):
-            counts[sum(map(gt, w, w[1:]))] += 1
-    elif kind == "B":
-        for letters in _signed_sets(n):
-            for w in itertools.permutations(letters):
-                counts[sum(map(gt, w, w[1:])) + (w[0] < 0)] += 1
-    elif kind == "D":
-        for letters in _signed_sets(n, even=True):
-            for w in itertools.permutations(letters):
-                counts[sum(map(gt, w, w[1:])) + (w[0] + w[1] < 0)] += 1
-    else:
-        top = (m - 1) * n
-        for letters in _colored_sets(n, m):
-            for w in itertools.permutations(letters):
-                counts[sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
-    return tuple(counts)
+        return (1,) + (0,) * n
+    if kind == "A":
+        # The first letter is rank j; the rest standardizes to S_{n-1},
+        # and gap 1 descends iff the rest starts below j.
+        return _first_gap_sum(n - 1, [1] * n, 1, n + 1)
+    if kind == "D":
+        return _even_signed_sum(n)
+    # j letters signed (colored nonzero) in C(n, j) (m - 1)^j ways; they
+    # take the j lowest ranks, in the natural and the color order alike.
+    weights = [comb(n, j) * (m - 1) ** j for j in range(n + 1)]
+    return _first_gap_sum(n, weights, 1, n + 1)
 
 
 @lru_cache(maxsize=None)
 def _flag_histogram(n: int, order: str) -> tuple[int, ...]:
-    counts = [0] * max(2 * n, 1)
     if n == 0:
-        counts[0] = 1
-        return tuple(counts)
-    # The color order is the two-colored one, negatives carrying color 1;
-    # either way the keys at most ``top`` are the negative letters.
-    if order == "natural":
-        sets, top = _signed_sets(n), -1
-    else:
-        sets, top = _colored_sets(n, 2), n
-    for letters in sets:
-        for w in itertools.permutations(letters):
-            counts[2 * sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
-    return tuple(counts)
+        return tuple([1])  # a new tuple per order, like every other entry
+    # fdes = 2 des + [negative first]; the negative letters are the lowest
+    # ranks in either order, so the orders count alike.
+    return _first_gap_sum(n, [comb(n, j) for j in range(n + 1)], 2, 2 * n)
 
 
 def descent_histogram(
@@ -107,12 +126,15 @@ def descent_histogram(
     """Counts of elements by descent statistic, index 0..n.
 
     Kind A uses plain descents of S_n, B/D/G their flavored statistics
-    over the corresponding groups.  Every element is walked as a raw int
-    tuple with its statistic counted inline; the route through validated
-    group elements and ``des_stat`` is kept as the test oracle
-    ``descent_histogram_by_elements`` in ``tests/oracles.py``.  Calls that
-    differ only in ``caps``, or in ``m`` outside kind G, share one cache
-    entry.
+    over the corresponding groups.  Each element is a choice of signed
+    (or colored) letters plus an arrangement, and the arrangement
+    standardizes to a permutation with the same descents at gaps 1..n-1;
+    so every histogram is a weighted sum over one cached walk of S_n
+    (S_{n-1} for kind A, past its first letter), counted by descents and
+    first two ranks.  The walks over whole groups are kept as test
+    oracles in ``tests/oracles.py``.  The cap still bounds the group
+    order.  Calls that differ only in ``caps``, or in ``m`` outside kind
+    G, share one cache entry.
     """
     _check_group_cap(kind, group_order(kind, n, m), caps)
     return _descent_histogram(kind, n, m if kind == "G" else 2)
@@ -123,7 +145,9 @@ def flag_histogram(
 ) -> tuple[int, ...]:
     """Counts of B_n elements by flag descents, index 0..max(2n-1, 0).
 
-    Walks raw int tuples like ``descent_histogram``.
+    A weighted sum over the walk of S_n, like ``descent_histogram``, with
+    each descent counted twice.  Both orders put the negative letters
+    lowest, so they give equal counts, each under its own cache entry.
     """
     if order not in ("natural", "color"):
         raise ValueError(f"unknown fdes order {order!r}")

@@ -5,18 +5,21 @@ algorithmic route than the package modules: descent statistics read the
 window directly, partition counts come from filtering raw set partitions
 of the literal ground sets, and Stirling values come from the closed
 binomial formula over classical numbers.  The descent histograms walk
-validated group elements through the package's element-level statistics,
-the route the tuple kernels replaced.  Censuses classify every point on
-its own, the route the keyed tally replaced.  The basis-change reports
-rebuild every falling factorial from its roots through the generic
-polynomial multiply, the route the once-built basis replaced.  Keep these
-dumb on purpose.
+every element of the group, twice over: as validated group elements
+through the package's element-level statistics, and as raw int tuples
+with the statistic counted inline (the tuple kernels); the package sums
+one walk of S_n by standardization instead.  Censuses classify every
+point on its own, the route the keyed tally replaced.  The basis-change
+reports rebuild every falling factorial from its roots through the
+generic polynomial multiply, the route the once-built basis replaced.
+Keep these dumb on purpose.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
+from operator import add, gt, mul
 
 from bdstirling.errors import (
     InvalidOrderedPartition,
@@ -264,6 +267,73 @@ def flag_histogram_by_elements(n, order="natural"):
     counts = [0] * max(2 * n, 1)
     for beta in enumerate_group("B", n):
         counts[fdes(beta, order)] += 1
+    return tuple(counts)
+
+
+# ---------------------------------------------------------------------------
+# descent histograms by walking raw int tuples
+
+
+def _signed_sets(n, even=False):
+    """Every signing of the letters 1..n, optionally with evenly many minuses.
+
+    All orderings of all these sets walk B_n (or D_n) exactly once.
+    """
+    for signs in product((1, -1), repeat=n):
+        if not even or signs.count(-1) % 2 == 0:
+            yield tuple(map(mul, signs, range(1, n + 1)))
+
+
+def _colored_sets(n, m):
+    """Every coloring of the letters 1..n, as color-order keys.
+
+    Value a with color z has key (m - 1 - z) * n + a, so a key of at most
+    (m - 1) * n marks a nonzero color.  All orderings walk G_{m,n} once.
+    """
+    shifts = [(m - 1 - z) * n for z in range(m)]
+    for shift in product(shifts, repeat=n):
+        yield tuple(map(add, shift, range(1, n + 1)))
+
+
+def descent_histogram_by_tuples(kind, n, m=2):
+    """Histogram of the descent statistic over every window of the group."""
+    counts = [0] * (n + 1)
+    if n == 0 or (kind == "D" and n == 1):  # the identity alone, no descents
+        counts[0] = 1
+    elif kind == "A":
+        for w in permutations(range(1, n + 1)):
+            counts[sum(map(gt, w, w[1:]))] += 1
+    elif kind == "B":
+        for letters in _signed_sets(n):
+            for w in permutations(letters):
+                counts[sum(map(gt, w, w[1:])) + (w[0] < 0)] += 1
+    elif kind == "D":
+        for letters in _signed_sets(n, even=True):
+            for w in permutations(letters):
+                counts[sum(map(gt, w, w[1:])) + (w[0] + w[1] < 0)] += 1
+    else:
+        top = (m - 1) * n
+        for letters in _colored_sets(n, m):
+            for w in permutations(letters):
+                counts[sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
+    return tuple(counts)
+
+
+def flag_histogram_by_tuples(n, order="natural"):
+    """Histogram of fdes over every window of B_n, in either order."""
+    counts = [0] * max(2 * n, 1)
+    if n == 0:
+        counts[0] = 1
+        return tuple(counts)
+    # The color order is the two-colored one, negatives carrying color 1;
+    # either way the keys at most ``top`` are the negative letters.
+    if order == "natural":
+        sets, top = _signed_sets(n), -1
+    else:
+        sets, top = _colored_sets(n, 2), n
+    for letters in sets:
+        for w in permutations(letters):
+            counts[2 * sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
     return tuple(counts)
 
 

@@ -671,6 +671,119 @@ def test_basis_verify_output_is_unchanged(key):
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == BASIS_DIGESTS[key]
 
 
+# SHA-256 of f"{exit code}\n{stdout}" for the Eulerian tables and the
+# identities that read descent histograms, recorded when the histograms
+# walked every element of the group.
+EULERIAN_DIGESTS = {
+    'tables eulerian --kind A --nmax 9 --format md':
+        'da5017ea212c0dc8fefc244206564d6110b3424a9655037d1c49ea17be1892ce',
+    'tables eulerian --kind A --nmax 9 --format csv':
+        '48159a652d1acaec258bb6c4198a6e0e836bdc3e1ae9087dab749b053a66de3a',
+    'tables eulerian --kind A --nmax 9 --format json':
+        '09011f4fe8515e8d31eed801a9efa10605bc78d06e356b33eb48de86a7efbe48',
+    'tables eulerian --kind B --nmax 7 --format md':
+        '73850acfee2af94857713d544523f4e3f76c8fa09cce3202fc4c96707b5a50d7',
+    'tables eulerian --kind B --nmax 7 --format csv':
+        'eead89e47f36822810fddf65e9351557434a52f968ce3829aab64e1d2217776f',
+    'tables eulerian --kind B --nmax 7 --format json':
+        '5a9cb8e887fb8ced04379acbd9130e1814b7d76a9a6427c7f6e6a2c295215375',
+    'tables eulerian --kind D --nmax 7 --format md':
+        '8678ce7fe95c6c427da7a746040bb9215aa38cc47707b7a5174910f2a714c0aa',
+    'tables eulerian --kind D --nmax 7 --format csv':
+        '446d8cb7b169823e3f985bd6296e96f86989a1f01326e25729347381fe27ee57',
+    'tables eulerian --kind D --nmax 7 --format json':
+        'd34df53be9c699361dd5a8e560175492565acb1bd4bc4a0890f9885a2171b0a1',
+    'tables eulerian --kind G --m 3 --nmax 5 --format md':
+        '580c606fc2daa53985fd636ef1818e655cf6408ee429fde80d15abf666a3fa83',
+    'tables eulerian --kind G --m 3 --nmax 5 --format csv':
+        'a28501bf4eea7e8cbe3695c64ccef07eeb62ca888cd01282ed1f6b2b558fdca4',
+    'tables eulerian --kind G --m 3 --nmax 5 --format json':
+        '79af225abd921b4c0284e37097aea30077734d6e08c7de7dfe74dbdd1f1e497a',
+    'tables eulerian --kind G --m 4 --nmax 4 --format md':
+        'fa3d4e212459613a9b54fff3a9596c926d1d275a2eeb2b6cc47e94a129cf6a14',
+    'tables eulerian --kind G --m 4 --nmax 4 --format csv':
+        'fcbc95631fb0b11042afc543626435c1ce10f831ff47027d0c18e08680a41da2',
+    'tables eulerian --kind G --m 4 --nmax 4 --format json':
+        '79a01827ac3307d5fc1054080603ae7a5102d8f6ae5bde26c253b150f3a7e435',
+    'tables eulerian --kind Bstar --nmax 6 --format md':
+        '92ad40f8af6c4a2540b56ed0d8af5ec0e9cecf20db35cbe7e21ea57e37b03c79',
+    'tables eulerian --kind Bstar --nmax 6 --format csv':
+        '947f3893b2ae370da1ff4f35d0535551944db5ff1260e9509288da0e89bce704',
+    'tables eulerian --kind Bstar --nmax 6 --format json':
+        'bfaccdec6264189bb96791eedd169c221cd29b2c8b5bec5152a5671d8dadedfe',
+    'verify --identity thm-1.1 --format md':
+        'adc20d0e9044742dfecadab4994f2ac68ac94c139c5175e02ad6c83b57def31b',
+    'verify --identity thm-1.1 --format csv':
+        'e8dd7c1adc24bb1a14abe8b889839f9caefe4ff140fe5dbb69dcb391073152b5',
+    'verify --identity thm-1.1 --format json':
+        'aef0b811337ca81fcc7c3f9f39ac93301b983fed508ee9f6b7330694d353796b',
+    'verify --identity thm-4.1 --format md':
+        '4253a1d3576738108bdec0111da5d5e2f21987a7c038a10cd526f035d350e184',
+    'verify --identity thm-4.1 --format csv':
+        'bfd8f351769756047f0a070937a170c78396acf7a257c857746a2c2f4089c22c',
+    'verify --identity thm-4.1 --format json':
+        'e3fab53c77e232ac74306bea6fb8f6085000988c18c66e01ecca048027ba0340',
+    'verify --identity thm-4.2 --format md':
+        '5cacb052ffcef8366b883d3e25ca548fcbe5e164e4104e16b7f6097b67f0c6d2',
+    'verify --identity thm-4.2 --format csv':
+        'f9d694e8fcea6ae2b3e7bad94f0fd519631c3133e8ff9577289905290fd88648',
+    'verify --identity thm-4.2 --format json':
+        '1f59aa61cbed906caede3f9c284769989835081c3dec9051ce2b97727bbddee3',
+    'verify --identity cor-4.3 --format md':
+        '750532f957a8c727d11dc179c00e59b7d5779567ffcad4d10344397e1dcec9e3',
+    'verify --identity cor-4.3 --format csv':
+        'cf253d9f8dd97e3ebc9ad93a7d35ee44f20f67dd406cc1ab9bdd0310715b3e13',
+    'verify --identity cor-4.3 --format json':
+        'ca4731e7d871d3179d79ee812df17985649372c8ab772f0ba0f212697e4e0952',
+    'verify --identity cor-4.4 --format md':
+        '595823ec6d969df1a3b0d77976346a6f3813d7ea9a256178b88a4684b853744e',
+    'verify --identity cor-4.4 --format csv':
+        'ac78a6d6f7732868ce72b3892e1bb1fedc6471dec90d9871471b45c704919f33',
+    'verify --identity cor-4.4 --format json':
+        '5ea26dad5e2b5702c823ab5d8bbf4d3d0840bf8e1472de5ae7198ee9cc15ef22',
+    'verify --identity eq-4 --format md':
+        '1715c1a49c2c0cc6f1474ed91aec453e9eb26d0861c9dc691e679dc0133e6a46',
+    'verify --identity eq-4 --format csv':
+        '354fff9d499c69cb506c97b17ae732a33a126c5a4a45161fe583804fd7351a9a',
+    'verify --identity eq-4 --format json':
+        'e66306b1ed485df943c021fffdcaf8209571612ee4d501188786ee2550ceb1ef',
+    'verify --identity thm-6.9 --m 3 --format md':
+        '82b0de25db9876053847d7d585811680c58d97fa97bd5892c917db8a537278d9',
+    'verify --identity thm-6.9 --m 3 --format csv':
+        '17cd5abbf95056cb5465bea745c8fa483a6cab97198f4a77e17a727b35a0a7e3',
+    'verify --identity thm-6.9 --m 3 --format json':
+        'd18e4509373058bd9bdac954da5a52d416bddb0f174badc20dc65add5252a2b9',
+    'verify --identity thm-6.11-report --format md':
+        '70bce7be936b27e1cf6a6b10f263c4eb2765957b11a9dc70bba92ad978662956',
+    'verify --identity thm-6.11-report --format csv':
+        '6ae3b7c523a269c5bdd788a5c3ce57e67d3d996d854d2145929813016089f641',
+    'verify --identity thm-6.11-report --format json':
+        '9d4436d6034cc1d8831aa17cf4b4930215e2069cc20aa7c126a68ac59672fb1f',
+    'verify --identity thm-1.1 --nmax 9 --format json':
+        '67cae2824adeab17779b2aee1cba10125bc47428b468f8271d00dab6cb82b4a2',
+    'verify --identity eq-4 --nmax 9 --format json':
+        'c66866f52f490e15914518cd21ba4ab761c3f64bf3f347dfad840e7585c56fb8',
+    'verify --identity thm-4.1 --nmax 7 --format json':
+        '612e65a7193e9443bff68e5d7b9e0afbaa7ded5df4c6b48d1eb341d073d40bf8',
+    'verify --identity thm-4.2 --nmax 7 --format json':
+        '7899a276f44a6a4b9f580971ea8164c80f03f5fbe60c1f1f6a95aa30615aa2f7',
+    'verify --identity cor-4.3 --nmax 7 --format json':
+        '869d0ca41782eff5daa5f445bbcba20abb84a570b221fe90497b96f400c61a23',
+    'verify --identity cor-4.4 --nmax 7 --format json':
+        '1c51bcaa213deec383a75d7da38f3964a0ff560a657b94244f7f5a8e6d92f26f',
+    'verify --identity thm-6.9 --m 4 --nmax 5 --format json':
+        '1021392ee60ef9ffa25903d2b90df12066cf0cb8fe13cdc0a03b3ca8c36115b6',
+    'verify --identity thm-6.11-report --nmax 6 --format json':
+        'fae76abbae7773ba0777a5f1ad55bcf59e0f6cb544273f80771322e019cb4648',
+}
+
+
+@pytest.mark.parametrize("key", sorted(EULERIAN_DIGESTS))
+def test_eulerian_output_is_unchanged(key):
+    code, out, _ = run_in_process(key.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == EULERIAN_DIGESTS[key]
+
+
 def test_census_over_the_cap_is_pinned():
     assert run_in_process("census --kind B --n 9 --m 4".split()) == (
         2, "", "error: census of 9**9 points exceeds cap 100000000\n")

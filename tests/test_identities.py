@@ -1,4 +1,5 @@
 import hashlib
+from math import factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from bdstirling.errors import BadIndex, SizeOverflow
 from bdstirling.groups import des_stat, enumerate_group, group_order
 from bdstirling.identities import (
     IDENTITIES,
+    _standard_tally,
     descent_histogram,
     eulerian,
     eulerian_from_stirling,
@@ -81,6 +83,77 @@ class TestKernelsMatchElementWalk:
     @pytest.mark.parametrize("n", range(6))
     def test_flag(self, order, n):
         assert flag_histogram(n, order) == oracles.flag_histogram_by_elements(n, order)
+
+
+class TestTallyMatchesTupleKernels:
+    @pytest.mark.parametrize("n", range(10))
+    def test_classical(self, n):
+        assert descent_histogram("A", n) == oracles.descent_histogram_by_tuples("A", n)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_signed(self, kind, n):
+        assert descent_histogram(kind, n) == oracles.descent_histogram_by_tuples(kind, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(6))
+    def test_colored(self, m, n):
+        assert descent_histogram("G", n, m) == oracles.descent_histogram_by_tuples(
+            "G", n, m
+        )
+
+    @pytest.mark.parametrize("order", ["natural", "color"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_flag(self, order, n):
+        assert flag_histogram(n, order) == oracles.flag_histogram_by_tuples(n, order)
+
+
+def _brenti_row(prev, n):
+    """Type B row n from row n - 1 (Brenti 1994):
+    B(n,k) = (2k+1) B(n-1,k) + (2n-2k+1) B(n-1,k-1)."""
+    def at(k):
+        return prev[k] if 0 <= k < len(prev) else 0
+    return tuple((2 * k + 1) * at(k) + (2 * n - 2 * k + 1) * at(k - 1) for k in range(n + 1))
+
+
+class TestLargestRunsTheCapsAllow:
+    """A_10, B_8, D_8, flag n = 8 and G_{4,6}: the next size is refused."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_tally_walks_all_of_s_n(self, n):
+        assert sum(_standard_tally(n).values()) == factorial(n)
+
+    def test_classical(self):
+        row = descent_histogram("A", 10)
+        assert sum(row) == factorial(10)
+        assert row[:10] == row[9::-1] and row[10] == 0
+        with pytest.raises(SizeOverflow):
+            descent_histogram("A", 11)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_signed(self, kind):
+        row = descent_histogram(kind, 8)
+        assert sum(row) == group_order(kind, 8)
+        assert row == row[::-1]
+        with pytest.raises(SizeOverflow):
+            descent_histogram(kind, 9)
+
+    @pytest.mark.parametrize("order", ["natural", "color"])
+    def test_flag(self, order):
+        row = flag_histogram(8, order)
+        assert sum(row) == group_order("B", 8)
+        assert row == row[::-1]
+        with pytest.raises(SizeOverflow):
+            flag_histogram(9, order)
+
+    def test_colored(self):
+        assert sum(descent_histogram("G", 6, 4)) == group_order("G", 6, 4)
+        with pytest.raises(SizeOverflow):
+            descent_histogram("G", 7, 4)
+
+    def test_signed_rows_follow_brenti(self):
+        for n in range(1, 9):
+            assert descent_histogram("B", n) == _brenti_row(descent_histogram("B", n - 1), n)
 
 
 class TestHistogramCache:
