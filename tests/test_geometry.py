@@ -49,6 +49,25 @@ class TestClassification:
         with pytest.raises(DimensionMismatch):
             classify_point("B", (1, 2), n=3)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown classification kind 'C'"):
+            classify_point("C", (1, 2))
+
+    @pytest.mark.parametrize("m", [None, 0])
+    def test_colored_needs_m(self, m):
+        with pytest.raises(ValueError, match="kind G needs m >= 1"):
+            classify_point("G", (ZERO, (1, 1)), m=m)
+
+    @pytest.mark.parametrize("kind, m", [("C", None), ("G", None), ("B", None)])
+    def test_dimension_is_checked_first(self, kind, m):
+        with pytest.raises(DimensionMismatch):
+            classify_point(kind, (1,), m=m, n=2)
+
+    def test_torus_magnitude_zero_is_an_ordinary_class(self):
+        p = classify_point("G", ((1, 0), ZERO, (2, 0), (0, 4)), m=3)
+        assert p.zero_support == frozenset({2})
+        assert p.orbit_reps == (frozenset({(1, 0), (3, 1)}), frozenset({(4, 0)}))
+
     def test_even_signed_single_zero_with_repeat_is_missing(self):
         with pytest.raises(SingletonZeroBlock):
             classify_point("D", (0, 3, 3))

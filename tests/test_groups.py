@@ -175,6 +175,11 @@ class TestFlagStatistic:
             hist[fdes(beta)] += 1
         assert hist == [1, 3, 3, 1]
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_des_stat_names_fdes(self, n):
+        for beta in enumerate_group("B", n):
+            assert des_stat(beta, "fdes") == fdes(beta)
+
     def test_two_colored_statistic_differs_from_signed_descents(self):
         beta = S("-2,-1")
         assert des_stat(beta, "desB") == 1

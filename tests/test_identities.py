@@ -209,6 +209,29 @@ class TestEulerianNumbers:
         assert [eulerian("G", 2, k, m=3) for k in range(3)] == [1, 13, 4]
         assert [eulerian("G", 1, k, m=4) for k in range(2)] == [1, 3]
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_flag_values_are_one_based(self, n):
+        hist = flag_histogram(n)
+        for k in range(-1, 2 * n + 3):
+            want = hist[k - 1] if 1 <= k <= len(hist) else 0
+            assert eulerian("Bstar", n, k) == want
+
+    @pytest.mark.parametrize("kind, m", [("A", 2), ("B", 2), ("D", 2), ("G", 3)])
+    def test_indices_outside_the_row_give_zero(self, kind, m):
+        for n in range(4):
+            assert eulerian(kind, n, -1, m) == 0
+            assert eulerian(kind, n, n + 1, m) == 0
+            assert eulerian(kind, n, n + 5, m) == 0
+
+    def test_empty_permutation_is_counted_without_a_cap(self):
+        # A(0,0) and Bstar(0,1) answer before any cap check; the other
+        # kinds check even the trivial group against the cap.
+        nothing = EnumerationCaps(signed_group=0, colored_group=0, census_points=0)
+        assert eulerian("A", 0, 0, caps=nothing) == 1
+        assert eulerian("Bstar", 0, 1, caps=nothing) == 1
+        with pytest.raises(SizeOverflow):
+            eulerian("B", 0, 0, caps=nothing)
+
     def test_inversion_formulas_match_enumeration(self):
         for n in range(5):
             for k in range(n + 1):

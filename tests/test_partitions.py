@@ -205,6 +205,31 @@ class TestPartitionObjects:
         with pytest.raises(NotAPartition):
             BPartition(2, frozenset({1}), (frozenset({1}),))
 
+    @pytest.mark.parametrize("zeros, reps, message", [
+        ({3}, (), r"zero support \[3\] outside 1..2"),
+        ({0}, ({1, 2},), r"zero support \[0\] outside 1..2"),
+        ((), ({1, -3},), r"block \[-3, 1\] outside \+-1..\+-2"),
+        ((), ({0, 1}, {2}), r"block \[0, 1\] outside"),
+        ((), (set(), {1, 2}), "empty block"),
+        ({1}, (), r"spots covered \[1\] do not tile 1..2"),
+        ((), ({1}, {-1, 2}), r"spots covered \[1, 1, 2\] do not tile"),
+    ])
+    def test_signed_raise_sites(self, zeros, reps, message):
+        with pytest.raises(NotAPartition, match=message):
+            BPartition(2, frozenset(zeros), tuple(map(frozenset, reps)))
+
+    @pytest.mark.parametrize("m, zeros, reps, error, message", [
+        (0, (), ({(1, 0), (2, 0)},), ValueError, "m must be at least 1"),
+        (3, {3}, (), NotAPartition, r"zero support \[3\] outside 1..2"),
+        (3, (), ({(0, 1)}, {(1, 0), (2, 0)}), NotAPartition,
+         r"block values \[0\] outside 1..2"),
+        (3, (), (set(), {(1, 0), (2, 0)}), NotAPartition, "empty block"),
+        (3, {2}, (), NotAPartition, r"values covered \[2\] do not tile 1..2"),
+    ])
+    def test_colored_raise_sites(self, m, zeros, reps, error, message):
+        with pytest.raises(error, match=message):
+            GPartition(2, m, frozenset(zeros), tuple(map(frozenset, reps)))
+
     def test_float_values_rejected(self):
         with pytest.raises(TypeError):
             BPartition(2, frozenset({1.5}), (frozenset({2}),))
