@@ -258,10 +258,10 @@ def d_unreachable(op: OrderedPartition) -> bool:
     """
     if op.kind != "D":
         raise FlavorMismatch(f"expected an ordered partition of kind D, got {op.kind!r}")
-    if op.has_zero_block or not op.blocks:
+    if op.has_zero_block or not op.blocks or len(op.class_blocks[0]) != 1:
         return False
     negatives = sum(1 for c in op.class_blocks for v in c if v < 0)
-    return len(op.class_blocks[0]) == 1 and negatives % 2 == 1
+    return negatives % 2 == 1
 
 
 def d_unreachable_count(n: int, r: int) -> int:
@@ -273,21 +273,16 @@ def d_unreachable_count(n: int, r: int) -> int:
 
 def d_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozenset[int]]:
     """The unique preimage under the even-signed procedure, if one exists."""
-    if op.kind != "D":
-        raise FlavorMismatch(f"expected an ordered partition of kind D, got {op.kind!r}")
+    if d_unreachable(op):
+        raise UnreachableForm(
+            "no zero block, singleton first block, odd class negatives",
+            witness=op.to_doc(),
+        )
     window, cuts = _window_and_cuts(op)
-    class_negatives = sum(1 for c in op.class_blocks for v in c if v < 0)
-    if op.has_zero_block:
-        if class_negatives % 2:
-            window[0] = -window[0]
-    elif class_negatives % 2:
-        if op.blocks and len(op.class_blocks[0]) == 1:
-            raise UnreachableForm(
-                "no zero block, singleton first block, odd class negatives",
-                witness=op.to_doc(),
-            )
+    if sum(1 for c in op.class_blocks for v in c if v < 0) % 2:
         window[0] = -window[0]
-        cuts[0] = 1
+        if not op.has_zero_block:
+            cuts[0] = 1
     gamma = SignedPermutation(tuple(window))
     descents = descent_set(gamma, "D")
     artificial = frozenset(cuts) - descents

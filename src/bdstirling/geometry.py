@@ -55,19 +55,12 @@ __all__ = [
 ]
 
 
-def _abs_classes(coords) -> dict[int, frozenset[int]]:
-    """Signed spot classes keyed by shared absolute value."""
-    groups: dict[int, list[int]] = {}
-    for spot, value in enumerate(coords, start=1):
-        if value != 0:
-            groups.setdefault(abs(value), []).append(
-                spot if value > 0 else -spot
-            )
-    return {a: frozenset(g) for a, g in groups.items()}
-
-
 def classify_point(kind: str, coords, m: int | None = None, n: int | None = None):
-    """Canonical partition of the finest subspace containing the point."""
+    """Canonical partition of the finest subspace containing the point.
+
+    Each coordinate is read once: as a zero (0 on the cube, ZERO on the
+    torus), or as its spot, tagged by sign or color, in its magnitude's class.
+    """
     coords = tuple(coords)
     if n is not None and len(coords) != n:
         raise DimensionMismatch(
@@ -77,30 +70,33 @@ def classify_point(kind: str, coords, m: int | None = None, n: int | None = None
     if kind == "G":
         if m is None or m < 1:
             raise ValueError("kind G needs m >= 1")
-        zeros = frozenset(i for i, v in enumerate(coords, start=1) if v is ZERO)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for spot, value in enumerate(coords, start=1):
-            if value is ZERO:
-                continue
+    elif kind not in ("B", "D"):
+        raise ValueError(f"unknown classification kind {kind!r}")
+    zero = ZERO if kind == "G" else 0
+    zeros, groups = [], {}
+    for spot, value in enumerate(coords, start=1):
+        if value == zero:
+            zeros.append(spot)
+        elif kind == "G":
             color, magnitude = value
             groups.setdefault(magnitude, []).append((spot, color % m))
-        reps = tuple(frozenset(g) for _, g in sorted(groups.items()))
-        return GPartition(n, m, zeros, reps)
-    if kind not in ("B", "D"):
-        raise ValueError(f"unknown classification kind {kind!r}")
-    zeros = frozenset(i for i, v in enumerate(coords, start=1) if v == 0)
-    classes = [c for _, c in sorted(_abs_classes(coords).items())]
+        else:
+            groups.setdefault(abs(value), []).append(spot if value > 0 else -spot)
+    zeros = frozenset(zeros)
+    classes = tuple(frozenset(g) for _, g in sorted(groups.items()))
+    if kind == "G":
+        return GPartition(n, m, zeros, classes)
     if kind == "B":
-        return BPartition(n, zeros, tuple(classes))
+        return BPartition(n, zeros, classes)
     if len(zeros) == 1:
         if any(len(c) > 1 for c in classes):
             raise SingletonZeroBlock(
                 "one vanishing coordinate plus a repeated absolute value "
                 "fits no even-signed partition"
             )
-        classes = classes + [frozenset(zeros)]
+        classes += (zeros,)
         zeros = frozenset()
-    return DPartition(n, zeros, tuple(classes))
+    return DPartition(n, zeros, classes)
 
 
 @dataclass

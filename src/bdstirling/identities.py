@@ -17,6 +17,7 @@ from math import comb, factorial
 from operator import gt, mul
 from types import MappingProxyType
 
+from .bijections import d_unreachable_count
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
 from .errors import BadIndex
 from .groups import group_order
@@ -167,20 +168,17 @@ def eulerian(
     """Eulerian number by exhaustive enumeration.
 
     Kinds A and Bstar are one-based (k - 1 descents, A(0,0) = 1); kinds
-    B, D, G count elements whose statistic equals k.
+    B, D, G count elements whose statistic equals k.  An index outside the
+    row gives 0; the empty permutation of A and Bstar meets no cap check.
     """
-    if kind == "A":
-        if n == 0:
-            return 1 if k == 0 else 0
-        hist = descent_histogram("A", n, caps=caps)
-        return hist[k - 1] if 1 <= k <= n else 0
-    if kind == "Bstar":
-        if n == 0:
-            return 1 if k == 1 else 0
+    if n == 0 and kind in ("A", "Bstar"):
+        hist = (1,)
+    elif kind == "Bstar":
         hist = flag_histogram(n, caps=caps)
-        return hist[k - 1] if 1 <= k <= len(hist) else 0
-    hist = descent_histogram(kind, n, m, caps=caps)
-    return hist[k] if 0 <= k <= n else 0
+    else:
+        hist = descent_histogram(kind, n, m, caps=caps)
+    i = k - 1 if kind == "Bstar" or (kind == "A" and n > 0) else k
+    return hist[i] if 0 <= i < len(hist) else 0
 
 
 def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
@@ -250,20 +248,12 @@ def _stirling_eulerian_report(name, kind, nmax, m, caps):
             skipped.append("n=1")
             continue
         row = stirling_row(kind, n, m)
-        classical = stirling_row("A", n - 1) if kind == "D" and n >= 1 else ()
+        euler = [eulerian(kind, n, k, m, caps=caps) for k in range(n + 1)]
         for r in range(n + 1):
             lhs = base**r * factorial(r) * row[r]
-            rhs = sum(
-                eulerian(kind, n, k, m, caps=caps) * _binom(n - k, r - k)
-                for k in range(n + 1)
-            )
-            if kind == "D" and r >= 1 and n >= 1:
-                rhs += (
-                    n
-                    * 2 ** (n - 1)
-                    * factorial(r - 1)
-                    * classical[r - 1]
-                )
+            rhs = sum(e * _binom(n - k, r - k) for k, e in enumerate(euler))
+            if kind == "D":  # the ordered partitions d_procedure misses
+                rhs += d_unreachable_count(n, r)
             params = [("n", n), ("r", r)] + ([("m", m)] if kind == "G" else [])
             instances.append(IdentityCheck(name, tuple(params), lhs, rhs))
     return VerificationReport(name, tuple(instances), tuple(skipped))

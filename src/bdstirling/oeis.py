@@ -9,7 +9,6 @@ hermetic tests (file:// URLs work).
 from __future__ import annotations
 
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
@@ -91,6 +90,7 @@ def fetch_bfile(seq: str, timeout: float = 30.0) -> list[tuple[int, int]]:
         raise TypeError(
             f"{URL_ENV_VAR} {template!r} takes only {{seq}} and {{num}}: {e!r}"
         ) from None
+    import urllib.request  # only --fetch needs it; at top level every start pays
     with urllib.request.urlopen(url, timeout=timeout) as response:
         text = response.read().decode("utf-8")
     return parse_bfile(text)

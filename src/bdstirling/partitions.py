@@ -337,14 +337,6 @@ def classical_set_partitions(
     yield from rec(1, [[items[0]]])
 
 
-def _signings(cls: Sequence[int]) -> Iterator[frozenset[int]]:
-    """All canonical sign choices on a class of spots (min stays positive)."""
-    rest = sorted(cls)[1:]
-    anchor = min(cls)
-    for signs in itertools.product((1, -1), repeat=len(rest)):
-        yield frozenset([anchor] + [s * v for s, v in zip(signs, rest)])
-
-
 def _colorings(cls: Sequence[int], m: int) -> Iterator[frozenset[tuple[int, int]]]:
     """All canonical colorings of a class (min value pinned to color 0)."""
     rest = sorted(cls)[1:]
@@ -360,6 +352,9 @@ def enumerate_partitions(kind: str, n: int, r: int | None = None, m: int = 2) ->
     """
     if kind not in ("B", "D", "G"):
         raise ValueError(f"unknown partition kind {kind!r}")
+    # B and D are G at m = 2, with color 1 read as a minus sign.
+    colors = m if kind == "G" else 2
+    maker = DPartition if kind == "D" else BPartition
     out = []
     spots = range(1, n + 1)
     for k in range(n + 1):
@@ -370,17 +365,14 @@ def enumerate_partitions(kind: str, n: int, r: int | None = None, m: int = 2) ->
             for classes in classical_set_partitions(rest):
                 if r is not None and len(classes) != r:
                     continue
-                if kind == "G":
-                    for reps in itertools.product(
-                        *(_colorings(sorted(c), m) for c in classes)
-                    ):
+                for reps in itertools.product(
+                    *(_colorings(sorted(c), colors) for c in classes)
+                ):
+                    if kind == "G":
                         out.append(GPartition(n, m, frozenset(zs), reps))
-                else:
-                    maker = DPartition if kind == "D" else BPartition
-                    for reps in itertools.product(
-                        *(_signings(sorted(c)) for c in classes)
-                    ):
-                        out.append(maker(n, frozenset(zs), reps))
+                    else:
+                        signed = [frozenset(-a if z else a for a, z in c) for c in reps]
+                        out.append(maker(n, frozenset(zs), tuple(signed)))
     out.sort(key=lambda p: p.sort_key())
     return out
 
