@@ -58,7 +58,7 @@ class TestClassification:
         with pytest.raises(ValueError, match="kind G needs m >= 1"):
             classify_point("G", (ZERO, (1, 1)), m=m)
 
-    @pytest.mark.parametrize("kind, m", [("C", None), ("G", None), ("B", None)])
+    @pytest.mark.parametrize("kind, m", [("C", None), ("G", None)])
     def test_dimension_is_checked_first(self, kind, m):
         with pytest.raises(DimensionMismatch):
             classify_point(kind, (1,), m=m, n=2)
