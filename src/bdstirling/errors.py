@@ -19,6 +19,7 @@ __all__ = [
     "NotTypeD",
     "UnreachableForm",
     "BadIndex",
+    "UnknownKind",
     "DimensionMismatch",
     "InvariantViolation",
 ]
@@ -81,6 +82,10 @@ class UnreachableForm(ValueError):
 
 class BadIndex(ValueError):
     """Index outside the meaningful range of a table, row, or basis."""
+
+
+class UnknownKind(ValueError):
+    """A kind name the called function does not handle."""
 
 
 class DimensionMismatch(ValueError):

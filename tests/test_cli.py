@@ -789,6 +789,14 @@ def test_census_over_the_cap_is_pinned():
         2, "", "error: census of 9**9 points exceeds cap 100000000\n")
 
 
+def test_one_value_census_counts_two_values_per_axis_against_the_cap():
+    # --m 0 has a single point, but its n coordinates are built all the same
+    code, out, err = run_in_process("census --kind B --n 5 --m 0 --cap 10".split())
+    assert (code, out) == (2, "")
+    assert err == ("error: census of 1**5 points exceeds cap 10 "
+                   "(a point of 5 coordinates counts as 2**5)\n")
+
+
 def _subcommands():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

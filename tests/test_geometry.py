@@ -17,6 +17,7 @@ from bdstirling.errors import (
     InvariantViolation,
     SingletonZeroBlock,
     SizeOverflow,
+    UnknownKind,
 )
 from bdstirling.geometry import (
     ZERO,
@@ -50,12 +51,12 @@ class TestClassification:
             classify_point("B", (1, 2), n=3)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown classification kind 'C'"):
+        with pytest.raises(UnknownKind, match="unknown classification kind 'C'"):
             classify_point("C", (1, 2))
 
     @pytest.mark.parametrize("m", [None, 0])
     def test_colored_needs_m(self, m):
-        with pytest.raises(ValueError, match="kind G needs m >= 1"):
+        with pytest.raises(BadIndex, match="kind G needs m >= 1"):
             classify_point("G", (ZERO, (1, 1)), m=m)
 
     @pytest.mark.parametrize("kind, m", [("C", None), ("G", None)])
@@ -139,6 +140,14 @@ class TestCubeCensus:
         assert free_point_count("B", 0, 1) == 1
         assert census("D", 2, 3).free == 36
 
+    def test_unknown_kinds_rejected(self):
+        with pytest.raises(UnknownKind, match="cube census kind must be B or D, got 'G'"):
+            census("G", 2, 1)
+        with pytest.raises(UnknownKind, match="unknown census kind 'A'"):
+            free_point_count("A", 2, 3)
+        # still a ValueError, so the CLI's exit code for them is unchanged
+        assert issubclass(UnknownKind, ValueError)
+
     def test_free_point_parity_guard(self):
         with pytest.raises(BadIndex):
             free_point_count("B", 2, 6)
@@ -152,6 +161,14 @@ class TestCubeCensus:
         tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
         with pytest.raises(SizeOverflow):
             census("B", 2, 3, caps=tiny)
+
+    def test_cap_counts_two_values_on_the_one_value_axis(self):
+        # m = 0 has one point, but it has n coordinates: 2**3 fits under
+        # 10, 2**4 does not
+        tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
+        assert sum(census("B", 3, 0, caps=tiny).counts.values()) == 1
+        with pytest.raises(SizeOverflow, match=r"1\*\*4 points exceeds cap 10"):
+            census("D", 4, 0, caps=tiny)
 
     def test_negative_dimension_is_a_bad_index(self):
         with pytest.raises(BadIndex, match="n must be nonnegative"):
@@ -249,6 +266,16 @@ class TestKeyedTallyAgainstPointOracle:
         circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
         _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
 
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n, m", [(2, 12), (3, 6)])
+    def test_cube_with_a_wide_last_axis(self, kind, n, m):
+        _same_result(census(kind, n, m), census_by_points(kind, n, range(-m, m + 1)))
+
+    def test_torus_with_a_wide_last_axis(self):
+        n, m, t = 3, 4, 3
+        circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
+        _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
+
     def test_classifies_once_per_key_and_walks_every_point(self):
         calls = mock.patch.object(
             geometry, "classify_point", wraps=geometry.classify_point
@@ -260,14 +287,22 @@ class TestKeyedTallyAgainstPointOracle:
         assert sum(res.counts.values()) == 11**4
 
 
+def _census_key(point, magnitudes, relate):
+    """The census key of a point (indices into the axis values): its prefix's
+    _signature as the tag, then the last axis keyed against the prefix."""
+    prefix = point[:-1]
+    tag = geometry._signature(prefix, magnitudes, relate)
+    return geometry._last_axis_keys(prefix, tag, magnitudes, relate)[point[-1]]
+
+
 @lru_cache(maxsize=None)
-def _points_by_signature(kind, n, m, t):
-    """The points of a small cube or torus grouped by their census key,
-    each group a tuple of points."""
+def _points_by_key(kind, n, m, t):
+    """The points of a small cube or torus (n >= 1) grouped by their census
+    key, each group a tuple of points."""
     circle, *tables = geometry._torus_axis(m, t) if kind == "G" else geometry._cube_axis(m)
     groups = {}
     for point in product(range(len(circle)), repeat=n):
-        key = geometry._signature(point, *tables)
+        key = _census_key(point, *tables)
         groups.setdefault(key, []).append(tuple(circle[i] for i in point))
     return tuple(map(tuple, groups.values()))
 
@@ -280,35 +315,46 @@ def _classify_or_missing(kind, point, m):
 
 
 @st.composite
-def same_signature_pairs(draw):
+def same_key_pairs(draw):
     kind = draw(st.sampled_from("BDG"))
-    n = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 4))
     if kind == "G":
         m, t = draw(st.integers(2, 3)), draw(st.integers(1, 2))
     else:
         m, t = draw(st.integers(0, 3)), None
-    group = draw(st.sampled_from(_points_by_signature(kind, n, m, t)))
+    group = draw(st.sampled_from(_points_by_key(kind, n, m, t)))
     colors = m if kind == "G" else None
     return kind, colors, draw(st.sampled_from(group)), draw(st.sampled_from(group))
 
 
 class TestSignatureRefinesClassification:
-    @given(same_signature_pairs())
+    @given(same_key_pairs())
     def test_points_with_one_key_classify_alike(self, pair):
         kind, m, p, q = pair
         assert _classify_or_missing(kind, p, m) == _classify_or_missing(kind, q, m)
 
     def test_no_zero_and_zero_at_first_spot_differ(self):
         # (1, 2) and (0, 1) share every magnitude class and sign; only the
-        # zero class tells them apart, and 0 == False, so a key written
-        # "0 in a and a.index(0)" would merge them
+        # prefix's zero spot tells them apart, and 0 == False, so a prefix key
+        # written "0 in a and a.index(0)" would merge them
         circle, *tables = geometry._cube_axis(2)
         no_zero, zero_first = (1, 2), (0, 1)
-        keys = [geometry._signature(tuple(map(circle.index, p)), *tables)
+        keys = [_census_key(tuple(map(circle.index, p)), *tables)
                 for p in (no_zero, zero_first)]
-        assert keys[0][:2] == keys[1][:2]
+        assert keys[0][1:] == keys[1][1:]
         assert keys[0] != keys[1]
         assert classify_point("B", no_zero) != classify_point("B", zero_first)
+
+    def test_no_zero_and_zero_at_last_spot_differ(self):
+        # (1, 2) and (1, 0): the last value opens a class either way, and
+        # only whether it vanishes tells them apart
+        circle, *tables = geometry._cube_axis(2)
+        no_zero, zero_last = (1, 2), (1, 0)
+        keys = [_census_key(tuple(map(circle.index, p)), *tables)
+                for p in (no_zero, zero_last)]
+        assert keys[0][:2] == keys[1][:2]
+        assert keys[0] != keys[1]
+        assert classify_point("B", no_zero) != classify_point("B", zero_last)
 
 
 class TestCensusInvariant:
