@@ -157,8 +157,9 @@ def _table_row(args, n: int, caps: EnumerationCaps):
 def cmd_tables(args) -> _Result:
     caps = _caps_from_args(args)
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
-    # Eulerian rows sum one cached walk of S_n; largest first, a size over
-    # the cap fails before any walk.  Stirling rows build on smaller ones.
+    # Eulerian rows sum one cached tally of S_n, itself one walk of S_{n-1};
+    # largest first, a size over the cap fails before any walk.  Stirling
+    # rows build on smaller ones.
     walk = ns if args.table == "stirling" else ns[::-1]
     rows = {n: _table_row(args, n, caps) for n in walk}
     width = max(len(rows[n]) for n in ns)

@@ -17,7 +17,7 @@ missing.
 
 A census still walks every point, but it keys each one by a cheap tuple
 that refines its classification, and classifies one point per distinct
-key: for B the keys are exactly the classes, for D and the torus at most
+key: for B and the torus the keys are exactly the classes, for D at most
 about twice as many.  The first n - 1 coordinates are keyed once per
 prefix (_signature) and the last axis in an inner loop (_last_axis_keys),
 so a point's key costs little more than a dict update.  On one core of a
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ne, sub
+from operator import ne
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _weights
 from .errors import (
@@ -136,9 +136,15 @@ def _cube_axis(m: int):
 def _torus_axis(m: int, t: int):
     """The torus circle [ZERO, (color, magnitude), ...], its magnitudes (0
     for ZERO), and how the indices of two values with one magnitude relate:
-    color-major order makes their difference t times the color difference."""
+    color-major order makes their difference t times the color difference,
+    read mod m t as the partitions read colors mod m."""
     circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
-    return circle, (0,) + tuple(i for _, i in circle[1:]), sub
+    period = m * t
+
+    def relate(v, w):
+        return (v - w) % period
+
+    return circle, (0,) + tuple(i for _, i in circle[1:]), relate
 
 
 def _signature(point, magnitudes, relate) -> tuple:

@@ -17,7 +17,7 @@ from operator import index
 from typing import Iterator
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
-from .errors import FlavorMismatch, OddNegativeCount
+from .errors import BadIndex, FlavorMismatch, OddNegativeCount, UnknownKind
 
 __all__ = [
     "SignedPermutation",
@@ -162,7 +162,7 @@ def descent_set(element, flavor: str) -> frozenset[int]:
             )
         virtual = -w[1] if n >= 2 else None
     else:
-        raise ValueError(f"unknown descent flavor {flavor!r}")
+        raise UnknownKind(f"unknown descent flavor {flavor!r}")
     des = {i for i in range(1, n) if w[i - 1] > w[i]}
     if virtual is not None and virtual > w[0]:
         des.add(0)
@@ -183,7 +183,7 @@ def fdes(beta: SignedPermutation, order: str = "natural") -> int:
     elif order == "color":
         des_a = len(descent_set(colored_from_signed(beta), "G"))
     else:
-        raise ValueError(f"unknown fdes order {order!r}")
+        raise UnknownKind(f"unknown fdes order {order!r}")
     eps = 1 if beta.n and beta.window[0] < 0 else 0
     return 2 * des_a + eps
 
@@ -207,13 +207,13 @@ def des_stat(element, stat: str) -> int:
         return len(descent_set(element, "G")) + eps
     if stat == "fdes":
         return fdes(element)
-    raise ValueError(f"unknown statistic {stat!r}")
+    raise UnknownKind(f"unknown statistic {stat!r}")
 
 
 def group_order(kind: str, n: int, m: int | None = None) -> int:
     """Order a^n n! of the group of a kind with weights (a, b), halved for D."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise BadIndex("n must be nonnegative")
     a, _ = _weights(kind, m)
     order = a**n * factorial(n)
     return order // 2 if kind == "D" and n >= 1 else order
@@ -232,7 +232,7 @@ def enumerate_group(
     the configured cap.
     """
     if kind not in ("B", "D", "G"):
-        raise ValueError(f"unknown group kind {kind!r}")
+        raise UnknownKind(f"unknown group kind {kind!r}")
     _check_group_cap(kind, group_order(kind, n, m), caps)
     if kind == "B":
         return _signed_windows(n)

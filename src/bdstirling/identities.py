@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .bijections import d_unreachable_count
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
-from .errors import BadIndex
+from .errors import BadIndex, UnknownKind
 from .groups import group_order
 from .partitions import flag_stirling_row, stirling_row
 from .polynomials import IntPolynomial, _times_linear, monomial
@@ -46,17 +46,20 @@ def _standard_tally(n: int) -> MappingProxyType:
 
     A rank the permutation is too short to have reads as n.  Replacing
     the letters of any window by their ranks (standardizing it) keeps
-    every descent at gaps 1..n-1, so this one walk of S_n serves every
-    kind; only gap 0 depends on which letters were signed or colored.
+    every descent at gaps 1..n-1, so this one tally serves every kind;
+    only gap 0 depends on which letters were signed or colored.  Past the
+    first letter, a permutation standardizes to one of S_{n-1} whose first
+    rank is second - (second > first), so one walk of S_{n-1}, counted by
+    first rank and descents, fills the tally of S_n.
     """
-    # S_0 and S_1 have no pair of first ranks to walk by.
-    tally = {(0, 0, n): 1} if n < 2 else {}
+    if n < 2:  # S_0 and S_1 have no pair of first ranks to walk by.
+        return MappingProxyType({(0, 0, n): 1})
+    tails = [[0] * (n - 1) for _ in range(n - 1)]
+    for p in itertools.permutations(range(n - 1)):
+        tails[p[0]][sum(map(gt, p, p[1:]))] += 1
+    tally = {}
     for first, second in itertools.permutations(range(n), 2):
-        rest = [r for r in range(n) if r != first and r != second]
-        counts = [0] * n
-        for p in itertools.permutations(rest):
-            counts[sum(map(gt, (second, *p), p))] += 1
-        for d, count in enumerate(counts):
+        for d, count in enumerate(tails[second - (second > first)]):
             if count:
                 tally[d + (first > second), first, second] = count
     return MappingProxyType(tally)  # cached, so read-only
@@ -88,11 +91,15 @@ def _even_signed_sum(n: int) -> tuple[int, ...]:
         for signs in itertools.product((1, -1), repeat=n)
         if signs.count(-1) % 2 == 0
     ]
+    drops = {
+        (first, second): sum(L[first] + L[second] < 0 for L in signings)
+        for first, second in itertools.permutations(range(n), 2)
+    }
     counts = [0] * (n + 1)
     for (d, first, second), count in _standard_tally(n).items():
-        drops = sum(L[first] + L[second] < 0 for L in signings)
-        counts[d] += count * (len(signings) - drops)
-        counts[d + 1] += count * drops
+        down = drops[first, second]
+        counts[d] += count * (len(signings) - down)
+        counts[d + 1] += count * down
     return tuple(counts)
 
 
@@ -130,10 +137,10 @@ def descent_histogram(
     over the corresponding groups.  Each element is a choice of signed
     (or colored) letters plus an arrangement, and the arrangement
     standardizes to a permutation with the same descents at gaps 1..n-1;
-    so every histogram is a weighted sum over one cached walk of S_n
+    so every histogram is a weighted sum over one cached tally of S_n
     (S_{n-1} for kind A, past its first letter), counted by descents and
-    first two ranks.  The walks over whole groups are kept as test
-    oracles in ``tests/oracles.py``.  The cap still bounds the group
+    first two ranks, which one walk of S_{n-1} (S_{n-2}) fills.  The walks
+    over whole groups are kept as test oracles in ``tests/oracles.py``.  The cap still bounds the group
     order.  Calls that differ only in ``caps``, or in ``m`` outside kind
     G, share one cache entry.
     """
@@ -146,12 +153,12 @@ def flag_histogram(
 ) -> tuple[int, ...]:
     """Counts of B_n elements by flag descents, index 0..max(2n-1, 0).
 
-    A weighted sum over the walk of S_n, like ``descent_histogram``, with
+    A weighted sum over the tally of S_n, like ``descent_histogram``, with
     each descent counted twice.  Both orders put the negative letters
     lowest, so they give equal counts, each under its own cache entry.
     """
     if order not in ("natural", "color"):
-        raise ValueError(f"unknown fdes order {order!r}")
+        raise UnknownKind(f"unknown fdes order {order!r}")
     _check_group_cap("B", group_order("B", n), caps)
     return _flag_histogram(n, order)
 
@@ -189,7 +196,7 @@ def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
     subtracted.  The even-signed form is undefined at n = 1.
     """
     if kind not in ("A", "B", "D"):
-        raise ValueError(f"no inversion formula for kind {kind!r}")
+        raise UnknownKind(f"no inversion formula for kind {kind!r}")
     if kind == "D" and n == 1:
         raise BadIndex("the even-signed inversion is undefined at n = 1")
     base, _ = _weights(kind)
@@ -359,10 +366,10 @@ def verify_identity(
 ) -> VerificationReport:
     """Run one registered identity over 0..nmax and report every instance."""
     if name not in IDENTITIES:
-        raise ValueError(f"unknown identity {name!r}")
+        raise UnknownKind(f"unknown identity {name!r}")
     entry = IDENTITIES[name]
     if nmax is None:
         nmax = entry["nmax"]
     if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+        raise BadIndex("nmax must be nonnegative")
     return entry["build"](name, entry["kind"], nmax, m, caps)

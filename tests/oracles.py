@@ -8,7 +8,9 @@ binomial formula over classical numbers.  The descent histograms walk
 every element of the group, twice over: as validated group elements
 through the package's element-level statistics, and as raw int tuples
 with the statistic counted inline (the tuple kernels); the package sums
-one walk of S_n by standardization instead.  Censuses classify every
+one tally of S_n by standardization instead.  That tally is itself
+checked against a walk of S_{n-2} for every pair of first two ranks, the
+route its one shared walk of S_{n-1} replaced.  Censuses classify every
 point on its own, the route the keyed tally replaced.  The basis-change
 reports rebuild every falling factorial from its roots through the
 generic polynomial multiply, the route the once-built basis replaced.
@@ -335,6 +337,25 @@ def flag_histogram_by_tuples(n, order="natural"):
         for w in permutations(letters):
             counts[2 * sum(map(gt, w, w[1:])) + (w[0] <= top)] += 1
     return tuple(counts)
+
+
+def standard_tally_by_walk(n):
+    """Permutations of the ranks 0..n-1 by (descents, first rank, second rank),
+    with a rank the permutation is too short to have read as n.
+
+    The route the package's tally replaced: for every pair of first two
+    ranks, walk the permutations of the remaining ranks again.
+    """
+    tally = {(0, 0, n): 1} if n < 2 else {}
+    for first, second in permutations(range(n), 2):
+        rest = [r for r in range(n) if r != first and r != second]
+        counts = [0] * n
+        for p in permutations(rest):
+            counts[sum(map(gt, (second, *p), p))] += 1
+        for d, count in enumerate(counts):
+            if count:
+                tally[d + (first > second), first, second] = count
+    return tally
 
 
 # ---------------------------------------------------------------------------

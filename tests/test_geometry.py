@@ -286,6 +286,17 @@ class TestKeyedTallyAgainstPointOracle:
         assert spy.call_count == len(res.counts) == 116
         assert sum(res.counts.values()) == 11**4
 
+    @pytest.mark.parametrize("n, m, t", [(4, 3, 2), (3, 2, 5), (3, 4, 3), (4, 4, 2)])
+    def test_torus_classifies_once_per_class(self, n, m, t):
+        calls = mock.patch.object(
+            geometry, "classify_point", wraps=geometry.classify_point
+        )
+        with calls as spy:
+            res = torus_census(n, m, t)
+        # colors relate mod m, as the partitions read them: one key per class
+        assert spy.call_count == len(res.counts)
+        assert sum(res.counts.values()) == (m * t + 1) ** n
+
 
 def _census_key(point, magnitudes, relate):
     """The census key of a point (indices into the axis values): its prefix's
@@ -355,6 +366,17 @@ class TestSignatureRefinesClassification:
         assert keys[0][:2] == keys[1][:2]
         assert keys[0] != keys[1]
         assert classify_point("B", no_zero) != classify_point("B", zero_last)
+
+
+    def test_torus_colors_relate_mod_m(self):
+        # colors 0 then 2 and colors 1 then 0 differ by 2 and by -1, one
+        # relative color mod 3, so the two points share a key and a class
+        circle, *tables = geometry._torus_axis(3, 1)
+        wrapped, rotated = ((0, 1), (2, 1)), ((1, 1), (0, 1))
+        keys = [_census_key(tuple(map(circle.index, p)), *tables)
+                for p in (wrapped, rotated)]
+        assert keys[0] == keys[1]
+        assert classify_point("G", wrapped, m=3) == classify_point("G", rotated, m=3)
 
 
 class TestCensusInvariant:

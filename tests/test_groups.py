@@ -1,9 +1,17 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bdstirling.config import EnumerationCaps
-from bdstirling.errors import FlavorMismatch, OddNegativeCount, SizeOverflow
+from bdstirling.errors import (
+    BadIndex,
+    FlavorMismatch,
+    OddNegativeCount,
+    SizeOverflow,
+    UnknownKind,
+)
 from bdstirling.groups import (
     ColoredPermutation,
     SignedPermutation,
@@ -234,3 +242,16 @@ def test_gap_zero_membership_tracks_leading_sign(window):
 def test_descent_statistic_total_is_group_order(n):
     total = sum(1 for _ in enumerate_group("B", n))
     assert total == group_order("B", n)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: descent_set(S("1,2"), "Q"), UnknownKind, "unknown descent flavor 'Q'"),
+    (lambda: fdes(S("1,2"), "reverse"), UnknownKind, "unknown fdes order 'reverse'"),
+    (lambda: des_stat(S("1,2"), "desQ"), UnknownKind, "unknown statistic 'desQ'"),
+    (lambda: group_order("B", -1), BadIndex, "n must be nonnegative"),
+    (lambda: enumerate_group("A", 2), UnknownKind, "unknown group kind 'A'"),
+], ids=["descent_set", "fdes", "des_stat", "group_order", "enumerate_group"])
+def test_bad_arguments_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error

@@ -1,10 +1,11 @@
 import hashlib
+import re
 from math import factorial
 
 import pytest
 
 from bdstirling.config import DEFAULT_CAPS, EnumerationCaps
-from bdstirling.errors import BadIndex, SizeOverflow
+from bdstirling.errors import BadIndex, SizeOverflow, UnknownKind
 from bdstirling.groups import des_stat, enumerate_group, group_order
 from bdstirling.identities import (
     IDENTITIES,
@@ -114,6 +115,12 @@ def _brenti_row(prev, n):
     def at(k):
         return prev[k] if 0 <= k < len(prev) else 0
     return tuple((2 * k + 1) * at(k) + (2 * n - 2 * k + 1) * at(k - 1) for k in range(n + 1))
+
+
+class TestTallyMatchesWalkPerPair:
+    @pytest.mark.parametrize("n", range(9))
+    def test_tally(self, n):
+        assert _standard_tally(n) == oracles.standard_tally_by_walk(n)
 
 
 class TestLargestRunsTheCapsAllow:
@@ -345,3 +352,17 @@ class TestVerification:
         tiny = EnumerationCaps(signed_group=3, colored_group=3, census_points=3)
         with pytest.raises(SizeOverflow):
             verify_identity("thm-4.1", nmax=3, caps=tiny)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: flag_histogram(3, order="reverse"), UnknownKind,
+     "unknown fdes order 'reverse'"),
+    (lambda: eulerian_from_stirling("G", 3, 1), UnknownKind,
+     "no inversion formula for kind 'G'"),
+    (lambda: verify_identity("thm-0.0"), UnknownKind, "unknown identity 'thm-0.0'"),
+    (lambda: verify_identity("thm-1.1", nmax=-1), BadIndex, "nmax must be nonnegative"),
+], ids=["flag_histogram", "eulerian_from_stirling", "identity", "nmax"])
+def test_bad_arguments_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error
