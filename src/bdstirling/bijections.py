@@ -18,21 +18,24 @@ first block have no preimage at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from math import factorial
-from operator import index, neg
+from operator import eq, index, neg
 
 from .errors import (
     FlavorMismatch,
     InvalidOrderedPartition,
     InvariantViolation,
+    MalformedDocument,
     NotAPartition,
     NotTypeD,
     RepeatedValueInBlock,
     SpotCollision,
     TooManySeparators,
+    UnknownKind,
     UnreachableForm,
 )
-from .groups import SignedPermutation, descent_set
+from .groups import _INT, SignedPermutation, descent_set
 from .partitions import BPartition, DPartition, stirling
 
 __all__ = [
@@ -51,15 +54,21 @@ def _mirror(block: frozenset[int]) -> frozenset[int]:
     return frozenset(map(neg, block))
 
 
+_FROZENSET = frozenset({frozenset})
+_NO_SPOTS: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class OrderedPartition:
     """Ordered mirror partition: optional zero block first, then block pairs.
 
     The zero block is stored as the full +-support set without the 0
     marker; it is recognized by being its own mirror.  Pair blocks appear
-    adjacently as (C, -C) in procedure order.  The constructor validates
-    the whole shape once; the zero support it finds is kept beside the
-    blocks and takes no part in equality, hashing or repr.
+    adjacently as (C, -C) in procedure order.  The constructor accepts
+    valid input in one pass of whole-collection checks; only input that
+    pass refuses goes through the ordered checks of _diagnosed_blocks,
+    which name the first fault.  The zero support found is kept beside
+    the blocks and takes no part in equality, hashing or repr.
     """
 
     kind: str
@@ -68,43 +77,39 @@ class OrderedPartition:
     _support: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if self.kind not in ("B", "D"):
-            raise ValueError(f"unknown ordered partition kind {self.kind!r}")
-        blocks = tuple(frozenset(map(index, b)) for b in self.blocks)
+        kind, n, blocks = self.kind, self.n, self.blocks
+        # 2n disjoint exact ints, none 0, all within +-n, are +-1..+-n, so
+        # once the blocks pair up as mirrors the spots tile 1..n.
+        if (
+            kind in ("B", "D")
+            and type(n) is int
+            and type(blocks) is tuple
+            and _FROZENSET.issuperset(map(type, blocks))
+            and all(blocks)
+        ):
+            union = _NO_SPOTS.union(*blocks)
+            if (
+                sum(map(len, blocks)) == len(union) == 2 * n > 0
+                and _INT.issuperset(map(type, union))
+                and 0 not in union
+                and -n <= min(union)
+                and max(union) <= n
+            ):
+                lead = blocks[0]
+                support = _NO_SPOTS
+                pairs = blocks
+                if lead == _mirror(lead):
+                    support = frozenset(filter((0).__lt__, lead))
+                    pairs = blocks[1:]
+                if (
+                    not len(pairs) % 2
+                    and all(map(eq, pairs[1::2], map(_mirror, pairs[::2])))
+                    and (kind == "B" or len(support) != 1)
+                ):
+                    object.__setattr__(self, "_support", support)
+                    return
+        blocks, support = _diagnosed_blocks(kind, n, blocks)
         object.__setattr__(self, "blocks", blocks)
-        for b in blocks:
-            if not b:
-                raise NotAPartition("empty block")
-            if 0 in b or min(b) < -n or max(b) > n:
-                raise NotAPartition(f"block {sorted(b)} outside +-1..+-{n}")
-        support: frozenset[int] = frozenset()
-        pairs = blocks
-        if blocks and blocks[0] == _mirror(blocks[0]):
-            support = frozenset(v for v in blocks[0] if v > 0)
-            pairs = blocks[1:]
-        if len(pairs) % 2:
-            raise InvalidOrderedPartition("dangling block without its mirror")
-        spots = set(support)
-        count = len(support)
-        for c, mirror in zip(pairs[::2], pairs[1::2]):
-            absolute = set(map(abs, c))
-            if len(absolute) != len(c):
-                raise RepeatedValueInBlock(
-                    f"block {sorted(c)} repeats an absolute value"
-                )
-            if mirror != _mirror(c):
-                raise InvalidOrderedPartition(
-                    f"block {sorted(mirror)} is not the mirror of {sorted(c)}"
-                )
-            spots |= absolute
-            count += len(c)
-        # Spots lie in 1..n, so n distinct ones tile it; n < 0 never tiles.
-        if not count == len(spots) == n:
-            covered = sorted([*support, *(abs(v) for c in pairs[::2] for v in c)])
-            raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
-        if self.kind == "D" and len(support) == 1:
-            raise NotTypeD(f"zero support {sorted(support)} has size 1")
         object.__setattr__(self, "_support", support)
 
     @property
@@ -137,23 +142,70 @@ class OrderedPartition:
 
     @classmethod
     def from_doc(cls, doc) -> "OrderedPartition":
-        """Build from a plain dict, raising TypeError on shape problems."""
+        """Build from a plain dict, raising MalformedDocument (a TypeError)
+        on shape problems."""
         if not isinstance(doc, dict):
-            raise TypeError("document must be an object")
+            raise MalformedDocument("document must be an object")
         for key in ("kind", "n", "blocks"):
             if key not in doc:
-                raise TypeError(f"document misses key {key!r}")
+                raise MalformedDocument(f"document misses key {key!r}")
         kind, n, blocks = doc["kind"], doc["n"], doc["blocks"]
         if not isinstance(kind, str):
-            raise TypeError("kind must be a string")
+            raise MalformedDocument("kind must be a string")
         if type(n) is not int:
-            raise TypeError("n must be an integer")
-        if not isinstance(blocks, list) or not all(
-            isinstance(b, list) and all(type(v) is int for v in b)
-            for b in blocks
+            raise MalformedDocument("n must be an integer")
+        if not (
+            isinstance(blocks, list)
+            and all(map(isinstance, blocks, repeat(list)))
+            and _INT.issuperset(map(type, chain.from_iterable(blocks)))
         ):
-            raise TypeError("blocks must be lists of integers")
-        return cls(kind, n, tuple(frozenset(b) for b in blocks))
+            raise MalformedDocument("blocks must be lists of integers")
+        return cls(kind, n, tuple(map(frozenset, blocks)))
+
+
+def _diagnosed_blocks(
+    kind: str, n: int, blocks
+) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
+    """Validate one rule at a time and raise on the first fault.
+
+    Returns the blocks as frozensets of ints and the zero support.
+    """
+    if kind not in ("B", "D"):
+        raise UnknownKind(f"unknown ordered partition kind {kind!r}")
+    blocks = tuple(frozenset(map(index, b)) for b in blocks)
+    for b in blocks:
+        if not b:
+            raise NotAPartition("empty block")
+        if 0 in b or min(b) < -n or max(b) > n:
+            raise NotAPartition(f"block {sorted(b)} outside +-1..+-{n}")
+    support: frozenset[int] = frozenset()
+    pairs = blocks
+    if blocks and blocks[0] == _mirror(blocks[0]):
+        support = frozenset(v for v in blocks[0] if v > 0)
+        pairs = blocks[1:]
+    if len(pairs) % 2:
+        raise InvalidOrderedPartition("dangling block without its mirror")
+    spots = set(support)
+    count = len(support)
+    for c, mirror in zip(pairs[::2], pairs[1::2]):
+        absolute = set(map(abs, c))
+        if len(absolute) != len(c):
+            raise RepeatedValueInBlock(
+                f"block {sorted(c)} repeats an absolute value"
+            )
+        if mirror != _mirror(c):
+            raise InvalidOrderedPartition(
+                f"block {sorted(mirror)} is not the mirror of {sorted(c)}"
+            )
+        spots |= absolute
+        count += len(c)
+    # Spots lie in 1..n, so n distinct ones tile it; n < 0 never tiles.
+    if not count == len(spots) == n:
+        covered = sorted([*support, *(abs(v) for c in pairs[::2] for v in c)])
+        raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
+    if kind == "D" and len(support) == 1:
+        raise NotTypeD(f"zero support {sorted(support)} has size 1")
+    return blocks, support
 
 
 def free_gaps(element: SignedPermutation, flavor: str) -> frozenset[int]:
@@ -163,21 +215,28 @@ def free_gaps(element: SignedPermutation, flavor: str) -> frozenset[int]:
 
 def _checked_separators(
     element: SignedPermutation, artificial, flavor: str
-) -> set[int]:
+) -> frozenset[int]:
+    """Descents plus the artificial separators.
+
+    Valid separators are accepted by whole-set checks; only when those
+    refuse does the per-gap loop run, naming the first bad gap.
+    """
     descents = descent_set(element, flavor)
     artificial = set(map(index, artificial))
-    for g in artificial:
-        if not 0 <= g < element.n:
-            raise TooManySeparators(
-                f"separator at gap {g} but gaps run 0..{element.n - 1}"
-            )
-        if g in descents:
-            raise SpotCollision(f"gap {g} already holds a descent")
-    return set(descents) | artificial
+    n = len(element.window)
+    if artificial and not (
+        0 <= min(artificial) and max(artificial) < n and descents.isdisjoint(artificial)
+    ):
+        for g in artificial:
+            if not 0 <= g < n:
+                raise TooManySeparators(f"separator at gap {g} but gaps run 0..{n - 1}")
+            if g in descents:
+                raise SpotCollision(f"gap {g} already holds a descent")
+    return descents | artificial
 
 
 def _blocks_from_cut_window(
-    window: tuple[int, ...], separators: set[int]
+    window: tuple[int, ...], separators: frozenset[int]
 ) -> tuple[frozenset[int], ...]:
     gaps = sorted(separators)
     blocks: list[frozenset[int]] = []
@@ -191,7 +250,7 @@ def _blocks_from_cut_window(
 
 
 def _slid_blocks(
-    window: tuple[int, ...], separators: set[int]
+    window: tuple[int, ...], separators: frozenset[int]
 ) -> tuple[frozenset[int], ...]:
     """Even-signed cut: an occupied gap 1 with gap 0 free slides to gap 0,
     flipping the first entry."""
@@ -220,11 +279,12 @@ def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
 
 
 def _window_and_cuts(op: OrderedPartition) -> tuple[list[int], list[int]]:
-    window = sorted(op.zero_support)
+    support = op._support
+    window = sorted(support)
     cuts = []
-    for c in op.class_blocks:
+    for c in op.blocks[1 if support else 0 :: 2]:
         cuts.append(len(window))
-        window.extend(sorted(c))
+        window += sorted(c)
     return window, cuts
 
 
@@ -237,10 +297,16 @@ def _check_round_trip(
         raise InvariantViolation(f"preimage maps to {doc} instead of {op.to_doc()}")
 
 
+def _expect_kind(op: OrderedPartition, kind: str) -> None:
+    if op.kind != kind:
+        raise FlavorMismatch(
+            f"expected an ordered partition of kind {kind}, got {op.kind!r}"
+        )
+
+
 def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozenset[int]]:
     """The unique (window, artificial separators) preimage of op."""
-    if op.kind != "B":
-        raise FlavorMismatch(f"expected an ordered partition of kind B, got {op.kind!r}")
+    _expect_kind(op, "B")
     window, cuts = _window_and_cuts(op)
     beta = SignedPermutation(tuple(window))
     descents = descent_set(beta, "B")
@@ -256,12 +322,18 @@ def d_unreachable(op: OrderedPartition) -> bool:
     That happens exactly for: no zero block, a singleton first class
     block, and an odd number of negatives across the class blocks.
     """
-    if op.kind != "D":
-        raise FlavorMismatch(f"expected an ordered partition of kind D, got {op.kind!r}")
-    if op.has_zero_block or not op.blocks or len(op.class_blocks[0]) != 1:
-        return False
-    negatives = sum(1 for c in op.class_blocks for v in c if v < 0)
-    return negatives % 2 == 1
+    _expect_kind(op, "D")
+    return _lone_lead(op) and _odd_class_negatives(op)
+
+
+def _lone_lead(op: OrderedPartition) -> bool:
+    """No zero block, and a first class block of one value."""
+    return not op._support and bool(op.blocks) and len(op.blocks[0]) == 1
+
+
+def _odd_class_negatives(op: OrderedPartition) -> bool:
+    classes = op.blocks[1 if op._support else 0 :: 2]
+    return sum(map((0).__gt__, chain.from_iterable(classes))) % 2 == 1
 
 
 def d_unreachable_count(n: int, r: int) -> int:
@@ -273,15 +345,17 @@ def d_unreachable_count(n: int, r: int) -> int:
 
 def d_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozenset[int]]:
     """The unique preimage under the even-signed procedure, if one exists."""
-    if d_unreachable(op):
+    _expect_kind(op, "D")
+    odd = _odd_class_negatives(op)
+    if odd and _lone_lead(op):
         raise UnreachableForm(
             "no zero block, singleton first block, odd class negatives",
             witness=op.to_doc(),
         )
     window, cuts = _window_and_cuts(op)
-    if sum(1 for c in op.class_blocks for v in c if v < 0) % 2:
+    if odd:
         window[0] = -window[0]
-        if not op.has_zero_block:
+        if not op._support:
             cuts[0] = 1
     gamma = SignedPermutation(tuple(window))
     descents = descent_set(gamma, "D")

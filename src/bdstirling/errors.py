@@ -8,6 +8,8 @@ from __future__ import annotations
 __all__ = [
     "SizeOverflow",
     "FlavorMismatch",
+    "MalformedDocument",
+    "NotAPermutation",
     "OddNegativeCount",
     "NotAPartition",
     "MirrorViolation",
@@ -31,6 +33,14 @@ class SizeOverflow(RuntimeError):
 
 class FlavorMismatch(TypeError):
     """A statistic or procedure got the wrong species of element."""
+
+
+class MalformedDocument(TypeError):
+    """A plain document lacks a key or holds a value of the wrong type."""
+
+
+class NotAPermutation(ValueError):
+    """A window or entry list is not a permutation, or its text does not parse."""
 
 
 class OddNegativeCount(ValueError):

@@ -17,7 +17,13 @@ from operator import index
 from typing import Iterator
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
-from .errors import BadIndex, FlavorMismatch, OddNegativeCount, UnknownKind
+from .errors import (
+    BadIndex,
+    FlavorMismatch,
+    NotAPermutation,
+    OddNegativeCount,
+    UnknownKind,
+)
 
 __all__ = [
     "SignedPermutation",
@@ -31,6 +37,9 @@ __all__ = [
 ]
 
 
+_INT = frozenset({int})
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
     """Element of B_n in window notation."""
@@ -38,10 +47,12 @@ class SignedPermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(map(index, self.window)))
-        n = len(self.window)
-        if sorted(map(abs, self.window)) != list(range(1, n + 1)):
-            raise ValueError(f"window {self.window!r} is not a signed permutation")
+        window = self.window
+        if type(window) is not tuple or not _INT.issuperset(map(type, window)):
+            window = tuple(map(index, window))
+            object.__setattr__(self, "window", window)
+        if sorted(map(abs, window)) != list(range(1, len(window) + 1)):
+            raise NotAPermutation(f"window {window!r} is not a signed permutation")
 
     @property
     def n(self) -> int:
@@ -63,11 +74,11 @@ class SignedPermutation:
         try:
             window = tuple(int(tok) for tok in text.split(","))
         except ValueError:
-            raise ValueError(f"cannot parse window text {text!r}") from None
+            raise NotAPermutation(f"cannot parse window text {text!r}") from None
         return cls(window)
 
     def to_text(self) -> str:
-        return ",".join(str(v) for v in self.window)
+        return ",".join(map(str, self.window))
 
     def __str__(self) -> str:
         return f"[{self.to_text()}]"
@@ -85,12 +96,12 @@ class ColoredPermutation:
             self, "entries", tuple((index(a), index(z)) for a, z in self.entries)
         )
         if self.m < 1:
-            raise ValueError("m must be at least 1")
+            raise BadIndex("m must be at least 1")
         n = len(self.entries)
         if sorted(a for a, _ in self.entries) != list(range(1, n + 1)):
-            raise ValueError("values must form a permutation of 1..n")
+            raise NotAPermutation("values must form a permutation of 1..n")
         if any(not 0 <= z < self.m for _, z in self.entries):
-            raise ValueError("colors must lie in 0..m-1")
+            raise BadIndex("colors must lie in 0..m-1")
 
     @property
     def n(self) -> int:

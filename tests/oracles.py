@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
-from operator import add, gt, mul
+from operator import add, gt, index, mul
 
 from bdstirling.errors import (
     InvalidOrderedPartition,
@@ -29,6 +29,7 @@ from bdstirling.errors import (
     NotTypeD,
     RepeatedValueInBlock,
     SingletonZeroBlock,
+    UnknownKind,
 )
 from bdstirling.geometry import CensusResult, classify_point
 from bdstirling.groups import des_stat, enumerate_group, fdes
@@ -367,15 +368,17 @@ def ordered_partition_reference(kind, n, blocks):
 
     Returns the blocks as a tuple of frozensets, or raises the error, with
     the message, that bijections.OrderedPartition must raise on the same
-    input.  The checks run in this order: kind, each block nonempty and
-    inside +-1..+-n, an optional self-mirrored zero block, blocks pairing
-    up, no repeated absolute value in a class block, each pair's second
-    block the mirror of its first, the spots tiling 1..n (never for a
-    negative n), and for kind D a zero support of any size but 1.
+    input.  The checks run in this order: kind, each value an integer
+    (operator.index, so 1.0 is refused and True reads as 1), each block
+    nonempty and inside +-1..+-n, an optional self-mirrored zero block,
+    blocks pairing up, no repeated absolute value in a class block, each
+    pair's second block the mirror of its first, the spots tiling 1..n
+    (never for a negative n), and for kind D a zero support of any size
+    but 1.
     """
     if kind not in ("B", "D"):
-        raise ValueError(f"unknown ordered partition kind {kind!r}")
-    blocks = tuple(frozenset(int(v) for v in b) for b in blocks)
+        raise UnknownKind(f"unknown ordered partition kind {kind!r}")
+    blocks = tuple(frozenset(index(v) for v in b) for b in blocks)
 
     def mirror(block):
         return frozenset(-v for v in block)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -20,12 +21,16 @@ from bdstirling.bijections import (
     free_gaps,
 )
 from bdstirling.errors import (
+    BadIndex,
     InvalidOrderedPartition,
     InvariantViolation,
+    MalformedDocument,
     NotAPartition,
+    NotAPermutation,
     NotTypeD,
     SpotCollision,
     TooManySeparators,
+    UnknownKind,
     UnreachableForm,
 )
 from bdstirling.groups import SignedPermutation, descent_set, enumerate_group
@@ -134,7 +139,7 @@ class TestOrderedPartition:
 
 
 MUTATIONS = ("empty", "zero", "range", "drop", "lose", "double", "flip",
-             "repeat", "swap")
+             "repeat", "swap", "true", "float", "to_zero", "below")
 
 
 @st.composite
@@ -142,7 +147,9 @@ def ordered_block_lists(draw):
     """(kind, n, blocks) from a valid ordered partition, each block a list,
     then up to two mutations that may break a rule: an empty block, a 0, a
     value out of range, a dropped block or pair, a doubled pair, one sign
-    flipped, a repeated absolute value, two blocks swapped."""
+    flipped, a repeated absolute value, two blocks swapped, True for 1, a
+    float for an int, or a value replaced by 0 or by -n-1 (so 2n values
+    remain).  A drawn zero support of one spot makes kind D invalid."""
     kind = draw(st.sampled_from(("B", "D")))
     n = draw(st.integers(0, 5))
     spots = draw(st.permutations(range(1, n + 1)))
@@ -177,28 +184,58 @@ def ordered_block_lists(draw):
             blocks[j] = [-blocks[j][0]] + blocks[j][1:] if blocks[j] else [1]
         elif mutation == "repeat":
             blocks[j] = blocks[j] + [-blocks[j][0]] if blocks[j] else [1, -1]
-        else:
+        elif mutation == "swap":
             blocks[j], blocks[-1] = blocks[-1], blocks[j]
+        elif not blocks[j]:
+            continue
+        elif mutation == "true":
+            blocks[j] = [True if v == 1 else v for v in blocks[j]]
+        elif mutation == "float":
+            blocks[j] = [float(blocks[j][0])] + blocks[j][1:]
+        elif mutation == "to_zero":
+            blocks[j] = [0] + blocks[j][1:]
+        else:
+            blocks[j] = [-n - 1] + blocks[j][1:]
     return kind, n, blocks
 
 
 raw_block_lists = st.tuples(
     st.sampled_from(("B", "D", "C")),
     st.integers(-1, 4),
-    st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=6),
+    st.lists(
+        st.lists(
+            st.one_of(st.integers(-5, 5), st.sampled_from((True, 1.0))),
+            max_size=4,
+        ),
+        max_size=6,
+    ),
 )
 
 
 def assert_validates_like_reference(kind, n, blocks):
-    try:
-        expected = ordered_partition_reference(kind, n, blocks)
-    except ValueError as err:
-        with pytest.raises(type(err)) as got:
-            OrderedPartition(kind, n, tuple(blocks))
-        assert type(got.value) is type(err)
-        assert str(got.value) == str(err)
-    else:
-        assert OrderedPartition(kind, n, tuple(blocks)).blocks == expected
+    """The blocks as a tuple of lists, of sets and of frozensets, and as a
+    list of frozensets, all validate as the reference does: only a tuple of
+    frozensets can pass the accepting pass, so the other forms always reach
+    the ordered checks."""
+    for given in (
+        tuple(blocks),
+        tuple(map(set, blocks)),
+        tuple(map(frozenset, blocks)),
+        list(map(frozenset, blocks)),
+    ):
+        try:
+            expected = ordered_partition_reference(kind, n, given)
+        except (ValueError, TypeError) as err:
+            expected = err
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as got:
+                OrderedPartition(kind, n, given)
+            assert type(got.value) is type(expected)
+            assert str(got.value) == str(expected)
+        else:
+            got = OrderedPartition(kind, n, given).blocks
+            assert got == expected and type(got) is tuple
+            assert all(type(b) is frozenset for b in got)
 
 
 class TestValidatorAgainstReference:
@@ -220,6 +257,18 @@ class TestValidatorAgainstReference:
         ("B", -1, []),
         ("D", 3, [[-3, 1], [3, -1], [2], [-2]]),
         ("D", -2, []),
+        ("B", 1, [[True], [-1]]),
+        ("B", 2, [[True, -2], [-1, 2]]),
+        ("B", 1, [[1.0], [-1]]),
+        ("D", 2, [[2, -2, 1.0, -1]]),
+        ("D", 0, []),
+        ("B", 2, [[0, 1], [-1, 2]]),
+        ("B", 2, [[1], [-1], [0], [2]]),
+        ("B", 2, [[-3, 1], [3, -1]]),
+        ("D", 2, [[2, -2], [-3], [1]]),
+        ("D", 2, [[2, -2], [1], [-1]]),
+        ("D", 3, [[3, -3], [1, -2], [-1, 2]]),
+        ("B", 2, [[1], [-1], [2, -2]]),
     ])
     def test_each_rule(self, kind, n, blocks):
         assert_validates_like_reference(kind, n, blocks)
@@ -252,6 +301,72 @@ class TestValidatorAgainstReference:
                     assert rebuilt.class_blocks == op.blocks[leads::2]
                     assert ordered_partition_reference(
                         op.kind, op.n, op.blocks) == op.blocks
+
+
+def _refuse_diagnosis(monkeypatch):
+    def diagnosed(kind, n, blocks):
+        raise AssertionError(f"ordered checks ran on {kind} {n} {blocks}")
+
+    monkeypatch.setattr(bijections, "_diagnosed_blocks", diagnosed)
+
+
+class TestAcceptingPass:
+    """Valid input never reaches the ordered checks: they only name faults.
+
+    n = 0 is left out: its empty partition is accepted by the ordered
+    checks, as are blocks that are not a tuple of frozensets of ints.
+    """
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_forward_outputs(self, kind, n, monkeypatch):
+        procedure = b_procedure if kind == "B" else d_procedure
+        elements = list(enumerate_group(kind, n))
+        _refuse_diagnosis(monkeypatch)
+        for g in elements:
+            gaps = sorted(free_gaps(g, kind))
+            for k in range(len(gaps) + 1):
+                for art in combinations(gaps, k):
+                    if kind == "D" and n == 1 and not art:
+                        continue  # zero support of size 1: not type D
+                    procedure(g, art)
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ordered_documents(self, kind, n, monkeypatch):
+        docs = [op.to_doc() for r in range(n + 1) for op in ordered_forms(kind, n, r)]
+        assert len(docs) == sum(
+            2**r * factorial(r) * stirling(kind, n, r) for r in range(n + 1))
+        _refuse_diagnosis(monkeypatch)
+        for doc in docs:
+            assert OrderedPartition.from_doc(doc).to_doc() == doc
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OrderedPartition("C", 1, ()), UnknownKind,
+     "unknown ordered partition kind 'C'"),
+    (lambda: OrderedPartition.from_doc([]), MalformedDocument,
+     "document must be an object"),
+    (lambda: OrderedPartition.from_doc({"kind": "B", "blocks": []}),
+     MalformedDocument, "document misses key 'n'"),
+    (lambda: OrderedPartition.from_doc({"kind": 2, "n": 1, "blocks": []}),
+     MalformedDocument, "kind must be a string"),
+    (lambda: OrderedPartition.from_doc({"kind": "B", "n": "2", "blocks": []}),
+     MalformedDocument, "n must be an integer"),
+    (lambda: OrderedPartition.from_doc({"kind": "B", "n": 1, "blocks": [[1.0]]}),
+     MalformedDocument, "blocks must be lists of integers"),
+], ids=["kind", "not_object", "missing_key", "kind_type", "n_type", "blocks_type"])
+def test_bad_arguments_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error
+
+
+def test_typed_errors_keep_their_builtin_base():
+    # cli._ERRORS maps TypeError to exit 2 and ValueError to exit 1
+    assert issubclass(MalformedDocument, TypeError)
+    for error in (UnknownKind, NotAPermutation, BadIndex):
+        assert issubclass(error, ValueError)
 
 
 class TestForward:

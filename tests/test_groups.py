@@ -8,6 +8,7 @@ from bdstirling.config import EnumerationCaps
 from bdstirling.errors import (
     BadIndex,
     FlavorMismatch,
+    NotAPermutation,
     OddNegativeCount,
     SizeOverflow,
     UnknownKind,
@@ -250,7 +251,16 @@ def test_descent_statistic_total_is_group_order(n):
     (lambda: des_stat(S("1,2"), "desQ"), UnknownKind, "unknown statistic 'desQ'"),
     (lambda: group_order("B", -1), BadIndex, "n must be nonnegative"),
     (lambda: enumerate_group("A", 2), UnknownKind, "unknown group kind 'A'"),
-], ids=["descent_set", "fdes", "des_stat", "group_order", "enumerate_group"])
+    (lambda: SignedPermutation((1, 3)), NotAPermutation,
+     "window (1, 3) is not a signed permutation"),
+    (lambda: S("1,x"), NotAPermutation, "cannot parse window text '1,x'"),
+    (lambda: ColoredPermutation(0, ()), BadIndex, "m must be at least 1"),
+    (lambda: ColoredPermutation(2, ((1, 0), (1, 1))), NotAPermutation,
+     "values must form a permutation of 1..n"),
+    (lambda: ColoredPermutation(2, ((1, 2),)), BadIndex,
+     "colors must lie in 0..m-1"),
+], ids=["descent_set", "fdes", "des_stat", "group_order", "enumerate_group",
+        "window", "window_text", "colors_m", "values", "color_range"])
 def test_bad_arguments_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
