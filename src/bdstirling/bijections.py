@@ -36,7 +36,7 @@ from .errors import (
     UnreachableForm,
 )
 from .groups import _INT, SignedPermutation, descent_set
-from .partitions import BPartition, DPartition, stirling
+from .partitions import _FROZENSET, _NO_SPOTS, BPartition, DPartition, stirling
 
 __all__ = [
     "OrderedPartition",
@@ -52,10 +52,6 @@ __all__ = [
 
 def _mirror(block: frozenset[int]) -> frozenset[int]:
     return frozenset(map(neg, block))
-
-
-_FROZENSET = frozenset({frozenset})
-_NO_SPOTS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,8 @@ class OrderedPartition:
                 ):
                     object.__setattr__(self, "_support", support)
                     return
-        blocks, support = _diagnosed_blocks(kind, n, blocks)
+        n, blocks, support = _diagnosed_blocks(kind, n, blocks)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_support", support)
 
@@ -164,14 +161,16 @@ class OrderedPartition:
 
 
 def _diagnosed_blocks(
-    kind: str, n: int, blocks
-) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
+    kind: str, n, blocks
+) -> tuple[int, tuple[frozenset[int], ...], frozenset[int]]:
     """Validate one rule at a time and raise on the first fault.
 
-    Returns the blocks as frozensets of ints and the zero support.
+    Returns n as an int, the blocks as frozensets of ints and the zero
+    support.
     """
     if kind not in ("B", "D"):
         raise UnknownKind(f"unknown ordered partition kind {kind!r}")
+    n = index(n)
     blocks = tuple(frozenset(map(index, b)) for b in blocks)
     for b in blocks:
         if not b:
@@ -205,7 +204,7 @@ def _diagnosed_blocks(
         raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
     if kind == "D" and len(support) == 1:
         raise NotTypeD(f"zero support {sorted(support)} has size 1")
-    return blocks, support
+    return n, blocks, support
 
 
 def free_gaps(element: SignedPermutation, flavor: str) -> frozenset[int]:

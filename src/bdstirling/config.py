@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadIndex, SizeOverflow
+from .errors import BadIndex, SizeOverflow, UnknownKind
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _weights(kind: str, m: int | None = None) -> tuple[int, int]:
     if kind in ("B", "D"):
         return 2, 1
     if kind != "G":
-        raise ValueError(f"unknown kind {kind!r}")
+        raise UnknownKind(f"unknown kind {kind!r}")
     if m is None or m < 1:
         raise BadIndex("kind G needs m >= 1")
     return m, 1

@@ -19,21 +19,26 @@ A census still walks every point, but it keys each one by a cheap tuple
 that refines its classification, and classifies one point per distinct
 key: for B and the torus the keys are exactly the classes, for D at most
 about twice as many.  The first n - 1 coordinates are keyed once per
-prefix (_signature) and the last axis in an inner loop (_last_axis_keys),
-so a point's key costs little more than a dict update.  On one core of a
-2-core x86 VM keying costs 0.6 to 1.2 us per point for n = 4 to 6 at 9 to
-99 values per axis, and some 2.5 us at n = 8 with 5 values, against 3.6
-to 6.4 us when every point was keyed from scratch; censuses near the
-10^8-point cap (B n = 4, m = 49 and D n = 6, m = 10) took 56 and 78 s.
-Classifying adds some 20 to 45 us per key, which matters only where keys
-are many per point: B at n = 8, m = 2 has one key per eight points and
-spends about two thirds of its time there.
+prefix (_signature), the last axis as one list of keys per prefix
+(_last_axis_keys), and collections.Counter counts the keys of every point
+in C.  classify_point builds its classes already canonical (in first-spot
+order, each signed or colored relative to its first spot), so the
+partition constructors take them in their one-pass accept check.  On one
+core of a 2-core x86 VM keying costs 0.4 to 1.3 us per point for n = 3 to
+6 at 9 to 99 values per axis, and some 2.5 us at n = 8 with 5 values;
+classifying costs 11 to 21 us per key, against 15 to 28 us when the
+constructors canonicalized block by block.  Censuses near the 10^8-point
+cap (B n = 4, m = 49 and D n = 6, m = 10) took 42 and 72 s, against 63
+and 92 s before, back to back on that VM.  Classification matters only
+where keys are many per point: B at n = 8, m = 2 has one key per eight
+points and spends about half its time there.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from operator import ne
+from operator import ne, neg
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _weights
 from .errors import (
@@ -84,22 +89,33 @@ def classify_point(kind: str, coords, m: int | None = None, n: int | None = None
             zeros.append(spot)
         elif kind == "G":
             color, magnitude = value
-            groups.setdefault(magnitude, []).append((spot, color % m))
+            groups.setdefault(magnitude, []).append((spot, color))
         else:
             groups.setdefault(abs(value), []).append(spot if value > 0 else -spot)
+    # groups holds its classes by first spot; each class is read relative
+    # to its first spot, so the partitions take them as they are
     zeros = frozenset(zeros)
-    classes = tuple(frozenset(g) for _, g in sorted(groups.items()))
     if kind == "G":
+        classes = tuple([
+            frozenset([(spot, (color - g[0][1]) % m) for spot, color in g])
+            for g in groups.values()
+        ])
         return GPartition(n, m, zeros, classes)
+    classes = tuple([
+        frozenset(g) if g[0] > 0 else frozenset(map(neg, g)) for g in groups.values()
+    ])
     if kind == "B":
         return BPartition(n, zeros, classes)
     if len(zeros) == 1:
-        if any(len(c) > 1 for c in classes):
+        if len(classes) < n - 1:
             raise SingletonZeroBlock(
                 "one vanishing coordinate plus a repeated absolute value "
                 "fits no even-signed partition"
             )
-        classes += (zeros,)
+        # every other spot is a class of its own, so the lone zero's spot
+        # is its place in first-spot order
+        (spot,) = zeros
+        classes = classes[: spot - 1] + (zeros,) + classes[spot - 1 :]
         zeros = frozenset()
     return DPartition(n, zeros, classes)
 
@@ -183,9 +199,11 @@ def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> Cen
     len(circle) values per axis.
 
     Every point is walked in lexicographic order and keyed, each prefix of
-    n - 1 coordinates once; classify_point runs once per distinct key, on the
-    first point with that key, and the key's count goes to the partition (or
-    to missing).
+    n - 1 coordinates once, and collections.Counter counts the keys of every
+    point in one pass.  The keys of a tag first occur at its first prefix,
+    so first points are recorded only there.  classify_point runs once per
+    distinct key, on the first point with that key, and the key's count goes
+    to the partition (or to missing).
     """
     if n < 0:
         raise BadIndex("n must be nonnegative")
@@ -197,24 +215,31 @@ def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> Cen
             f"census of {x}**{n} points exceeds cap {caps.census_points}"
             + ("" if x > 1 else f" (a point of {n} coordinates counts as 2**{n})")
         )
-    keyed: dict = {}
+    keyed: Counter = Counter()
     first_point: dict = {}
     if n == 0:  # the one, empty, point has no last axis
         keyed[()], first_point[()] = 1, ()
     tags: dict = {}  # prefix _signature -> small int, so a key hashes cheaply
-    for prefix in itertools.product(range(x), repeat=n - 1) if n else ():
-        tag = tags.setdefault(_signature(prefix, magnitudes, relate), len(tags))
-        for v, key in enumerate(_last_axis_keys(prefix, tag, magnitudes, relate)):
-            if key in keyed:
-                keyed[key] += 1
-            else:
-                keyed[key] = 1
-                first_point[key] = prefix + (v,)
+
+    def prefix_keys(prefix):
+        new = len(tags)
+        tag = tags.setdefault(_signature(prefix, magnitudes, relate), new)
+        keys = _last_axis_keys(prefix, tag, magnitudes, relate)
+        if tag == new:  # later prefixes with this tag yield the same keys
+            for v, key in enumerate(keys):
+                first_point.setdefault(key, prefix + (v,))
+        return keys
+
+    prefixes = itertools.product(range(x), repeat=n - 1) if n else ()
+    keyed.update(itertools.chain.from_iterable(map(prefix_keys, prefixes)))
     counts: dict = {}
     missing = 0
     for key, count in keyed.items():
+        point = first_point.get(key)
+        if point is None:
+            raise InvariantViolation(f"census key {key!r} has no first point")
         try:
-            p = classify_point(kind, map(circle.__getitem__, first_point[key]), m=m)
+            p = classify_point(kind, map(circle.__getitem__, point), m=m)
         except SingletonZeroBlock:
             missing += count
             continue

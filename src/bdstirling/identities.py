@@ -176,11 +176,9 @@ def eulerian(
 
     Kinds A and Bstar are one-based (k - 1 descents, A(0,0) = 1); kinds
     B, D, G count elements whose statistic equals k.  An index outside the
-    row gives 0; the empty permutation of A and Bstar meets no cap check.
+    row gives 0.  Every row, n = 0 included, meets the kind's cap.
     """
-    if n == 0 and kind in ("A", "Bstar"):
-        hist = (1,)
-    elif kind == "Bstar":
+    if kind == "Bstar":
         hist = flag_histogram(n, caps=caps)
     else:
         hist = descent_histogram(kind, n, m, caps=caps)

@@ -22,16 +22,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from operator import add, index, mul
+from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .config import _weights
 from .errors import (
+    BadIndex,
     MirrorViolation,
     NotAPartition,
     RepeatedValueInBlock,
     SingletonZeroBlock,
+    UnknownKind,
 )
+from .groups import _INT
 
 __all__ = [
     "BPartition",
@@ -78,7 +81,7 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
     G at m = 2 under negatives-as-color-1.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise BadIndex("n must be nonnegative")
     row = _triangle_row(*_weights(kind, m), n)
     if kind != "D" or n == 0:
         return row
@@ -100,7 +103,7 @@ def flag_stirling_row(n: int) -> tuple[int, ...]:
     rest of S_B(n, p).
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise BadIndex("n must be nonnegative")
     empty, signed = _triangle_row(2, 0, n), _triangle_row(2, 1, n)
     row = []
     for p in range(n + 1):
@@ -112,13 +115,23 @@ def flag_stirling_row(n: int) -> tuple[int, ...]:
 # partition objects
 
 
+_FROZENSET = frozenset({frozenset})
+_TUPLE = frozenset({tuple})
+_PAIR = frozenset({2})
+_NO_SPOTS: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class BPartition:
     """Canonical form of a type B partition of {0, +-1, ..., +-n}.
 
     pair_reps holds one block per mirror pair, the one whose minimum
-    absolute value is positive, sorted by that minimum.  The constructor
-    canonicalizes sign choice and order, so equal partitions compare equal.
+    absolute value is positive, sorted by that minimum.  Canonical input is
+    accepted by one pass of whole-collection checks; any other input goes
+    through the per-block checks of _canonical_pairs, which canonicalize
+    sign choice and order or name the first fault, so equal partitions
+    compare equal.  n is read as an int (a bool becomes one, a float is
+    refused).
     """
 
     n: int
@@ -126,31 +139,34 @@ class BPartition:
     pair_reps: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        zs = frozenset(map(index, self.zero_support))
-        if any(v < 1 or v > self.n for v in zs):
-            raise NotAPartition(f"zero support {sorted(zs)} outside 1..{self.n}")
-        reps = []
-        for rep in self.pair_reps:
-            rep = frozenset(map(index, rep))
-            if not rep:
-                raise NotAPartition("empty block")
-            if any(v == 0 or abs(v) > self.n for v in rep):
-                raise NotAPartition(f"block {sorted(rep)} outside +-1..+-{self.n}")
-            if len({abs(v) for v in rep}) != len(rep):
-                raise RepeatedValueInBlock(
-                    f"block {sorted(rep)} repeats an absolute value"
-                )
-            if min(rep, key=abs) < 0:
-                rep = frozenset(-v for v in rep)
-            reps.append(rep)
-        reps.sort(key=lambda rep: min(abs(v) for v in rep))
-        covered = [abs(v) for rep in reps for v in rep] + sorted(zs)
-        if sorted(covered) != list(range(1, self.n + 1)):
-            raise NotAPartition(
-                f"spots covered {sorted(covered)} do not tile 1..{self.n}"
-            )
+        n, zs, reps = self.n, self.zero_support, self.pair_reps
+        if (
+            type(n) is int
+            and type(zs) is frozenset
+            and type(reps) is tuple
+            and _FROZENSET.issuperset(map(type, reps))
+            and all(reps)
+        ):
+            union = _NO_SPOTS.union(*reps)
+            if _INT.issuperset(map(type, union)) and _INT.issuperset(map(type, zs)):
+                # As many distinct spots in 1..n as the zero support and the
+                # blocks hold, and n of them, tile 1..n.  Canonical blocks
+                # hold their least magnitude (the lead) as a positive spot,
+                # and the leads ascend.
+                spots = zs.union(map(abs, union))
+                leads = list(map(min, map(map, itertools.repeat(abs), reps)))
+                if (
+                    len(spots) == sum(map(len, reps)) + len(zs) == n
+                    and 0 < min(spots, default=1)
+                    and max(spots, default=0) <= n
+                    and union.issuperset(leads)
+                    and leads == sorted(leads)
+                ):
+                    return
+        n, zs, reps = _canonical_pairs(n, zs, reps)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "zero_support", zs)
-        object.__setattr__(self, "pair_reps", tuple(reps))
+        object.__setattr__(self, "pair_reps", reps)
 
     @property
     def r(self) -> int:
@@ -217,6 +233,35 @@ class BPartition:
         return cls(n, frozenset(v for v in zero if v > 0), tuple(reps))
 
 
+def _canonical_pairs(n, zero_support, pair_reps):
+    """Check a type B partition one rule at a time, raising on the first
+    fault; return n, the zero support and the canonical pair
+    representatives."""
+    n = index(n)
+    zs = frozenset(map(index, zero_support))
+    if any(v < 1 or v > n for v in zs):
+        raise NotAPartition(f"zero support {sorted(zs)} outside 1..{n}")
+    reps = []
+    for rep in pair_reps:
+        rep = frozenset(map(index, rep))
+        if not rep:
+            raise NotAPartition("empty block")
+        if any(v == 0 or abs(v) > n for v in rep):
+            raise NotAPartition(f"block {sorted(rep)} outside +-1..+-{n}")
+        if len({abs(v) for v in rep}) != len(rep):
+            raise RepeatedValueInBlock(
+                f"block {sorted(rep)} repeats an absolute value"
+            )
+        if min(rep, key=abs) < 0:
+            rep = frozenset(-v for v in rep)
+        reps.append(rep)
+    reps.sort(key=lambda rep: min(abs(v) for v in rep))
+    covered = [abs(v) for rep in reps for v in rep] + sorted(zs)
+    if sorted(covered) != list(range(1, n + 1)):
+        raise NotAPartition(f"spots covered {sorted(covered)} do not tile 1..{n}")
+    return n, zs, tuple(reps)
+
+
 class DPartition(BPartition):
     """Type B partition whose zero support never has size exactly 1."""
 
@@ -234,7 +279,9 @@ class GPartition:
 
     Each representative block maps values injectively to colors, carries
     color 0 on its minimum value, and the representatives are sorted by
-    minimum value.
+    minimum value.  As for BPartition, canonical input is accepted in one
+    pass and any other goes through the per-block checks of
+    _canonical_orbits; n and m are read as ints.
     """
 
     n: int
@@ -243,34 +290,40 @@ class GPartition:
     orbit_reps: tuple[frozenset[tuple[int, int]], ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        zs = frozenset(map(index, self.zero_support))
-        if any(v < 1 or v > self.n for v in zs):
-            raise NotAPartition(f"zero support {sorted(zs)} outside 1..{self.n}")
-        reps = []
-        for rep in self.orbit_reps:
-            rep = frozenset((index(a), index(z) % self.m) for a, z in rep)
-            if not rep:
-                raise NotAPartition("empty block")
-            values = [a for a, _ in rep]
-            if any(a < 1 or a > self.n for a in values):
-                raise NotAPartition(f"block values {sorted(values)} outside 1..{self.n}")
-            if len(set(values)) != len(values):
-                raise RepeatedValueInBlock(
-                    f"block {sorted(rep)} repeats a value"
-                )
-            anchor = min(rep)[1]
-            rep = frozenset((a, (z - anchor) % self.m) for a, z in rep)
-            reps.append(rep)
-        reps.sort(key=lambda rep: min(rep)[0])
-        covered = [a for rep in reps for a, _ in rep] + sorted(zs)
-        if sorted(covered) != list(range(1, self.n + 1)):
-            raise NotAPartition(
-                f"values covered {sorted(covered)} do not tile 1..{self.n}"
-            )
+        n, m, zs, reps = self.n, self.m, self.zero_support, self.orbit_reps
+        if (
+            type(n) is int
+            and type(m) is int
+            and m >= 1
+            and type(zs) is frozenset
+            and type(reps) is tuple
+            and _FROZENSET.issuperset(map(type, reps))
+            and all(reps)
+        ):
+            union = _NO_SPOTS.union(*reps)
+            if _TUPLE.issuperset(map(type, union)) and _PAIR.issuperset(map(len, union)):
+                values, colors = zip(*union) if union else ((), ())
+                if _INT.issuperset(map(type, itertools.chain(values, colors, zs))):
+                    # As for type B, with values for magnitudes; canonical
+                    # blocks hold their least value (the lead) in color 0,
+                    # and the leads ascend.
+                    spots = zs.union(values)
+                    leads = list(map(min, reps))
+                    if (
+                        len(spots) == sum(map(len, reps)) + len(zs) == n
+                        and 0 < min(spots, default=1)
+                        and max(spots, default=0) <= n
+                        and 0 <= min(colors, default=0)
+                        and max(colors, default=0) < m
+                        and not any(map(itemgetter(1), leads))
+                        and leads == sorted(leads)
+                    ):
+                        return
+        n, m, zs, reps = _canonical_orbits(n, m, zs, reps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "zero_support", zs)
-        object.__setattr__(self, "orbit_reps", tuple(reps))
+        object.__setattr__(self, "orbit_reps", reps)
 
     @property
     def r(self) -> int:
@@ -303,6 +356,36 @@ class GPartition:
             for rep in self.orbit_reps
         ]
         return " ".join([zero] + reps)
+
+
+def _canonical_orbits(n, m, zero_support, orbit_reps):
+    """Check an m-colored partition one rule at a time, raising on the
+    first fault; return n, m, the zero support and the canonical orbit
+    representatives."""
+    m = index(m)
+    if m < 1:
+        raise BadIndex("m must be at least 1")
+    n = index(n)
+    zs = frozenset(map(index, zero_support))
+    if any(v < 1 or v > n for v in zs):
+        raise NotAPartition(f"zero support {sorted(zs)} outside 1..{n}")
+    reps = []
+    for rep in orbit_reps:
+        rep = frozenset((index(a), index(z) % m) for a, z in rep)
+        if not rep:
+            raise NotAPartition("empty block")
+        values = [a for a, _ in rep]
+        if any(a < 1 or a > n for a in values):
+            raise NotAPartition(f"block values {sorted(values)} outside 1..{n}")
+        if len(set(values)) != len(values):
+            raise RepeatedValueInBlock(f"block {sorted(rep)} repeats a value")
+        anchor = min(rep)[1]
+        reps.append(frozenset((a, (z - anchor) % m) for a, z in rep))
+    reps.sort(key=lambda rep: min(rep)[0])
+    covered = [a for rep in reps for a, _ in rep] + sorted(zs)
+    if sorted(covered) != list(range(1, n + 1)):
+        raise NotAPartition(f"values covered {sorted(covered)} do not tile 1..{n}")
+    return n, m, zs, tuple(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +434,7 @@ def enumerate_partitions(kind: str, n: int, r: int | None = None, m: int = 2) ->
     With r given, only those with r mirror pairs or orbits.
     """
     if kind not in ("B", "D", "G"):
-        raise ValueError(f"unknown partition kind {kind!r}")
+        raise UnknownKind(f"unknown partition kind {kind!r}")
     # B and D are G at m = 2, with color 1 read as a minus sign.
     colors = m if kind == "G" else 2
     maker = DPartition if kind == "D" else BPartition

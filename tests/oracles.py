@@ -11,9 +11,11 @@ with the statistic counted inline (the tuple kernels); the package sums
 one tally of S_n by standardization instead.  That tally is itself
 checked against a walk of S_{n-2} for every pair of first two ranks, the
 route its one shared walk of S_{n-1} replaced.  Censuses classify every
-point on its own, the route the keyed tally replaced.  The basis-change
-reports rebuild every falling factorial from its roots through the
-generic polynomial multiply, the route the once-built basis replaced.
+point on its own, the route the keyed tally replaced, and partition
+objects are validated block by block, the route the constructors' one-pass
+accept check replaced.  The basis-change reports rebuild every falling
+factorial from its roots through the generic polynomial multiply, the
+route the once-built basis replaced.
 Keep these dumb on purpose.
 """
 
@@ -24,6 +26,7 @@ from math import comb, factorial
 from operator import add, gt, index, mul
 
 from bdstirling.errors import (
+    BadIndex,
     InvalidOrderedPartition,
     NotAPartition,
     NotTypeD,
@@ -368,7 +371,7 @@ def ordered_partition_reference(kind, n, blocks):
 
     Returns the blocks as a tuple of frozensets, or raises the error, with
     the message, that bijections.OrderedPartition must raise on the same
-    input.  The checks run in this order: kind, each value an integer
+    input.  The checks run in this order: kind, n and each value an integer
     (operator.index, so 1.0 is refused and True reads as 1), each block
     nonempty and inside +-1..+-n, an optional self-mirrored zero block,
     blocks pairing up, no repeated absolute value in a class block, each
@@ -378,6 +381,7 @@ def ordered_partition_reference(kind, n, blocks):
     """
     if kind not in ("B", "D"):
         raise UnknownKind(f"unknown ordered partition kind {kind!r}")
+    n = index(n)
     blocks = tuple(frozenset(index(v) for v in b) for b in blocks)
 
     def mirror(block):
@@ -415,6 +419,93 @@ def ordered_partition_reference(kind, n, blocks):
     if kind == "D" and len(support) == 1:
         raise NotTypeD(f"zero support {support} has size 1")
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# unordered partitions checked block by block
+
+
+def signed_partition_reference(kind, n, zero_support, pair_reps):
+    """Validate and canonicalize a type B or D partition block by block.
+
+    Returns (n, zero support, pair representatives), or raises the error,
+    with the message, that partitions.BPartition (kind B) or DPartition
+    (kind D) must raise on the same input.  The checks run in this order:
+    n an integer (operator.index, so 2.0 is refused and True reads as 1),
+    the zero support inside 1..n, then per block in the given order: its
+    values integers, nonempty, inside +-1..+-n, no absolute value twice;
+    the spots tiling 1..n; for kind D a zero support of any size but 1.
+    Each block is flipped so its least absolute value is positive, and
+    the blocks are sorted by that value.
+    """
+    n = index(n)
+    zs = frozenset(index(v) for v in zero_support)
+    for v in zs:
+        if v < 1 or v > n:
+            raise NotAPartition(f"zero support {sorted(zs)} outside 1..{n}")
+    reps = []
+    for block in pair_reps:
+        rep = frozenset(index(v) for v in block)
+        if not rep:
+            raise NotAPartition("empty block")
+        for v in rep:
+            if v == 0 or abs(v) > n:
+                raise NotAPartition(f"block {sorted(rep)} outside +-1..+-{n}")
+        if len({abs(v) for v in rep}) != len(rep):
+            raise RepeatedValueInBlock(
+                f"block {sorted(rep)} repeats an absolute value"
+            )
+        least = sorted(rep, key=abs)[0]
+        if least < 0:
+            rep = frozenset(-v for v in rep)
+        reps.append((abs(least), rep))
+    reps = [rep for _, rep in sorted(reps, key=lambda pair: pair[0])]
+    covered = sorted([abs(v) for rep in reps for v in rep] + list(zs))
+    if covered != list(range(1, n + 1)):
+        raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
+    if kind == "D" and len(zs) == 1:
+        raise SingletonZeroBlock(f"zero support {sorted(zs)} has size 1")
+    return n, zs, tuple(reps)
+
+
+def colored_partition_reference(n, m, zero_support, orbit_reps):
+    """Validate and canonicalize an m-colored partition block by block.
+
+    Returns (n, m, zero support, orbit representatives), or raises the
+    error, with the message, that partitions.GPartition must raise on the
+    same input.  The checks run in this order: m an integer of at least 1,
+    n an integer, the zero support inside 1..n, then per block in the given
+    order: its (value, color) pairs integers with colors read mod m,
+    nonempty, values inside 1..n, no value twice; the values tiling 1..n.
+    Each block is recolored so its least value has color 0, and the blocks
+    are sorted by that value.
+    """
+    m = index(m)
+    if m < 1:
+        raise BadIndex("m must be at least 1")
+    n = index(n)
+    zs = frozenset(index(v) for v in zero_support)
+    for v in zs:
+        if v < 1 or v > n:
+            raise NotAPartition(f"zero support {sorted(zs)} outside 1..{n}")
+    reps = []
+    for block in orbit_reps:
+        rep = frozenset((index(a), index(z) % m) for a, z in block)
+        if not rep:
+            raise NotAPartition("empty block")
+        values = [a for a, _ in rep]
+        for a in values:
+            if a < 1 or a > n:
+                raise NotAPartition(f"block values {sorted(values)} outside 1..{n}")
+        if len(set(values)) != len(values):
+            raise RepeatedValueInBlock(f"block {sorted(rep)} repeats a value")
+        least, anchor = sorted(rep)[0]
+        reps.append((least, frozenset((a, (z - anchor) % m) for a, z in rep)))
+    reps = [rep for _, rep in sorted(reps, key=lambda pair: pair[0])]
+    covered = sorted([a for rep in reps for a, _ in rep] + list(zs))
+    if covered != list(range(1, n + 1)):
+        raise NotAPartition(f"values covered {covered} do not tile 1..{n}")
+    return n, m, zs, tuple(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,11 @@ def assert_validates_like_reference(kind, n, blocks):
             assert type(got.value) is type(expected)
             assert str(got.value) == str(expected)
         else:
-            got = OrderedPartition(kind, n, given).blocks
+            op = OrderedPartition(kind, n, given)
+            got = op.blocks
             assert got == expected and type(got) is tuple
             assert all(type(b) is frozenset for b in got)
+            assert op.n == n and type(op.n) is int
 
 
 class TestValidatorAgainstReference:
@@ -269,6 +271,10 @@ class TestValidatorAgainstReference:
         ("D", 2, [[2, -2], [1], [-1]]),
         ("D", 3, [[3, -3], [1, -2], [-1, 2]]),
         ("B", 2, [[1], [-1], [2, -2]]),
+        ("B", 2.0, [[1], [-1], [2], [-2]]),
+        ("D", 2.0, []),
+        ("B", True, [[1], [-1]]),
+        ("D", False, []),
     ])
     def test_each_rule(self, kind, n, blocks):
         assert_validates_like_reference(kind, n, blocks)
@@ -301,6 +307,16 @@ class TestValidatorAgainstReference:
                     assert rebuilt.class_blocks == op.blocks[leads::2]
                     assert ordered_partition_reference(
                         op.kind, op.n, op.blocks) == op.blocks
+
+
+def test_non_integer_n_is_refused_and_a_bool_is_stored_as_int():
+    blocks = tuple(map(frozenset, ([1], [-1], [2], [-2])))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        OrderedPartition("B", 2.0, blocks)
+    op = OrderedPartition("B", True, blocks[:2])
+    assert op == OrderedPartition("B", 1, blocks[:2])
+    assert type(op.n) is int and op.to_doc()["n"] == 1
+    assert OrderedPartition.from_doc(op.to_doc()) == op
 
 
 def _refuse_diagnosis(monkeypatch):

@@ -784,6 +784,19 @@ def test_eulerian_output_is_unchanged(key):
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == EULERIAN_DIGESTS[key]
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --identity thm-1.1 --nmax 0 --cap 0",
+    "verify --identity eq-4 --nmax 0 --cap 0",
+    "verify --identity thm-4.1 --nmax 0 --cap 0",
+    "tables eulerian --kind A --n 0 --cap 0",
+])
+def test_empty_permutation_meets_the_cap(argv):
+    # thm-1.1 and eq-4 passed here while the empty permutation of A and
+    # Bstar skipped the cap check; every kind now exits 2 alike
+    assert run_in_process(argv.split()) == (
+        2, "", "error: group of order 1 exceeds cap 0\n")
+
+
 def test_census_over_the_cap_is_pinned():
     assert run_in_process("census --kind B --n 9 --m 4".split()) == (
         2, "", "error: census of 9**9 points exceeds cap 100000000\n")

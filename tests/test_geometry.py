@@ -1,7 +1,7 @@
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from unittest import mock
 
 import pytest
@@ -381,6 +381,40 @@ class TestSignatureRefinesClassification:
 
 class TestCensusInvariant:
     LOSSY = "CensusResult('B', 2, 3, None, {'p': 8}, free=0)"
+    # keys that differ on every call, so a prefix whose tag is not new
+    # counts keys no first point was recorded for
+    DRIFTING = (
+        "import itertools\n"
+        "from bdstirling import geometry\n"
+        "calls = itertools.count()\n"
+        "real = geometry._last_axis_keys\n"
+        "geometry._last_axis_keys = lambda *args: [\n"
+        "    (key, next(calls)) for key in real(*args)]\n"
+    )
+
+    def test_key_without_a_first_point_raises(self, monkeypatch):
+        calls = count()
+        real = geometry._last_axis_keys
+        monkeypatch.setattr(geometry, "_last_axis_keys", lambda *args: [
+            (key, next(calls)) for key in real(*args)])
+        with pytest.raises(InvariantViolation, match="has no first point$"):
+            census("B", 2, 1)
+
+    def test_key_without_a_first_point_raises_under_optimize(self):
+        code = self.DRIFTING + (
+            "from bdstirling.errors import InvariantViolation\n"
+            "assert False, 'asserts must be off'\n"
+            "try:\n"
+            "    geometry.census('B', 2, 1)\n"
+            "except InvariantViolation as e:\n"
+            "    print('raised:', e)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("raised: census key ")
+        assert res.stdout.endswith(" has no first point\n")
 
     def test_lost_point_raises(self):
         with pytest.raises(InvariantViolation):

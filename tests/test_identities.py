@@ -230,14 +230,14 @@ class TestEulerianNumbers:
             assert eulerian(kind, n, n + 1, m) == 0
             assert eulerian(kind, n, n + 5, m) == 0
 
-    def test_empty_permutation_is_counted_without_a_cap(self):
-        # A(0,0) and Bstar(0,1) answer before any cap check; the other
-        # kinds check even the trivial group against the cap.
+    @pytest.mark.parametrize("kind, k", [("A", 0), ("Bstar", 1), ("B", 0), ("D", 0), ("G", 0)])
+    def test_empty_permutation_meets_the_cap(self, kind, k):
+        # every kind checks even the trivial group against the cap
         nothing = EnumerationCaps(signed_group=0, colored_group=0, census_points=0)
-        assert eulerian("A", 0, 0, caps=nothing) == 1
-        assert eulerian("Bstar", 0, 1, caps=nothing) == 1
-        with pytest.raises(SizeOverflow):
-            eulerian("B", 0, 0, caps=nothing)
+        with pytest.raises(SizeOverflow, match="^group of order 1 exceeds cap 0$"):
+            eulerian(kind, 0, k, m=3, caps=nothing)
+        one = EnumerationCaps(signed_group=1, colored_group=1, census_points=0)
+        assert eulerian(kind, 0, k, m=3, caps=one) == 1
 
     def test_inversion_formulas_match_enumeration(self):
         for n in range(5):

@@ -1,19 +1,25 @@
 import operator
+import re
 import subprocess
 import sys
+from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdstirling import partitions
+from bdstirling.config import _weights
 from bdstirling.errors import (
+    BadIndex,
     MirrorViolation,
     NotAPartition,
     RepeatedValueInBlock,
     SingletonZeroBlock,
+    UnknownKind,
 )
+from bdstirling.geometry import ZERO, classify_point
 from bdstirling.partitions import (
     BPartition,
     DPartition,
@@ -219,7 +225,7 @@ class TestPartitionObjects:
             BPartition(2, frozenset(zeros), tuple(map(frozenset, reps)))
 
     @pytest.mark.parametrize("m, zeros, reps, error, message", [
-        (0, (), ({(1, 0), (2, 0)},), ValueError, "m must be at least 1"),
+        (0, (), ({(1, 0), (2, 0)},), BadIndex, "m must be at least 1"),
         (3, {3}, (), NotAPartition, r"zero support \[3\] outside 1..2"),
         (3, (), ({(0, 1)}, {(1, 0), (2, 0)}), NotAPartition,
          r"block values \[0\] outside 1..2"),
@@ -346,6 +352,264 @@ class TestEnumeration:
         for n in range(7):
             parts = list(classical_set_partitions(range(1, n + 1)))
             assert len(parts) == sum(stirling_row("A", n))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: stirling_row("B", -1), BadIndex, "n must be nonnegative"),
+    (lambda: flag_stirling_row(-1), BadIndex, "n must be nonnegative"),
+    (lambda: GPartition(1, 0, frozenset(), (frozenset({(1, 0)}),)), BadIndex,
+     "m must be at least 1"),
+    (lambda: enumerate_partitions("A", 2), UnknownKind,
+     "unknown partition kind 'A'"),
+    (lambda: _weights("C"), UnknownKind, "unknown kind 'C'"),
+], ids=["stirling_row", "flag_stirling_row", "colors", "enumerate", "weights"])
+def test_bad_arguments_raise_typed_errors(call, error, message):
+    # both classes are ValueErrors, so the CLI exit codes stay as they were
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error and issubclass(error, ValueError)
+
+
+def test_non_integer_sizes_are_refused_and_bools_stored_as_int():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        BPartition(2.0, frozenset({1, 2}), ())
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        GPartition(1.0, 2, frozenset({1}), ())
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        GPartition(1, 2.0, frozenset({1}), ())
+    p = BPartition(True, frozenset(), (frozenset({1}),))
+    assert p == BPartition(1, frozenset(), (frozenset({1}),))
+    assert type(p.n) is int and p.text() == "{0} {1} {-1}"
+    g = GPartition(True, True, frozenset({1}), ())
+    assert (type(g.n), type(g.m)) == (int, int)
+
+
+# ---------------------------------------------------------------------------
+# the accept pass against the block-by-block reference
+
+
+MAKERS = {"B": BPartition, "D": DPartition, "G": GPartition}
+
+
+def _reference(kind, args):
+    if kind == "G":
+        return oracles.colored_partition_reference(*args)
+    return oracles.signed_partition_reference(kind, *args)
+
+
+def _fields(p):
+    if isinstance(p, GPartition):
+        return p.n, p.m, p.zero_support, p.orbit_reps
+    return p.n, p.zero_support, p.pair_reps
+
+
+def assert_constructs_like_reference(kind, args):
+    """The constructor gives the reference's fields, with exact types, or
+    raises the reference's error class with its message."""
+    try:
+        expected = _reference(kind, args)
+    except (ValueError, TypeError) as err:
+        with pytest.raises(type(err)) as got:
+            MAKERS[kind](*args)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        return
+    fields = _fields(MAKERS[kind](*args))
+    assert fields == expected
+    *sizes, zs, reps = fields
+    assert all(type(v) is int for v in sizes)
+    assert type(zs) is frozenset and type(reps) is tuple
+    assert all(type(b) is frozenset for b in reps)
+
+
+def _flip(block, kind, m):
+    """The block read from its other sign, or shifted one color."""
+    if kind == "G":
+        return [(a, (z + 1) % m) for a, z in block]
+    return [-v for v in block]
+
+
+@st.composite
+def block_families(draw):
+    """(kind, args) from a canonical partition, each block a list, then up
+    to two mutations: some keep the partition and only break canonical form
+    (a block flipped or recolored, a color past m, two blocks swapped, lists
+    or sets for frozensets, a list for the tuple); the rest may break a rule
+    (an empty block, a 0 added or put for a spot, a zero support spot put
+    below 1, a value out of range, a block dropped or doubled,
+    a repeated magnitude, a spot in both the zero support and a block, True
+    for 1, a float for an int, n off by one, n or m a bool or a float, m 0).
+    A zero support of one spot makes kind D invalid."""
+    kind = draw(st.sampled_from("BDG"))
+    n = draw(st.integers(0, 5))
+    m = colors = draw(st.integers(1, 4)) if kind == "G" else 2
+    labels = draw(st.lists(st.integers(-1, n), min_size=n, max_size=n))
+    zs = [a for a, c in zip(range(1, n + 1), labels) if c < 0]
+    classes: dict = {}
+    for a, c in zip(range(1, n + 1), labels):
+        if c >= 0:
+            classes.setdefault(c, []).append(a)
+    blocks = []
+    for c in sorted(classes.values()):
+        tints = [0] + draw(st.lists(st.integers(0, m - 1), min_size=len(c) - 1,
+                                    max_size=len(c) - 1))
+        if kind == "G":
+            blocks.append(list(zip(c, tints)))
+        else:
+            blocks.append([-a if z else a for a, z in zip(c, tints)])
+    container = frozenset
+    reps_type = tuple
+    for _ in range(draw(st.integers(0, 2))):
+        rule = draw(st.sampled_from((
+            "flip", "color_past_m", "swap", "set_blocks", "list_blocks",
+            "list_reps", "set_zeros", "empty", "zero", "zero_for_spot",
+            "zero_support_off", "out_of_range", "drop",
+            "double", "repeat", "overlap", "bool", "float", "n_off", "n_bool",
+            "n_float", "m_zero", "m_bool", "m_float",
+        )))
+        i = draw(st.integers(0, max(len(blocks) - 1, 0)))
+        if rule == "flip" and blocks:
+            blocks[i] = _flip(blocks[i], kind, colors)
+        elif rule == "color_past_m" and blocks and blocks[i] and kind == "G":
+            a, z = blocks[i][0]
+            blocks[i][0] = (a, z + colors)
+        elif rule == "swap" and len(blocks) > 1:
+            blocks[0], blocks[-1] = blocks[-1], blocks[0]
+        elif rule == "set_blocks":
+            container = set
+        elif rule == "list_blocks":
+            container = list
+        elif rule == "list_reps":
+            reps_type = list
+        elif rule == "set_zeros":
+            zs = set(zs)
+        elif rule == "empty":
+            blocks.insert(i, [])
+        elif rule == "zero":
+            blocks.append([(0, 0)] if kind == "G" else [0])
+        elif rule == "zero_for_spot" and blocks and blocks[i]:
+            a = blocks[i][-1]
+            blocks[i][-1] = (0, a[1]) if kind == "G" else 0
+        elif rule == "zero_support_off" and zs:
+            zs = type(zs)([draw(st.sampled_from((0, -1))), *sorted(zs)[1:]])
+        elif rule == "out_of_range":
+            blocks.append([(n + 1, 0)] if kind == "G" else [-n - 1])
+        elif rule == "drop" and blocks:
+            del blocks[i]
+        elif rule == "double" and blocks:
+            blocks.append(_flip(blocks[i], kind, colors))
+        elif rule == "repeat" and blocks and blocks[i]:
+            blocks[i] = blocks[i] + [_flip(blocks[i], kind, colors)[0]]
+        elif rule == "overlap" and blocks and blocks[i]:
+            v = blocks[i][0]
+            zs = [*zs, v[0] if kind == "G" else abs(v)]
+        elif rule == "bool" and blocks and blocks[i]:
+            a = blocks[i][0]
+            blocks[i][0] = (True, a[1]) if kind == "G" else True
+        elif rule == "float" and blocks and blocks[i]:
+            a = blocks[i][-1]
+            blocks[i][-1] = (a[0], a[1] + 0.0) if kind == "G" else a + 0.0
+        elif rule == "n_off":
+            n += draw(st.sampled_from((-1, 1)))
+        elif rule == "n_bool" and n in (0, 1):
+            n = bool(n)
+        elif rule == "n_float":
+            n = float(n)
+        elif rule == "m_zero" and kind == "G":
+            m = 0
+        elif rule == "m_bool" and kind == "G" and m == 1:
+            m = True
+        elif rule == "m_float" and kind == "G":
+            m = float(m)
+    zero_support = zs if isinstance(zs, set) else frozenset(zs)
+    reps = reps_type(map(container, blocks))
+    if kind == "G":
+        return kind, (n, m, zero_support, reps)
+    return kind, (n, zero_support, reps)
+
+
+class TestAcceptPassAgainstReference:
+    @pytest.mark.parametrize("kind, args", [
+        ("B", (0, frozenset(), ())),
+        ("B", (2, frozenset({1, 2}), ())),
+        ("D", (2, frozenset({1}), (frozenset({2}),))),
+        ("D", (2, frozenset(), (frozenset({1}), frozenset({2})))),
+        ("B", (3, frozenset({2}), (frozenset({-1, 3}),))),
+        ("B", (3, frozenset(), (frozenset({3}), frozenset({1, 2})))),
+        ("B", (2, frozenset({1}), (frozenset({True}),))),
+        ("B", (2, frozenset({True}), (frozenset({2}),))),
+        ("B", (1, frozenset(), (frozenset({1.0}),))),
+        ("B", (2, frozenset({2}), (frozenset({-2}),))),
+        ("B", (3, frozenset(), (frozenset({1, -2}), frozenset({2, 3})))),
+        ("B", (2, frozenset(), (frozenset({1, 2}), frozenset({1, 2})))),
+        ("B", (-1, frozenset(), ())),
+        ("B", (1, frozenset(), (frozenset({0}),))),
+        ("B", (1, frozenset({-1}), ())),
+        ("G", (1, 2, frozenset({0}), ())),
+        ("G", (1, 2, frozenset(), (frozenset({(0, 0)}),))),
+        ("G", (2, 3, frozenset(), (frozenset({(1, 1), (2, 2)}),))),
+        ("G", (2, 3, frozenset(), (frozenset({(1, 0), (2, 5)}),))),
+        ("G", (2, 3, frozenset(), (frozenset({(1, 0)}), frozenset({(1, 1)})))),
+        ("G", (1, 3, frozenset(), (frozenset({(1, 0), (1, 1)}),))),
+        ("G", (2, 2, frozenset({1}), (frozenset({(1, 0), (2, 0)}),))),
+        ("G", (1, 2, frozenset(), (frozenset({(1, 0, 0)}),))),
+        ("G", (1, 2, frozenset(), (frozenset({(1, -1)}),))),
+        ("G", (0, 1, frozenset(), ())),
+    ])
+    def test_each_rule(self, kind, args):
+        assert_constructs_like_reference(kind, args)
+
+    @settings(max_examples=400)
+    @given(block_families())
+    def test_same_fields_or_same_error(self, case):
+        assert_constructs_like_reference(*case)
+
+
+def _refuse_slow_paths(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"per-block checks ran on {args}")
+
+    monkeypatch.setattr(partitions, "_canonical_pairs", refuse)
+    monkeypatch.setattr(partitions, "_canonical_orbits", refuse)
+
+
+class TestAcceptingPass:
+    """The partitions the library builds never reach the per-block checks:
+    those only canonicalize foreign input or name its fault."""
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 2), (2, 2), (3, 2), (4, 2), (2, 4)])
+    def test_cube_classes(self, kind, n, m, monkeypatch):
+        _refuse_slow_paths(monkeypatch)
+        built = 0
+        for point in product(range(-m, m + 1), repeat=n):
+            try:
+                classify_point(kind, point)
+            except SingletonZeroBlock:
+                continue
+            built += 1
+        assert built > 0
+
+    @pytest.mark.parametrize("n, m, t", [(0, 2, 1), (2, 1, 3), (3, 2, 2), (3, 3, 2), (2, 4, 2)])
+    def test_torus_classes(self, n, m, t, monkeypatch):
+        circle = [ZERO] + [(z, i) for z in range(-1, m + 1) for i in range(1, t + 1)]
+        _refuse_slow_paths(monkeypatch)
+        for point in product(circle, repeat=n):
+            classify_point("G", point, m=m)
+
+    @pytest.mark.parametrize("kind, n, m", [
+        ("B", 5, 2), ("D", 5, 2), ("G", 4, 1), ("G", 4, 2), ("G", 3, 4),
+    ])
+    def test_enumerated_partitions(self, kind, n, m, monkeypatch):
+        _refuse_slow_paths(monkeypatch)
+        assert len(enumerate_partitions(kind, n, m=m)) == sum(stirling_row(kind, n, m))
+
+    def test_slow_path_still_canonicalizes(self, monkeypatch):
+        _refuse_slow_paths(monkeypatch)
+        with pytest.raises(AssertionError, match="per-block checks ran"):
+            BPartition(1, frozenset(), (frozenset({-1}),))
+        with pytest.raises(AssertionError, match="per-block checks ran"):
+            GPartition(1, 2, frozenset(), (frozenset({(1, 1)}),))
 
 
 class TestLiteralColoredRule:
