@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Print the lattice point censuses at the benchmark sizes, then two side
-notes that are easy to get wrong: the literal-versus-strict count of colored
-partitions for a composite color count, and an element where the two-colored
-descent statistic disagrees with the signed one even though the histograms
-agree.
+"""Print small lattice point censuses (the signed cube for n = 0..2 and the
+even-signed cube for n = 3, half-width 3 by default; the three-colored torus
+for n = 1, 2, t = 5 by default), then two side notes that are easy to get
+wrong: the literal-versus-strict count of colored partitions for a composite
+color count, and an element where the two-colored descent statistic
+disagrees with the signed one even though the histograms agree.
 """
 
 import argparse

@@ -24,6 +24,9 @@ __all__ = [
     "UnknownKind",
     "DimensionMismatch",
     "InvariantViolation",
+    "UnknownSequence",
+    "MalformedBFile",
+    "MalformedTemplate",
 ]
 
 
@@ -104,3 +107,15 @@ class DimensionMismatch(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed: a bug, not bad input."""
+
+
+class UnknownSequence(ValueError):
+    """An OEIS sequence the package has no triangle or fixture for."""
+
+
+class MalformedBFile(ValueError):
+    """A b-file line that is not an index and a value, both integers."""
+
+
+class MalformedTemplate(TypeError):
+    """A b-file URL template that str.format cannot fill from {seq} and {num}."""

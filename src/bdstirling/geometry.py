@@ -15,28 +15,23 @@ and a point with exactly one zero plus a repeated absolute value among
 the rest fits no even-signed partition at all; censuses tally those as
 missing.
 
-A census still walks every point, but it keys each one by a cheap tuple
-that refines its classification, and classifies one point per distinct
-key: for B and the torus the keys are exactly the classes, for D at most
-about twice as many.  The first n - 1 coordinates are keyed once per
-prefix (_signature), the last axis as one list of keys per prefix
-(_last_axis_keys), and collections.Counter counts the keys of every point
-in C.  classify_point builds its classes already canonical (in first-spot
-order, each signed or colored relative to its first spot), so the
-partition constructors take them in their one-pass accept check.  On one
-core of a 2-core x86 VM keying costs 0.4 to 1.3 us per point for n = 3 to
-6 at 9 to 99 values per axis, and some 2.5 us at n = 8 with 5 values;
-classifying costs 11 to 21 us per key, against 15 to 28 us when the
-constructors canonicalized block by block.  Censuses near the 10^8-point
-cap (B n = 4, m = 49 and D n = 6, m = 10) took 42 and 72 s, against 63
-and 92 s before, back to back on that VM.  Classification matters only
-where keys are many per point: B at n = 8, m = 2 has one key per eight
-points and spends about half its time there.
+A census counts every point without visiting each one.  Prefixes of the
+first coordinates that share a _signature, a cheap tuple that refines the
+classification, have the same children up to a relabelling of the axis
+values, so the walk runs over signatures and counts the prefixes behind
+each; _last_axis_keys keys the last axis, and one point per distinct key
+is classified.  For B and the torus the keys are exactly the classes, for
+D at most about twice as many.  classify_point builds its classes already
+canonical (in first-spot order, each signed or colored relative to its
+first spot), so the partition constructors take them in their one-pass
+accept check, at 11 to 21 us per key on one core of a 2-core x86 VM.  So
+the work grows with the keys, not the points: censuses near the
+10^8-point cap (B n = 4, m = 49 and D n = 6, m = 10) take 0.01 and 0.1 s
+on that VM, against 42 and 72 s when every prefix was keyed, and B at
+n = 8, m = 2 classifies 50469 keys in some 1.7 s.
 """
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from operator import ne, neg
 
@@ -198,12 +193,14 @@ def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> Cen
     """Census of circle^n for axis = (circle, magnitudes, relate), x =
     len(circle) values per axis.
 
-    Every point is walked in lexicographic order and keyed, each prefix of
-    n - 1 coordinates once, and collections.Counter counts the keys of every
-    point in one pass.  The keys of a tag first occur at its first prefix,
-    so first points are recorded only there.  classify_point runs once per
-    distinct key, on the first point with that key, and the key's count goes
-    to the partition (or to missing).
+    The walk runs over prefix signatures, level by level.  A state is
+    [number of prefixes, first prefix, a later prefix (the first if none)],
+    by _signature, and by key (_last_axis_keys) on the last level.  Each
+    state is expanded once, from its first prefix, by every axis index, and
+    each child adds its count; where two or more prefixes share it, the
+    later one is expanded too and must give the same children as a
+    multiset.  classify_point runs once per key, on its first point, and
+    the key's count goes to the partition (or to missing).
     """
     if n < 0:
         raise BadIndex("n must be nonnegative")
@@ -215,29 +212,33 @@ def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> Cen
             f"census of {x}**{n} points exceeds cap {caps.census_points}"
             + ("" if x > 1 else f" (a point of {n} coordinates counts as 2**{n})")
         )
-    keyed: Counter = Counter()
-    first_point: dict = {}
-    if n == 0:  # the one, empty, point has no last axis
-        keyed[()], first_point[()] = 1, ()
-    tags: dict = {}  # prefix _signature -> small int, so a key hashes cheaply
 
-    def prefix_keys(prefix):
-        new = len(tags)
-        tag = tags.setdefault(_signature(prefix, magnitudes, relate), new)
-        keys = _last_axis_keys(prefix, tag, magnitudes, relate)
-        if tag == new:  # later prefixes with this tag yield the same keys
-            for v, key in enumerate(keys):
-                first_point.setdefault(key, prefix + (v,))
-        return keys
+    def children(prefix, signature):
+        if len(prefix) < n - 1:
+            return [_signature(prefix + (v,), magnitudes, relate) for v in range(x)]
+        return _last_axis_keys(prefix, signature, magnitudes, relate)
 
-    prefixes = itertools.product(range(x), repeat=n - 1) if n else ()
-    keyed.update(itertools.chain.from_iterable(map(prefix_keys, prefixes)))
+    states = {_signature((), magnitudes, relate): [1, (), ()]}
+    for _ in range(n):
+        parents, states = states, {}
+        for signature, (count, first, later) in parents.items():
+            walks = [(first, children(first, signature), count)]
+            if count > 1:
+                walks.append((later, children(later, signature), 0))
+                if sorted(walks[0][1]) != sorted(walks[1][1]):
+                    raise InvariantViolation(
+                        f"census prefixes {first} and {later} share a "
+                        "signature but not its children"
+                    )
+            for prefix, keys, c in walks:
+                for v, key in enumerate(keys):
+                    child = prefix + (v,)
+                    state = states.setdefault(key, [0, child, child])
+                    state[0] += c
+                    state[2] = child
     counts: dict = {}
     missing = 0
-    for key, count in keyed.items():
-        point = first_point.get(key)
-        if point is None:
-            raise InvariantViolation(f"census key {key!r} has no first point")
+    for count, point, _ in states.values():
         try:
             p = classify_point(kind, map(circle.__getitem__, point), m=m)
         except SingletonZeroBlock:

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
+from .errors import MalformedBFile, MalformedTemplate, UnknownSequence
 from .partitions import stirling_row
 
 __all__ = [
@@ -44,7 +45,7 @@ def triangle_terms(seq: str, rows: int) -> list[int]:
 
 def _entry(seq: str) -> dict:
     if seq not in SEQUENCES:
-        raise ValueError(
+        raise UnknownSequence(
             f"unknown sequence {seq!r}; known: {', '.join(sorted(SEQUENCES))}"
         )
     return SEQUENCES[seq]
@@ -59,11 +60,11 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"b-file line {lineno} is not 'index value': {line!r}")
+            raise MalformedBFile(f"b-file line {lineno} is not 'index value': {line!r}")
         try:
             pairs.append((int(fields[0]), int(fields[1])))
         except ValueError:
-            raise ValueError(
+            raise MalformedBFile(
                 f"b-file line {lineno} holds non-integers: {line!r}"
             ) from None
     return pairs
@@ -81,13 +82,13 @@ def load_fixture(seq: str, path: str | None = None) -> list[tuple[int, int]]:
 
 def fetch_bfile(seq: str, timeout: float = 30.0) -> list[tuple[int, int]]:
     """Fetch and parse the live b-file; raises OSError on transport failure
-    and TypeError when the URL template is malformed."""
+    and MalformedTemplate (a TypeError) when the URL template is malformed."""
     _entry(seq)
     template = os.environ.get(URL_ENV_VAR, DEFAULT_URL_TEMPLATE)
     try:
         url = template.format(seq=seq, num=seq[1:])
     except (LookupError, AttributeError, ValueError) as e:
-        raise TypeError(
+        raise MalformedTemplate(
             f"{URL_ENV_VAR} {template!r} takes only {{seq}} and {{num}}: {e!r}"
         ) from None
     import urllib.request  # only --fetch needs it; at top level every start pays

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdstirling import cli
+from bdstirling.geometry import missing_point_count
 
 CLI = [sys.executable, "-m", "bdstirling"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -290,6 +291,12 @@ class TestCensus:
         res = run_cli("census", "--kind", "B", "--n", "9", "--m", "5")
         assert res.returncode == 2
 
+    def test_census_near_the_cap(self):
+        res = run_cli("census", "--kind", "D", "--n", "6", "--m", "10", "--format", "json")
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["total"] == 21**6 and doc["missing"] == missing_point_count(6, 21)
+
 
 class TestOeis:
     def test_packaged_fixture(self):
@@ -310,6 +317,14 @@ class TestOeis:
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1
         assert "argument --nmax: must be nonnegative" in res.stderr
+
+    def test_malformed_fixture_is_one_line_validation_failure(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1 2 3\n")
+        res = run_cli("oeis", "--seq", "A039755", "--fixture", str(bad))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: b-file line 2 is not 'index value': '1 2 3'\n"
 
     def test_missing_fixture_is_usage_error(self):
         res = run_cli("oeis", "--seq", "A039755", "--fixture", "/no/such/file.txt")

@@ -1,11 +1,11 @@
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import count, product
+from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdstirling import geometry
@@ -286,6 +286,29 @@ class TestKeyedTallyAgainstPointOracle:
         assert spy.call_count == len(res.counts) == 116
         assert sum(res.counts.values()) == 11**4
 
+    @settings(max_examples=25)
+    @given(st.one_of(
+        st.tuples(st.sampled_from("BD"), st.integers(0, 5), st.integers(0, 4), st.none()),
+        st.tuples(st.just("G"), st.integers(0, 4), st.integers(2, 4), st.integers(1, 3)),
+    ))
+    def test_small_shapes(self, shape):
+        kind, n, m, t = shape
+        if kind == "G":
+            circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
+            _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
+        else:
+            _same_result(census(kind, n, m), census_by_points(kind, n, range(-m, m + 1)))
+
+    def test_walks_signatures_not_points(self):
+        signature = mock.patch.object(geometry, "_signature", wraps=geometry._signature)
+        keys = mock.patch.object(
+            geometry, "_last_axis_keys", wraps=geometry._last_axis_keys
+        )
+        with signature as signatures, keys as last_axis_keys:
+            res = census("B", 4, 49)
+        assert sum(res.counts.values()) == 99**4
+        assert signatures.call_count + last_axis_keys.call_count < 10**4
+
     @pytest.mark.parametrize("n, m, t", [(4, 3, 2), (3, 2, 5), (3, 4, 3), (4, 4, 2)])
     def test_torus_classifies_once_per_class(self, n, m, t):
         calls = mock.patch.object(
@@ -296,6 +319,25 @@ class TestKeyedTallyAgainstPointOracle:
         # colors relate mod m, as the partitions read them: one key per class
         assert spy.call_count == len(res.counts)
         assert sum(res.counts.values()) == (m * t + 1) ** n
+
+
+class TestCensusNearTheCap:
+    """The largest censuses the default cap allows, against the closed forms."""
+
+    @pytest.mark.parametrize("result", [
+        lambda: census("B", 4, 49),
+        lambda: census("D", 6, 10),
+        lambda: torus_census(5, 3, 12),
+    ], ids=["B-4-49", "D-6-10", "G-5-3-12"])
+    def test_counts_match_the_falling_factorials(self, result):
+        res = result()
+        assert res.x**res.n > 6 * 10**7
+        for part, count in res.counts.items():
+            assert count == res.expected(part)
+        assert res.free == free_point_count(res.kind, res.n, res.x, res.m)
+        missing = missing_point_count(res.n, res.x) if res.kind == "D" else 0
+        assert res.missing == missing
+        assert sum(res.counts.values()) + res.missing == res.x**res.n
 
 
 def _census_key(point, magnitudes, relate):
@@ -381,40 +423,57 @@ class TestSignatureRefinesClassification:
 
 class TestCensusInvariant:
     LOSSY = "CensusResult('B', 2, 3, None, {'p': 8}, free=0)"
-    # keys that differ on every call, so a prefix whose tag is not new
-    # counts keys no first point was recorded for
-    DRIFTING = (
-        "import itertools\n"
-        "from bdstirling import geometry\n"
-        "calls = itertools.count()\n"
-        "real = geometry._last_axis_keys\n"
-        "geometry._last_axis_keys = lambda *args: [\n"
-        "    (key, next(calls)) for key in real(*args)]\n"
-    )
+    # children that depend on more than a prefix's signature: the last-axis
+    # keys differ on every call, or a prefix starting with the axis's last
+    # value (1 on the cube {-1, 0, 1}) hides its children's signatures
+    DRIFTING = {
+        "_last_axis_keys": (
+            "import itertools\n"
+            "from bdstirling import geometry\n"
+            "calls = itertools.count()\n"
+            "real = geometry._last_axis_keys\n"
+            "geometry._last_axis_keys = lambda *args: [\n"
+            "    (key, next(calls)) for key in real(*args)]\n"
+        ),
+        "_signature": (
+            "from bdstirling import geometry\n"
+            "real = geometry._signature\n"
+            "geometry._signature = lambda point, *args: (\n"
+            "    real(point, *args), len(point) > 1 and point[0] == 2)\n"
+        ),
+    }
 
-    def test_key_without_a_first_point_raises(self, monkeypatch):
-        calls = count()
-        real = geometry._last_axis_keys
-        monkeypatch.setattr(geometry, "_last_axis_keys", lambda *args: [
-            (key, next(calls)) for key in real(*args)])
-        with pytest.raises(InvariantViolation, match="has no first point$"):
-            census("B", 2, 1)
+    # the first state two prefixes reach whose children drift: the last
+    # level's (-1, -1) and (1, 1), or the first level's (-1) and (1)
+    FIRST_DRIFT = {"_last_axis_keys": "(0, 0) and (2, 2)", "_signature": "(0,) and (2,)"}
 
-    def test_key_without_a_first_point_raises_under_optimize(self):
-        code = self.DRIFTING + (
+    def _census_with(self, patched, *flags):
+        # under -O this assert shows that asserts are off
+        asserts_off = "assert False, 'asserts must be off'\n" if flags else ""
+        code = self.DRIFTING[patched] + asserts_off + (
             "from bdstirling.errors import InvariantViolation\n"
-            "assert False, 'asserts must be off'\n"
             "try:\n"
-            "    geometry.census('B', 2, 1)\n"
+            "    geometry.census('B', 3, 1)\n"
             "except InvariantViolation as e:\n"
             "    print('raised:', e)\n"
         )
         res = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+            [sys.executable, *flags, "-c", code],
+            capture_output=True, text=True,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.startswith("raised: census key ")
-        assert res.stdout.endswith(" has no first point\n")
+        assert res.stdout == (
+            f"raised: census prefixes {self.FIRST_DRIFT[patched]} share a "
+            "signature but not its children\n"
+        )
+
+    @pytest.mark.parametrize("patched", sorted(DRIFTING))
+    def test_drifting_children_raise(self, patched):
+        self._census_with(patched)
+
+    @pytest.mark.parametrize("patched", sorted(DRIFTING))
+    def test_drifting_children_raise_under_optimize(self, patched):
+        self._census_with(patched, "-O")
 
     def test_lost_point_raises(self):
         with pytest.raises(InvariantViolation):

@@ -1,5 +1,6 @@
 import pytest
 
+from bdstirling.errors import MalformedBFile, MalformedTemplate, UnknownSequence
 from bdstirling.oeis import (
     SEQUENCES,
     OeisReport,
@@ -21,10 +22,12 @@ class TestBfileParsing:
         assert parse_bfile(text) == [(0, 1), (1, 7)]
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(MalformedBFile, match=r"^b-file line 2 is not 'index value': '1 2 3'$"):
             parse_bfile("0 1\n1 2 3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedBFile, match=r"^b-file line 1 holds non-integers: 'zero one'$"):
             parse_bfile("zero one\n")
+        # still a ValueError, so the CLI's exit code for it is unchanged
+        assert issubclass(MalformedBFile, ValueError)
 
     def test_negative_values_allowed(self):
         assert parse_bfile("5 -3\n") == [(5, -3)]
@@ -55,8 +58,11 @@ class TestFixtures:
         assert compare("A039755", reference).ok
 
     def test_unknown_sequence(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            UnknownSequence, match=r"^unknown sequence 'A000001'; known: A039755, A039760$"
+        ):
             load_fixture("A000001")
+        assert issubclass(UnknownSequence, ValueError)
 
 
 class TestComparison:
@@ -101,3 +107,13 @@ class TestFetch:
         )
         with pytest.raises(OSError):
             fetch_bfile("A039755")
+
+    def test_malformed_template(self, monkeypatch):
+        monkeypatch.setenv("BDSTIRLING_OEIS_URL", "file:///tmp/{x}.txt")
+        with pytest.raises(
+            MalformedTemplate,
+            match=r"^BDSTIRLING_OEIS_URL 'file:///tmp/\{x\}.txt' takes only \{seq\} and \{num\}: KeyError\('x'\)$",
+        ):
+            fetch_bfile("A039755")
+        # still a TypeError, so the CLI's exit code for it is unchanged
+        assert issubclass(MalformedTemplate, TypeError)
