@@ -138,6 +138,69 @@ class TestOrderedPartition:
         assert bare.class_blocks == (fs(1), fs(2))
 
 
+def ordered_docs(kind, n):
+    """Every ordered partition of the kind as a document: each unordered
+    partition in every pair order and every pair orientation, each block a
+    sorted list."""
+    docs = []
+    for part in enumerate_partitions(kind, n):
+        zero = sorted(part.zero_support | {-v for v in part.zero_support})
+        for order in permutations(part.pair_reps):
+            for signs in product((1, -1), repeat=len(order)):
+                blocks = [zero] if zero else []
+                for s, c in zip(signs, order):
+                    blocks += [sorted(s * v for v in c), sorted(-s * v for v in c)]
+                docs.append({"kind": kind, "n": n, "blocks": blocks})
+    return docs
+
+
+class TestOrderedPartitionPins:
+    """What every B and D ordered partition with n <= 5 shows of itself:
+    equality, hashing, repr, its document and its derived parts."""
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_every_ordered_partition(self, kind, n):
+        docs = ordered_docs(kind, n)
+        assert len(docs) == sum(
+            2**r * factorial(r) * stirling(kind, n, r) for r in range(n + 1))
+        seen = set()
+        for doc in docs:
+            blocks = tuple(map(frozenset, doc["blocks"]))
+            op = OrderedPartition.from_doc(doc)
+            assert repr(op) == f"OrderedPartition(kind={kind!r}, n={n}, blocks={blocks!r})"
+            assert op.to_doc() == doc
+            assert OrderedPartition.from_doc(op.to_doc()) == op
+            # the same sets built in another order
+            twin = OrderedPartition(
+                kind, n, tuple(frozenset(sorted(b, reverse=True)) for b in blocks))
+            assert twin == op and hash(twin) == hash(op) and not twin != op
+            lead = blocks[0] if blocks else frozenset()
+            zero = bool(lead) and lead == frozenset(-v for v in lead)
+            assert op.has_zero_block is zero
+            assert op.zero_support == frozenset(v for v in lead if zero and v > 0)
+            assert type(op.zero_support) is frozenset
+            assert op.class_blocks == blocks[zero::2]
+            assert type(op.class_blocks) is tuple
+            assert op.r == len(blocks[zero::2])
+            seen.add(op)
+        assert len(seen) == len(docs)
+
+    def test_kind_and_size_take_part_in_equality(self):
+        blocks = (fs(1), fs(-1), fs(2), fs(-2))
+        op = OrderedPartition("B", 2, blocks)
+        assert op != OrderedPartition("D", 2, blocks)
+        assert op != OrderedPartition("B", 2, (fs(1, -1), fs(2), fs(-2)))
+        assert op != OrderedPartition("B", 2, (fs(2), fs(-2), fs(1), fs(-1)))
+        assert op != ("B", 2, blocks)
+
+    def test_single_spot_window_is_not_type_d(self):
+        with pytest.raises(NotTypeD) as info:
+            d_procedure(S("1"))
+        assert type(info.value) is NotTypeD
+        assert str(info.value) == "zero support [1] has size 1"
+
+
 MUTATIONS = ("empty", "zero", "range", "drop", "lose", "double", "flip",
              "repeat", "swap", "true", "float", "to_zero", "below")
 
