@@ -6,7 +6,8 @@ free; artificial separators may take any remaining gap.  Cutting the
 window at the occupied gaps yields segments: the unseparated leading
 segment (possibly empty) becomes the zero block, every later segment C
 becomes the adjacent block pair (C, -C).  The gap after the last position
-is never stored; the final segment simply ends the window.
+is never stored; the final segment simply ends the window.  The cut keeps
+the zero support and the blocks C; the mirrors are built when read.
 
 The even-signed variant adds one twist before cutting: when gap 1 is
 occupied and gap 0 is free, the first entry flips sign and that separator
@@ -36,7 +37,7 @@ from .errors import (
     UnreachableForm,
 )
 from .groups import _INT, SignedPermutation, descent_set
-from .partitions import _FROZENSET, _NO_SPOTS, BPartition, DPartition, stirling
+from .partitions import _FROZENSET, _NO_SPOTS, stirling
 
 __all__ = [
     "OrderedPartition",
@@ -54,26 +55,43 @@ def _mirror(block: frozenset[int]) -> frozenset[int]:
     return frozenset(map(neg, block))
 
 
-@dataclass(frozen=True)
+def _blocks_of(support, classes) -> tuple[frozenset[int], ...]:
+    """The zero block, if any, then each class block and its mirror."""
+    blocks = [frozenset((*support, *map(neg, support)))] if support else []
+    for c in classes:
+        blocks += (c, _mirror(c))
+    return tuple(blocks)
+
+
+def _filled(op, kind, n, support, classes, blocks):
+    object.__setattr__(op, "kind", kind)
+    object.__setattr__(op, "n", n)
+    object.__setattr__(op, "zero_support", support)
+    object.__setattr__(op, "class_blocks", classes)
+    object.__setattr__(op, "_blocks", blocks)
+    return op
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False, match_args=False)
 class OrderedPartition:
     """Ordered mirror partition: optional zero block first, then block pairs.
 
-    The zero block is stored as the full +-support set without the 0
-    marker; it is recognized by being its own mirror.  Pair blocks appear
-    adjacently as (C, -C) in procedure order.  The constructor accepts
-    valid input in one pass of whole-collection checks; only input that
-    pass refuses goes through the ordered checks of _diagnosed_blocks,
-    which name the first fault.  The zero support found is kept beside
-    the blocks and takes no part in equality, hashing or repr.
+    The zero block is the full +-support set without the 0 marker; it is
+    its own mirror.  Pair blocks appear adjacently as (C, -C) in procedure
+    order.  Stored are kind, n, the zero support and the class blocks (each
+    pair's C), which serve equality and hashing; ``blocks`` is built from
+    them when first read.  The constructor accepts valid blocks in one pass
+    of whole-collection checks; only blocks that pass refuses go through
+    the ordered checks of _diagnosed_blocks, which name the first fault.
     """
 
     kind: str
     n: int
-    blocks: tuple[frozenset[int], ...]
-    _support: frozenset[int] = field(init=False, repr=False, compare=False)
+    zero_support: frozenset[int]
+    class_blocks: tuple[frozenset[int], ...]
+    _blocks: tuple[frozenset[int], ...] | None = field(compare=False)
 
-    def __post_init__(self):
-        kind, n, blocks = self.kind, self.n, self.blocks
+    def __init__(self, kind: str, n: int, blocks: tuple[frozenset[int], ...]):
         # 2n disjoint exact ints, none 0, all within +-n, are +-1..+-n, so
         # once the blocks pair up as mirrors the spots tile 1..n.
         if (
@@ -102,40 +120,45 @@ class OrderedPartition:
                     and all(map(eq, pairs[1::2], map(_mirror, pairs[::2])))
                     and (kind == "B" or len(support) != 1)
                 ):
-                    object.__setattr__(self, "_support", support)
+                    _filled(self, kind, n, support, pairs[::2], blocks)
                     return
         n, blocks, support = _diagnosed_blocks(kind, n, blocks)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_support", support)
+        _filled(self, kind, n, support, blocks[1 if support else 0 :: 2], blocks)
+
+    @classmethod
+    def _from_cut(cls, kind: str, n: int, support, classes) -> OrderedPartition:
+        """Build from a cut's zero support and class blocks.  n values whose
+        absolute values are 1..n tile it, and then no class repeats one.  A
+        cut that fails goes to the constructor with its blocks, to raise."""
+        if (
+            all(classes)
+            and len(support) + sum(map(len, classes)) == n
+            and support.union(map(abs, chain.from_iterable(classes)))
+            == frozenset(range(1, n + 1))
+            and (kind == "B" or len(support) != 1)
+        ):
+            return _filled(object.__new__(cls), kind, n, support, classes, None)
+        return cls(kind, n, _blocks_of(support, classes))
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", _blocks_of(self.zero_support, self.class_blocks))
+        return self._blocks
 
     @property
     def has_zero_block(self) -> bool:
-        return bool(self._support)
-
-    @property
-    def zero_support(self) -> frozenset[int]:
-        return self._support
-
-    @property
-    def class_blocks(self) -> tuple[frozenset[int], ...]:
-        """First block of each mirror pair, in procedure order."""
-        return self.blocks[1 if self._support else 0 :: 2]
+        return bool(self.zero_support)
 
     @property
     def r(self) -> int:
         return len(self.class_blocks)
 
-    def to_unordered(self) -> BPartition:
-        maker = DPartition if self.kind == "D" else BPartition
-        return maker(self.n, self.zero_support, self.class_blocks)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(kind={self.kind!r}, n={self.n!r}, blocks={self.blocks!r})"
 
     def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "blocks": [sorted(b) for b in self.blocks],
-        }
+        return {"kind": self.kind, "n": self.n, "blocks": [sorted(b) for b in self.blocks]}
 
     @classmethod
     def from_doc(cls, doc) -> "OrderedPartition":
@@ -234,29 +257,24 @@ def _checked_separators(
     return descents | artificial
 
 
-def _blocks_from_cut_window(
-    window: tuple[int, ...], separators: frozenset[int]
-) -> tuple[frozenset[int], ...]:
+_Cut = tuple[frozenset[int], tuple[frozenset[int], ...]]
+
+
+def _cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
+    """The zero support and the class blocks of the window cut at the gaps."""
     gaps = sorted(separators)
-    blocks: list[frozenset[int]] = []
-    lead = window[: gaps[0]] if gaps else window
-    if lead:
-        blocks.append(frozenset((*lead, *map(neg, lead))))
-    for a, b in zip(gaps, gaps[1:] + [len(window)]):
-        seg = frozenset(window[a:b])
-        blocks += (seg, _mirror(seg))
-    return tuple(blocks)
+    segments = map(window.__getitem__, map(slice, gaps, gaps[1:] + [len(window)]))
+    classes = list(map(frozenset, segments))
+    return frozenset(map(abs, window[: gaps[0]] if gaps else window)), tuple(classes)
 
 
-def _slid_blocks(
-    window: tuple[int, ...], separators: frozenset[int]
-) -> tuple[frozenset[int], ...]:
+def _slid_cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
     """Even-signed cut: an occupied gap 1 with gap 0 free slides to gap 0,
     flipping the first entry."""
     if 1 in separators and 0 not in separators:
         window = (-window[0],) + window[1:]
         separators = (separators - {1}) | {0}
-    return _blocks_from_cut_window(window, separators)
+    return _cut(window, separators)
 
 
 def b_procedure(beta: SignedPermutation, artificial=()) -> OrderedPartition:
@@ -264,9 +282,7 @@ def b_procedure(beta: SignedPermutation, artificial=()) -> OrderedPartition:
     if not isinstance(beta, SignedPermutation):
         raise FlavorMismatch("the block procedure needs a SignedPermutation")
     separators = _checked_separators(beta, artificial, "B")
-    return OrderedPartition(
-        "B", beta.n, _blocks_from_cut_window(beta.window, separators)
-    )
+    return OrderedPartition._from_cut("B", beta.n, *_cut(beta.window, separators))
 
 
 def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
@@ -274,25 +290,22 @@ def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
     if not isinstance(gamma, SignedPermutation):
         raise FlavorMismatch("the block procedure needs a SignedPermutation")
     separators = _checked_separators(gamma, artificial, "D")
-    return OrderedPartition("D", gamma.n, _slid_blocks(gamma.window, separators))
+    return OrderedPartition._from_cut("D", gamma.n, *_slid_cut(gamma.window, separators))
 
 
 def _window_and_cuts(op: OrderedPartition) -> tuple[list[int], list[int]]:
-    support = op._support
-    window = sorted(support)
+    window = sorted(op.zero_support)
     cuts = []
-    for c in op.blocks[1 if support else 0 :: 2]:
+    for c in op.class_blocks:
         cuts.append(len(window))
         window += sorted(c)
     return window, cuts
 
 
-def _check_round_trip(
-    op: OrderedPartition, n: int, image: tuple[frozenset[int], ...]
-) -> None:
+def _check_round_trip(op: OrderedPartition, n: int, image: _Cut) -> None:
     """Raise unless the forward cut of the n-spot preimage gives op back."""
-    if n != op.n or image != op.blocks:
-        doc = {"kind": op.kind, "n": n, "blocks": [sorted(b) for b in image]}
+    if n != op.n or image != (op.zero_support, op.class_blocks):
+        doc = {"kind": op.kind, "n": n, "blocks": [sorted(b) for b in _blocks_of(*image)]}
         raise InvariantViolation(f"preimage maps to {doc} instead of {op.to_doc()}")
 
 
@@ -310,7 +323,7 @@ def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
     beta = SignedPermutation(tuple(window))
     descents = descent_set(beta, "B")
     artificial = frozenset(cuts) - descents
-    image = _blocks_from_cut_window(beta.window, descents | artificial)
+    image = _cut(beta.window, descents | artificial)
     _check_round_trip(op, beta.n, image)
     return beta, artificial
 
@@ -327,12 +340,11 @@ def d_unreachable(op: OrderedPartition) -> bool:
 
 def _lone_lead(op: OrderedPartition) -> bool:
     """No zero block, and a first class block of one value."""
-    return not op._support and bool(op.blocks) and len(op.blocks[0]) == 1
+    return not op.zero_support and bool(op.class_blocks) and len(op.class_blocks[0]) == 1
 
 
 def _odd_class_negatives(op: OrderedPartition) -> bool:
-    classes = op.blocks[1 if op._support else 0 :: 2]
-    return sum(map((0).__gt__, chain.from_iterable(classes))) % 2 == 1
+    return sum(map((0).__gt__, chain.from_iterable(op.class_blocks))) % 2 == 1
 
 
 def d_unreachable_count(n: int, r: int) -> int:
@@ -354,11 +366,11 @@ def d_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
     window, cuts = _window_and_cuts(op)
     if odd:
         window[0] = -window[0]
-        if not op._support:
+        if not op.zero_support:
             cuts[0] = 1
     gamma = SignedPermutation(tuple(window))
     descents = descent_set(gamma, "D")
     artificial = frozenset(cuts) - descents
-    image = _slid_blocks(gamma.window, descents | artificial)
+    image = _slid_cut(gamma.window, descents | artificial)
     _check_round_trip(op, gamma.n, image)
     return gamma, artificial

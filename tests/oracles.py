@@ -11,9 +11,11 @@ with the statistic counted inline (the tuple kernels); the package sums
 one tally of S_n by standardization instead.  That tally is itself
 checked against a walk of S_{n-2} for every pair of first two ranks, the
 route its one shared walk of S_{n-1} replaced.  Censuses classify every
-point on its own, the route the keyed tally replaced, and partition
-objects are validated block by block, the route the constructors' one-pass
-accept check replaced.  The basis-change reports rebuild every falling
+point on its own, the route the keyed tally replaced; partition objects
+are validated block by block, the route the constructors' one-pass accept
+check replaced; and the separation procedures' cut builds every block and
+its mirror, the route the ordered partition's stored zero support and
+class blocks replaced.  The basis-change reports rebuild every falling
 factorial from its roots through the generic polynomial multiply, the
 route the once-built basis replaced.
 Keep these dumb on purpose.
@@ -37,7 +39,7 @@ from bdstirling.errors import (
 from bdstirling.geometry import CensusResult, classify_point
 from bdstirling.groups import des_stat, enumerate_group, fdes
 from bdstirling.identities import IdentityCheck, VerificationReport
-from bdstirling.partitions import stirling_row
+from bdstirling.partitions import BPartition, DPartition, stirling_row
 from bdstirling.polynomials import IntPolynomial, monomial
 
 
@@ -419,6 +421,56 @@ def ordered_partition_reference(kind, n, blocks):
     if kind == "D" and len(support) == 1:
         raise NotTypeD(f"zero support {support} has size 1")
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# the separation procedures' cut, every block and its mirror built
+
+
+def blocks_from_cut_window(window, separators):
+    """Every block of the window cut at the separators: the zero block (the
+    leading segment and its negatives), then each later segment and its
+    mirror, all built.  This is the cut the procedures made before an
+    ordered partition kept only its zero support and class blocks."""
+    gaps = sorted(separators)
+    blocks = []
+    lead = window[: gaps[0]] if gaps else window
+    if lead:
+        blocks.append(frozenset((*lead, *(-v for v in lead))))
+    for a, b in zip(gaps, gaps[1:] + [len(window)]):
+        seg = frozenset(window[a:b])
+        blocks += (seg, frozenset(-v for v in seg))
+    return tuple(blocks)
+
+
+def slid_blocks(window, separators):
+    """Even-signed cut: an occupied gap 1 with gap 0 free slides to gap 0,
+    flipping the first entry."""
+    if 1 in separators and 0 not in separators:
+        window = (-window[0],) + window[1:]
+        separators = (separators - {1}) | {0}
+    return blocks_from_cut_window(window, separators)
+
+
+# ---------------------------------------------------------------------------
+# partition views that only tests read
+
+
+def ordered_to_unordered(op):
+    """The unordered partition of an ordered one: forget the pair order and
+    the orientation of each pair."""
+    maker = DPartition if op.kind == "D" else BPartition
+    return maker(op.n, op.zero_support, op.class_blocks)
+
+
+def colored_zero_fiber(p):
+    """All colored points whose value sits in the zero support of p."""
+    return frozenset((a, z) for a in p.zero_support for z in range(p.m))
+
+
+def colored_orbit_blocks(p, rep):
+    """The m blocks of rep's orbit under shifting every color."""
+    return [frozenset((a, (z + shift) % p.m) for a, z in rep) for shift in range(p.m)]
 
 
 # ---------------------------------------------------------------------------

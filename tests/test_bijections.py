@@ -1,8 +1,10 @@
+import copy
+import pickle
 import re
 import subprocess
 import sys
-from dataclasses import fields
-from itertools import combinations, permutations, product
+from dataclasses import FrozenInstanceError
+from itertools import chain, combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -28,6 +30,7 @@ from bdstirling.errors import (
     NotAPartition,
     NotAPermutation,
     NotTypeD,
+    RepeatedValueInBlock,
     SpotCollision,
     TooManySeparators,
     UnknownKind,
@@ -36,7 +39,12 @@ from bdstirling.errors import (
 from bdstirling.groups import SignedPermutation, descent_set, enumerate_group
 from bdstirling.partitions import enumerate_partitions, stirling
 
-from .oracles import ordered_partition_reference
+from .oracles import (
+    blocks_from_cut_window,
+    ordered_partition_reference,
+    ordered_to_unordered,
+    slid_blocks,
+)
 from .strategies import signed_perms
 
 S = SignedPermutation.from_text
@@ -105,8 +113,19 @@ class TestOrderedPartition:
 
     def test_unordered_projection(self):
         op = OrderedPartition("B", 2, (fs(2), fs(-2), fs(1), fs(-1)))
-        part = op.to_unordered()
+        part = ordered_to_unordered(op)
         assert part.r == 2 and part.zero_support == frozenset()
+
+    def test_immutable_and_picklable(self):
+        op = d_procedure(S("-1,3,4,-2,-6,-5"), {1})
+        for name in ("kind", "n", "zero_support", "class_blocks"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(op, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(op, name)
+        again = pickle.loads(pickle.dumps(op))
+        assert again == op and again.to_doc() == op.to_doc()
+        assert copy.deepcopy(op) == op
 
     @pytest.mark.parametrize("kind, n", [("B", -1), ("D", -2)])
     def test_negative_size_never_tiles(self, kind, n):
@@ -131,8 +150,11 @@ class TestOrderedPartition:
 
     def test_derived_support_stays_out_of_identity(self):
         op = OrderedPartition("B", 2, (fs(1, -1), fs(2), fs(-2)))
-        assert [f.name for f in fields(op) if f.compare] == ["kind", "n", "blocks"]
+        cut = b_procedure(S("1,2"), {1})  # its blocks are not built yet
+        assert cut == op and hash(cut) == hash(op)
         assert repr(op) == f"OrderedPartition(kind='B', n=2, blocks={op.blocks!r})"
+        assert repr(cut) == repr(op)
+        assert cut == op and hash(cut) == hash(op)  # repr built its blocks
         bare = OrderedPartition("B", 2, (fs(1), fs(-1), fs(2), fs(-2)))
         assert not bare.has_zero_block and bare.zero_support == frozenset()
         assert bare.class_blocks == (fs(1), fs(2))
@@ -499,14 +521,90 @@ class TestForward:
         assert free_gaps(gamma, "D") == fs(0, 1, 2, 5)
 
 
+class TestCutAgainstOracle:
+    """The procedures' blocks equal those of the cut that builds every block
+    and its mirror, for every element and every free-gap subset."""
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_blocks_match_oracle(self, kind, n):
+        procedure, cut = {
+            "B": (b_procedure, blocks_from_cut_window),
+            "D": (d_procedure, slid_blocks),
+        }[kind]
+        for g in enumerate_group(kind, n):
+            descents = descent_set(g, kind)
+            gaps = sorted(free_gaps(g, kind))
+            for k in range(len(gaps) + 1):
+                for art in combinations(gaps, k):
+                    expected = cut(g.window, descents | frozenset(art))
+                    try:
+                        op = procedure(g, art)
+                    except NotTypeD:
+                        assert kind == "D" and n == 1 and not art
+                        continue
+                    assert op.blocks == expected and type(op.blocks) is tuple
+
+    def test_failed_cut_checks_raise_under_optimize(self):
+        code = (
+            "from bdstirling import bijections\n"
+            "from bdstirling.bijections import b_procedure, d_procedure\n"
+            "from bdstirling.groups import SignedPermutation\n"
+            "assert False, 'asserts must be off'\n"
+            "cut = bijections._cut\n"
+            "patches = {\n"
+            "    'lost': lambda w, s: (cut(w, s)[0], cut(w, s)[1][:-1]),\n"
+            "    'repeated': lambda w, s: (frozenset(), (frozenset({2}), frozenset({1, -1}))),\n"
+            "}\n"
+            "for name, patch in patches.items():\n"
+            "    bijections._cut = patch\n"
+            "    for procedure in (b_procedure, d_procedure):\n"
+            "        try:\n"
+            "            procedure(SignedPermutation((1, 2)), {0, 1})\n"
+            "        except ValueError as e:\n"
+            "            print(name, type(e).__name__, e)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == 2 * [
+            "lost NotAPartition spots covered [1] do not tile 1..2"
+        ] + 2 * [
+            "repeated RepeatedValueInBlock block [-1, 1] repeats an absolute value"
+        ]
+
+    @pytest.mark.parametrize("classes, error", [
+        ((fs(1),), NotAPartition),
+        ((fs(2), fs(1, -1)), RepeatedValueInBlock),
+        ((fs(2), frozenset()), NotAPartition),
+        ((fs(2), fs(1, 3)), NotAPartition),
+        ((fs(2), fs(-1)), None),
+    ])
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_failed_cut_raises_what_the_constructor_raises(
+        self, kind, classes, error, monkeypatch
+    ):
+        monkeypatch.setattr(bijections, "_cut", lambda window, separators: (frozenset(), classes))
+        blocks = tuple(chain.from_iterable((c, frozenset(-v for v in c)) for c in classes))
+        procedure = b_procedure if kind == "B" else d_procedure
+        if error is None:
+            assert procedure(S("1,2"), {0, 1}) == OrderedPartition(kind, 2, blocks)
+            return
+        with pytest.raises(error) as got:
+            procedure(S("1,2"), {0, 1})
+        with pytest.raises(error) as expected:
+            OrderedPartition(kind, 2, blocks)
+        assert type(got.value) is type(expected.value) is error
+        assert str(got.value) == str(expected.value)
+
+
 class TestInverse:
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_failed_round_trip_raises(self, kind, monkeypatch):
         op = OrderedPartition(kind, 2, (fs(1, -1, 2, -2),))
-        other = (fs(1), fs(-1), fs(2), fs(-2))
-        monkeypatch.setattr(
-            bijections, "_blocks_from_cut_window", lambda window, separators: other
-        )
+        other = (frozenset(), (fs(1), fs(2)))
+        monkeypatch.setattr(bijections, "_cut", lambda window, separators: other)
         inverse = b_procedure_inverse if kind == "B" else d_procedure_inverse
         with pytest.raises(InvariantViolation, match="preimage maps to"):
             inverse(op)
@@ -518,7 +616,7 @@ class TestInverse:
             "    OrderedPartition, b_procedure_inverse, d_procedure_inverse)\n"
             "from bdstirling.errors import InvariantViolation\n"
             "assert False, 'asserts must be off'\n"
-            "bijections._blocks_from_cut_window = lambda window, separators: ()\n"
+            "bijections._cut = lambda window, separators: (frozenset(), ())\n"
             "for kind, inverse in (('B', b_procedure_inverse), ('D', d_procedure_inverse)):\n"
             "    try:\n"
             "        inverse(OrderedPartition(kind, 2, (frozenset({1, -1, 2, -2}),)))\n"

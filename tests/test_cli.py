@@ -224,7 +224,7 @@ class TestBijection:
         code = (
             "import sys\n"
             "from bdstirling import bijections, cli\n"
-            "bijections._blocks_from_cut_window = lambda window, separators: ()\n"
+            "bijections._cut = lambda window, separators: (frozenset(), ())\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         doc = '{"kind":"B","n":2,"blocks":[[1,-1],[2],[-2]]}'
@@ -240,6 +240,29 @@ class TestBijection:
             "'blocks': [[-1, 1], [2], [-2]]}"
         ]
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["inverse", "--doc", '{"kind":"D","n":2,"blocks":[[1,-1,2,-2]]}'], 4,
+         "error: internal error: preimage maps to {'kind': 'D', 'n': 2, 'blocks': "
+         "[]} instead of {'kind': 'D', 'n': 2, 'blocks': [[-2, -1, 1, 2]]}"),
+        (["forward", "--kind", "B", "--perm", "1,2", "--spots", "0,1"], 1,
+         "error: spots covered [2] do not tile 1..2"),
+    ], ids=["inverse", "forward"])
+    def test_patched_cut_fails_cleanly_under_optimize(self, argv, code, line):
+        program = (
+            "import sys\n"
+            "from bdstirling import bijections, cli\n"
+            "assert False, 'asserts must be off'\n"
+            "cut = bijections._cut\n"
+            "bijections._cut = lambda w, s: (frozenset(), cut(w, s)[1][-1:])\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", program, "bijection", *argv],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (code, "")
+        assert res.stderr.splitlines() == [line]
 
     def test_format_flag_is_gone(self):
         res = run_cli("bijection", "forward", "--kind", "B", "--perm", "1,2",
