@@ -1,4 +1,5 @@
 """The scripts under scripts/ still run against the library."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +42,38 @@ def test_verify_all_rejects_bad_sizes(argv, message):
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
     assert res.stderr.splitlines()[-1].endswith(message)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    bench = _bench_pairs()
+    assert bench.seed_list("1-3,7") == [1, 2, 3, 7]
+
+    def run(wall, items):
+        return {"failed": 0, "metrics": {"wall_ref": {"value": wall},
+                                         "items_per_ref": {"value": items}}}
+
+    pairs = {s: {"parent": run(10.0 + s, 5.0), "change": run(9.0 + s, 4.0 + s)}
+             for s in (1, 2, 3, 4, 5)}
+    specs = {"wall_ref": {"unit": "ref", "better": "lower"},
+             "items_per_ref": {"unit": "1/ref", "better": "higher"}}
+    got = bench.summary(pairs, specs)
+    wall = got["wall_ref"]
+    assert wall["parent"]["median"] == 13.0 and wall["change"]["median"] == 12.0
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (12.0, 14.0)
+    assert wall["change_wins"] == "5/5"
+    assert wall["median_delta"] == -1 / 13
+    # 4 + s against 5: a tie at s = 1 counts for neither side
+    assert got["items_per_ref"]["change_wins"] == "4/5"
+
+
+def test_bench_pairs_help():
+    res = _run("bench_pairs.py", "--help")
+    assert res.returncode == 0 and "--parent" in res.stdout
