@@ -2,17 +2,18 @@
 """Alternated parent/change benchmark pairs, with paired deltas.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload roundtrip \
-        --seeds 1-10 --seconds 20 --held-out 11 --json BENCH_label.json
+        --seeds 1-10 --held-out 11 --json BENCH_label.json
 
 The parent side is ``git archive <parent>`` unpacked into a temporary
 directory, with this checkout's ``perfbench/`` copied over it, so both sides
 run the same harness; the change side is this checkout.  For each seed one
-``perfbench/run.py`` run is made on each side, the parent first for odd
-seeds and the change first for even ones.  It prints every pair, then for
+``perfbench/run.py`` run of ``BENCHMARK.json``'s ``run_seconds`` is made on
+each side, the parent first for odd seeds and the change first for even ones.  It prints every pair, then for
 each end-to-end metric of ``BENCHMARK.json`` the median of each side, the
 parent's quartiles, the median paired delta and how many pairs the change
 won.  A held-out seed runs one more pair after the series, reported apart.
-Standard library only; run it from anywhere inside the repository.
+``--json`` writes all of it, with the command line, as printed.  Standard
+library only; run it from anywhere inside the repository.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import argparse
 import io
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -52,6 +54,11 @@ def unpack_parent(rev: str, into: str) -> str:
     return into
 
 
+def benchmark() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def one_run(root: str, workload: str, seed: int, seconds: float) -> dict:
     """The last stdout line of one perfbench/run.py run in the given tree."""
     proc = subprocess.run(
@@ -62,10 +69,8 @@ def one_run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def metric_specs(workload: str) -> dict[str, dict]:
+def metric_specs(bench: dict, workload: str) -> dict[str, dict]:
     """Each end-to-end metric the runs report, keyed as run.py keys it."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
     names = ([w["name"] for w in bench["workloads"]] if workload == "all"
              else [workload])
     return {
@@ -105,30 +110,37 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--held-out", type=int, default=None)
     ap.add_argument("--json", help="write the pairs and the summary to this file")
+    argv = sys.argv[1:] if argv is None else argv
     args = ap.parse_args(argv)
-    specs = metric_specs(args.workload)
+    bench = benchmark()
+    specs = metric_specs(bench, args.workload)
+    seconds = bench["run_seconds"]
+    parent = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
+                            capture_output=True, text=True, check=True).stdout.strip()
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_root = unpack_parent(args.parent, tmp)
         pairs = {}
         for seed in args.seeds:
-            pairs[seed] = pair(parent_root, args.workload, seed, args.seconds)
+            pairs[seed] = pair(parent_root, args.workload, seed, seconds)
             for name in specs:
                 p, c = (pairs[seed][side]["metrics"][name]["value"]
                         for side in ("parent", "change"))
                 print(f"seed {seed} {name}: parent {p:.6g} change {c:.6g} "
                       f"({(c - p) / p:+.2%})")
-        held = (pair(parent_root, args.workload, args.held_out, args.seconds)
+        held = (pair(parent_root, args.workload, args.held_out, seconds)
                 if args.held_out is not None else None)
 
     result = {
-        "parent": args.parent,
+        "command": " ".join(["python3 scripts/bench_pairs.py", *argv]),
+        "parent": parent,
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
         "workload": args.workload,
         "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "order": "odd seeds ran the parent first, even seeds the change first",
         "failed": {side: sum(pairs[s][side]["failed"] for s in pairs)
                    for side in ("parent", "change")},

@@ -6,8 +6,8 @@ free; artificial separators may take any remaining gap.  Cutting the
 window at the occupied gaps yields segments: the unseparated leading
 segment (possibly empty) becomes the zero block, every later segment C
 becomes the adjacent block pair (C, -C).  The gap after the last position
-is never stored; the final segment simply ends the window.  The cut keeps
-the zero support and the blocks C; the mirrors are built when read.
+is never stored; the final segment simply ends the window.  The cut gives
+the zero support and the blocks C, and the mirrors are built from them.
 
 The even-signed variant adds one twist before cutting: when gap 1 is
 occupied and gap 0 is free, the first entry flips sign and that separator
@@ -64,32 +64,28 @@ def _blocks_of(support, classes) -> tuple[frozenset[int], ...]:
 
 
 def _filled(op, kind, n, support, classes, blocks):
-    object.__setattr__(op, "kind", kind)
-    object.__setattr__(op, "n", n)
-    object.__setattr__(op, "zero_support", support)
-    object.__setattr__(op, "class_blocks", classes)
-    object.__setattr__(op, "_blocks", blocks)
+    vars(op).update(kind=kind, n=n, zero_support=support, class_blocks=classes, blocks=blocks)
     return op
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, match_args=False)
+@dataclass(frozen=True, init=False, match_args=False)
 class OrderedPartition:
     """Ordered mirror partition: optional zero block first, then block pairs.
 
     The zero block is the full +-support set without the 0 marker; it is
     its own mirror.  Pair blocks appear adjacently as (C, -C) in procedure
-    order.  Stored are kind, n, the zero support and the class blocks (each
-    pair's C), which serve equality and hashing; ``blocks`` is built from
-    them when first read.  The constructor accepts valid blocks in one pass
-    of whole-collection checks; only blocks that pass refuses go through
-    the ordered checks of _diagnosed_blocks, which name the first fault.
+    order.  Kind, n, the zero support and the class blocks (each pair's C)
+    serve equality and hashing; the blocks are kept beside them for repr
+    and documents.  The constructor accepts valid blocks in one pass of
+    whole-collection checks; only blocks that pass refuses go through the
+    ordered checks of _diagnosed_blocks, which name the first fault.
     """
 
     kind: str
     n: int
-    zero_support: frozenset[int]
-    class_blocks: tuple[frozenset[int], ...]
-    _blocks: tuple[frozenset[int], ...] | None = field(compare=False)
+    zero_support: frozenset[int] = field(repr=False)
+    class_blocks: tuple[frozenset[int], ...] = field(repr=False)
+    blocks: tuple[frozenset[int], ...] = field(compare=False)
 
     def __init__(self, kind: str, n: int, blocks: tuple[frozenset[int], ...]):
         # 2n disjoint exact ints, none 0, all within +-n, are +-1..+-n, so
@@ -130,6 +126,7 @@ class OrderedPartition:
         """Build from a cut's zero support and class blocks.  n values whose
         absolute values are 1..n tile it, and then no class repeats one.  A
         cut that fails goes to the constructor with its blocks, to raise."""
+        blocks = _blocks_of(support, classes)
         if (
             all(classes)
             and len(support) + sum(map(len, classes)) == n
@@ -137,14 +134,8 @@ class OrderedPartition:
             == frozenset(range(1, n + 1))
             and (kind == "B" or len(support) != 1)
         ):
-            return _filled(object.__new__(cls), kind, n, support, classes, None)
-        return cls(kind, n, _blocks_of(support, classes))
-
-    @property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        if self._blocks is None:
-            object.__setattr__(self, "_blocks", _blocks_of(self.zero_support, self.class_blocks))
-        return self._blocks
+            return _filled(object.__new__(cls), kind, n, support, classes, blocks)
+        return cls(kind, n, blocks)
 
     @property
     def has_zero_block(self) -> bool:
@@ -153,9 +144,6 @@ class OrderedPartition:
     @property
     def r(self) -> int:
         return len(self.class_blocks)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(kind={self.kind!r}, n={self.n!r}, blocks={self.blocks!r})"
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "n": self.n, "blocks": [sorted(b) for b in self.blocks]}

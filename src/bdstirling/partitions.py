@@ -329,6 +329,18 @@ class GPartition:
     def r(self) -> int:
         return len(self.orbit_reps)
 
+    def zero_fiber(self) -> frozenset[tuple[int, int]]:
+        """All colored points whose value sits in the zero support."""
+        return frozenset(
+            (a, z) for a in self.zero_support for z in range(self.m)
+        )
+
+    def orbit_blocks(self, rep: frozenset[tuple[int, int]]) -> list[frozenset[tuple[int, int]]]:
+        return [
+            frozenset((a, (z + shift) % self.m) for a, z in rep)
+            for shift in range(self.m)
+        ]
+
     def sort_key(self):
         return (
             tuple(sorted(self.zero_support)),

@@ -453,7 +453,7 @@ def slid_blocks(window, separators):
 
 
 # ---------------------------------------------------------------------------
-# partition views that only tests read
+# the ordered partition's unordered view, which only tests read
 
 
 def ordered_to_unordered(op):
@@ -461,16 +461,6 @@ def ordered_to_unordered(op):
     the orientation of each pair."""
     maker = DPartition if op.kind == "D" else BPartition
     return maker(op.n, op.zero_support, op.class_blocks)
-
-
-def colored_zero_fiber(p):
-    """All colored points whose value sits in the zero support of p."""
-    return frozenset((a, z) for a in p.zero_support for z in range(p.m))
-
-
-def colored_orbit_blocks(p, rep):
-    """The m blocks of rep's orbit under shifting every color."""
-    return [frozenset((a, (z + shift) % p.m) for a, z in rep) for shift in range(p.m)]
 
 
 # ---------------------------------------------------------------------------

@@ -291,11 +291,11 @@ class TestPartitionObjects:
 
     def test_colored_zero_fiber(self):
         p = GPartition(2, 3, frozenset({2}), (frozenset({(1, 0)}),))
-        assert oracles.colored_zero_fiber(p) == frozenset({(2, 0), (2, 1), (2, 2)})
+        assert p.zero_fiber() == frozenset({(2, 0), (2, 1), (2, 2)})
 
     def test_colored_orbit_blocks(self):
         p = GPartition(2, 3, frozenset(), (frozenset({(1, 0), (2, 1)}),))
-        orbit = oracles.colored_orbit_blocks(p, p.orbit_reps[0])
+        orbit = p.orbit_blocks(p.orbit_reps[0])
         assert len(orbit) == 3
         assert frozenset({(1, 2), (2, 0)}) in orbit
 
