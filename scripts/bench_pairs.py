@@ -8,10 +8,11 @@ The parent side is ``git archive <parent>`` unpacked into a temporary
 directory, with this checkout's ``perfbench/`` copied over it, so both sides
 run the same harness; the change side is this checkout.  For each seed one
 ``perfbench/run.py`` run of ``BENCHMARK.json``'s ``run_seconds`` is made on
-each side, the parent first for odd seeds and the change first for even ones.  It prints every pair, then for
-each end-to-end metric of ``BENCHMARK.json`` the median of each side, the
-parent's quartiles, the median paired delta and how many pairs the change
-won.  A held-out seed runs one more pair after the series, reported apart.
+each side, the parent first for odd seeds and the change first for even
+ones.  It prints every pair, then for each end-to-end metric of
+``BENCHMARK.json`` the median of each side, the parent's quartiles, the
+median paired delta and how many pairs the change won.  A held-out seed
+runs one more pair after the series, reported apart.
 ``--json`` writes all of it, with the command line, as printed.  Standard
 library only; run it from anywhere inside the repository.
 """
