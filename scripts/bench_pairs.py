@@ -47,7 +47,8 @@ def unpack_parent(rev: str, into: str) -> str:
     tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into)
+        # the "data" filter refuses members that would land outside into
+        archive.extractall(into, filter="data")
     bench = os.path.join(into, "perfbench")
     shutil.rmtree(bench, ignore_errors=True)
     shutil.copytree(os.path.join(ROOT, "perfbench"), bench,

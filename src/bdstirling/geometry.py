@@ -20,20 +20,31 @@ first coordinates that share a _signature, a cheap tuple that refines the
 classification, have the same children up to a relabelling of the axis
 values, so the walk runs over signatures and counts the prefixes behind
 each; _last_axis_keys keys the last axis, and one point per distinct key
-is classified.  For B and the torus the keys are exactly the classes, for
-D at most about twice as many.  classify_point builds its classes already
-canonical (in first-spot order, each signed or colored relative to its
-first spot), so the partition constructors take them in their one-pass
-accept check, at 11 to 21 us per key on one core of a 2-core x86 VM.  So
-the work grows with the keys, not the points: censuses near the
-10^8-point cap (B n = 4, m = 49 and D n = 6, m = 10) take 0.01 and 0.1 s
-on that VM, against 42 and 72 s when every prefix was keyed, and B at
-n = 8, m = 2 classifies 50469 keys in some 1.7 s.
+is read.  For B and the torus the keys are exactly the classes, for D at
+most about twice as many.  The walk and the reading do not depend on the
+kind: B and D read a cube alike, and only the last step differs, where a
+lone zero becomes a singleton class or the point is missing.  So a census
+is two steps.  _reading walks a shape, the cube (n, m) or the torus
+(n, m, t), and reads each key's first point into its zero support and
+classes, already canonical (in first-spot order, each signed or colored
+relative to its first spot), with one frozenset per distinct class; the
+last 8 shapes read are kept.  _tally checks the sizes and the cap on every
+call, then turns each reading into the kind's partitions through their
+constructors' one-pass accept check.  classify_point is the same two
+steps for one point.  On one core of a 2-core x86 VM a cold census costs
+11 to 21 us per key, and a repeat of a kept shape, as D after B on one
+cube, only the partition step: a quarter to a third of that.  So the work
+grows with the keys, not the points: censuses near the 10^8-point cap
+(B n = 4, m = 49 and D n = 6, m = 10) take 0.01 and 0.1 s on that VM,
+against 42 and 72 s when every prefix was keyed, and B at n = 8, m = 2
+reads 50469 keys (3280 distinct classes) in some 1.1 s, after which D on
+that cube takes some 0.3 s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ne, neg
+from functools import lru_cache
+from operator import index, ne, neg
 
 from .config import DEFAULT_CAPS, EnumerationCaps, _weights
 from .errors import (
@@ -71,34 +82,49 @@ def classify_point(kind: str, coords, m: int | None = None, n: int | None = None
         raise DimensionMismatch(
             f"point of dimension {len(coords)} where n={n} was required"
         )
-    n = len(coords)
     if kind == "G":
         if m is None or m < 1:
             raise BadIndex("kind G needs m >= 1")
     elif kind not in ("B", "D"):
         raise UnknownKind(f"unknown classification kind {kind!r}")
-    zero = ZERO if kind == "G" else 0
+    else:
+        m = None
+    return _partition(kind, len(coords), m, *_classes(coords, m))
+
+
+def _classes(coords, m: int | None) -> tuple:
+    """The zero support and the classes of a cube point (m None) or of a
+    torus point with colors mod m, the same for every kind of that shape."""
+    zero = 0 if m is None else ZERO
     zeros, groups = [], {}
     for spot, value in enumerate(coords, start=1):
         if value == zero:
             zeros.append(spot)
-        elif kind == "G":
+        elif m is None:
+            groups.setdefault(abs(value), []).append(spot if value > 0 else -spot)
+        else:
             color, magnitude = value
             groups.setdefault(magnitude, []).append((spot, color))
-        else:
-            groups.setdefault(abs(value), []).append(spot if value > 0 else -spot)
     # groups holds its classes by first spot; each class is read relative
     # to its first spot, so the partitions take them as they are
-    zeros = frozenset(zeros)
-    if kind == "G":
-        classes = tuple([
+    if m is None:
+        classes = [
+            frozenset(g) if g[0] > 0 else frozenset(map(neg, g))
+            for g in groups.values()
+        ]
+    else:
+        classes = [
             frozenset([(spot, (color - g[0][1]) % m) for spot, color in g])
             for g in groups.values()
-        ])
+        ]
+    return frozenset(zeros), tuple(classes)
+
+
+def _partition(kind: str, n: int, m: int | None, zeros: frozenset, classes: tuple):
+    """The kind's partition of a class reading, through its constructor's
+    accept pass; SingletonZeroBlock where an even-signed point fits none."""
+    if kind == "G":
         return GPartition(n, m, zeros, classes)
-    classes = tuple([
-        frozenset(g) if g[0] > 0 else frozenset(map(neg, g)) for g in groups.values()
-    ])
     if kind == "B":
         return BPartition(n, zeros, classes)
     if len(zeros) == 1:
@@ -189,9 +215,10 @@ def _last_axis_keys(prefix, tag, magnitudes, relate) -> list:
     ]
 
 
-def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> CensusResult:
-    """Census of circle^n for axis = (circle, magnitudes, relate), x =
-    len(circle) values per axis.
+@lru_cache(maxsize=8)
+def _reading(n: int, m: int, t: int | None = None) -> tuple:
+    """The kind-independent census of a shape: the cube {-m..m}^n when t is
+    None, else the torus of m colors and t magnitudes per axis.
 
     The walk runs over prefix signatures, level by level.  A state is
     [number of prefixes, first prefix, a later prefix (the first if none)],
@@ -199,19 +226,16 @@ def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> Cen
     state is expanded once, from its first prefix, by every axis index, and
     each child adds its count; where two or more prefixes share it, the
     later one is expanded too and must give the same children as a
-    multiset.  classify_point runs once per key, on its first point, and
-    the key's count goes to the partition (or to missing).
+    multiset.  Then each key's first point is read once, by _classes, into
+    (count, zero support, classes).  B and D read a cube alike, so the
+    last few shapes are kept, and a repeat costs only the partition step.
+    Keys share most of their classes, so each distinct one is kept once,
+    and the partitions share it too: a kept reading stays small and cheap
+    for the garbage collector (B n = 8, m = 2: 3280 frozensets for 50469
+    keys, some 9 MB).
     """
-    if n < 0:
-        raise BadIndex("n must be nonnegative")
-    circle, magnitudes, relate = axis
+    circle, magnitudes, relate = _cube_axis(m) if t is None else _torus_axis(m, t)
     x = len(circle)
-    # the lone point of a one-value axis still has n coordinates to build
-    if max(x, 2) ** n > caps.census_points:
-        raise SizeOverflow(
-            f"census of {x}**{n} points exceeds cap {caps.census_points}"
-            + ("" if x > 1 else f" (a point of {n} coordinates counts as 2**{n})")
-        )
 
     def children(prefix, signature):
         if len(prefix) < n - 1:
@@ -236,11 +260,38 @@ def _tally(kind: str, n: int, m: int | None, caps: EnumerationCaps, axis) -> Cen
                     state = states.setdefault(key, [0, child, child])
                     state[0] += c
                     state[2] = child
+    colors = None if t is None else m
+    interned: dict = {}
+    reading = []
+    for count, point, _ in states.values():
+        zeros, classes = _classes(map(circle.__getitem__, point), colors)
+        reading.append((count, interned.setdefault(zeros, zeros),
+                        tuple([interned.setdefault(c, c) for c in classes])))
+    return tuple(reading)
+
+
+def _tally(kind: str, n: int, m: int | None, x: int, caps: EnumerationCaps,
+           shape: tuple) -> CensusResult:
+    """Census of a shape's x^n points for one kind: the shape's _reading,
+    each key's classes turned into the kind's partition (or missing).
+
+    The kind and the sizes (by census and torus_census), n and the cap
+    are checked on every call before the reading is looked up, and every
+    partition and the result run their own checks; counts is new each call.
+    """
+    if n < 0:
+        raise BadIndex("n must be nonnegative")
+    # the lone point of a one-value axis still has n coordinates to build
+    if max(x, 2) ** n > caps.census_points:
+        raise SizeOverflow(
+            f"census of {x}**{n} points exceeds cap {caps.census_points}"
+            + ("" if x > 1 else f" (a point of {n} coordinates counts as 2**{n})")
+        )
     counts: dict = {}
     missing = 0
-    for count, point, _ in states.values():
+    for count, zeros, classes in _reading(*shape):
         try:
-            p = classify_point(kind, map(circle.__getitem__, point), m=m)
+            p = _partition(kind, n, m, zeros, classes)
         except SingletonZeroBlock:
             missing += count
             continue
@@ -253,18 +304,20 @@ def census(kind: str, n: int, m: int, caps: EnumerationCaps = DEFAULT_CAPS) -> C
     """Classify every point of {-m..m}^n; kind B or D, x = 2m + 1."""
     if kind not in ("B", "D"):
         raise UnknownKind(f"cube census kind must be B or D, got {kind!r}")
+    n, m = index(n), index(m)
     if m < 0:
         raise BadIndex("half-width m must be nonnegative")
-    return _tally(kind, n, None, caps, _cube_axis(m))
+    return _tally(kind, n, None, 2 * m + 1, caps, (n, m))
 
 
 def torus_census(n: int, m: int, t: int, caps: EnumerationCaps = DEFAULT_CAPS) -> CensusResult:
     """Classify every point of the discretized torus; x = m * t + 1."""
+    n, m, t = index(n), index(m), index(t)
     if m < 2:
         raise BadIndex("torus census needs m >= 2")
     if t < 1:
         raise BadIndex("torus census needs t >= 1")
-    return _tally("G", n, m, caps, _torus_axis(m, t))
+    return _tally("G", n, m, m * t + 1, caps, (n, m, t))
 
 
 def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:

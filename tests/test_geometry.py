@@ -34,6 +34,14 @@ from bdstirling.polynomials import falling_factorial
 from .oracles import census_by_points
 
 
+@pytest.fixture(autouse=True)
+def cold_readings():
+    """Each test starts with no shape read, whatever ran before it."""
+    geometry._reading.cache_clear()
+    yield
+    geometry._reading.cache_clear()
+
+
 class TestClassification:
     def test_zeros_become_support(self):
         p = classify_point("B", (0, 3, -3))
@@ -170,6 +178,18 @@ class TestCubeCensus:
         with pytest.raises(SizeOverflow, match=r"1\*\*4 points exceeds cap 10"):
             census("D", 4, 0, caps=tiny)
 
+    @pytest.mark.parametrize("args", [(2.0, 1), (2, 1.0)])
+    def test_float_sizes_refused_even_when_cached(self, args):
+        census("B", 2, 1)
+        for kind in "BD":
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                census(kind, *args)
+
+    def test_bool_sizes_stored_as_int(self):
+        res = census("B", True, True)
+        assert (type(res.n), res.n, res.x) == (int, 1, 3)
+        _same_result(res, census("B", 1, 1))
+
     def test_negative_dimension_is_a_bad_index(self):
         with pytest.raises(BadIndex, match="n must be nonnegative"):
             census("B", -1, 2)
@@ -224,6 +244,17 @@ class TestTorusCensus:
         with pytest.raises(BadIndex, match="n must be nonnegative"):
             torus_census(-2, 2, 1)
 
+    @pytest.mark.parametrize("args", [(2.0, 2, 1), (2, 2.0, 1), (2, 2, 1.0)])
+    def test_float_sizes_refused_even_when_cached(self, args):
+        torus_census(2, 2, 1)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            torus_census(*args)
+
+    def test_bool_sizes_stored_as_int(self):
+        res = torus_census(True, 2, True)
+        assert (type(res.n), res.n, res.x) == (int, 1, 3)
+        _same_result(res, torus_census(1, 2, 1))
+
 
 class TestBasisIdentitiesOnPoints:
     def test_signed_total_is_power(self):
@@ -277,12 +308,10 @@ class TestKeyedTallyAgainstPointOracle:
         _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
 
     def test_classifies_once_per_key_and_walks_every_point(self):
-        calls = mock.patch.object(
-            geometry, "classify_point", wraps=geometry.classify_point
-        )
+        calls = mock.patch.object(geometry, "_classes", wraps=geometry._classes)
         with calls as spy:
             res = census("B", 4, 5)
-        # B keys are exactly the classes, one call each, for 11**4 points
+        # B keys are exactly the classes, one reading each, for 11**4 points
         assert spy.call_count == len(res.counts) == 116
         assert sum(res.counts.values()) == 11**4
 
@@ -292,12 +321,58 @@ class TestKeyedTallyAgainstPointOracle:
         st.tuples(st.just("G"), st.integers(0, 4), st.integers(2, 4), st.integers(1, 3)),
     ))
     def test_small_shapes(self, shape):
-        kind, n, m, t = shape
-        if kind == "G":
+        # each shape read cold and then warm: B then D and D then B on the
+        # cube, twice on the torus
+        _, n, m, t = shape
+        if t is not None:
             circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
-            _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
+            runs = [[lambda: torus_census(n, m, t)] * 2]
+            slow = {"G": census_by_points("G", n, circle, m)}
         else:
-            _same_result(census(kind, n, m), census_by_points(kind, n, range(-m, m + 1)))
+            runs = [[lambda k=k: census(k, n, m) for k in order]
+                    for order in ("BD", "DB")]
+            slow = {k: census_by_points(k, n, range(-m, m + 1)) for k in "BD"}
+        for run in runs:
+            geometry._reading.cache_clear()
+            for call in run:
+                fast = call()
+                _same_result(fast, slow[fast.kind])
+
+    @pytest.mark.parametrize("call", [
+        lambda caps: census("B", 3, 2, caps=caps),
+        lambda caps: census("D", 3, 2, caps=caps),
+        lambda caps: torus_census(3, 2, 2, caps=caps),
+    ])
+    def test_cached_shape_still_meets_the_cap(self, call):
+        call(EnumerationCaps())
+        tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
+        with pytest.raises(SizeOverflow, match=r"^census of 5\*\*3 points exceeds cap 10$"):
+            call(tiny)
+
+    def test_results_do_not_share_counts(self):
+        first = census("B", 2, 1)
+        expected = dict(first.counts)
+        first.counts.clear()
+        first.counts["stray"] = 9
+        assert census("B", 2, 1).counts == expected
+        assert census("D", 2, 1).counts is not census("D", 2, 1).counts
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 2)])
+    def test_a_reading_keeps_each_distinct_class_once(self, shape):
+        kept = [c for _, zeros, classes in geometry._reading(*shape)
+                for c in (zeros, *classes)]
+        assert len({id(c) for c in kept}) == len(set(kept)) < len(kept)
+
+    def test_d_reuses_the_reading_of_b(self):
+        census("B", 4, 3)
+        spies = [
+            mock.patch.object(geometry, name, wraps=getattr(geometry, name))
+            for name in ("_signature", "_last_axis_keys", "_classes")
+        ]
+        with spies[0] as signatures, spies[1] as last_axis_keys, spies[2] as classes:
+            res = census("D", 4, 3)
+        assert (signatures.call_count, last_axis_keys.call_count, classes.call_count) == (0, 0, 0)
+        _same_result(res, census_by_points("D", 4, range(-3, 4)))
 
     def test_walks_signatures_not_points(self):
         signature = mock.patch.object(geometry, "_signature", wraps=geometry._signature)
@@ -311,9 +386,7 @@ class TestKeyedTallyAgainstPointOracle:
 
     @pytest.mark.parametrize("n, m, t", [(4, 3, 2), (3, 2, 5), (3, 4, 3), (4, 4, 2)])
     def test_torus_classifies_once_per_class(self, n, m, t):
-        calls = mock.patch.object(
-            geometry, "classify_point", wraps=geometry.classify_point
-        )
+        calls = mock.patch.object(geometry, "_classes", wraps=geometry._classes)
         with calls as spy:
             res = torus_census(n, m, t)
         # colors relate mod m, as the partitions read them: one key per class
