@@ -12,7 +12,6 @@ __all__ = [
     "NotAPermutation",
     "OddNegativeCount",
     "NotAPartition",
-    "MirrorViolation",
     "SingletonZeroBlock",
     "RepeatedValueInBlock",
     "SpotCollision",
@@ -22,7 +21,6 @@ __all__ = [
     "UnreachableForm",
     "BadIndex",
     "UnknownKind",
-    "DimensionMismatch",
     "InvariantViolation",
     "UnknownSequence",
     "MalformedBFile",
@@ -52,10 +50,6 @@ class OddNegativeCount(ValueError):
 
 class NotAPartition(ValueError):
     """Blocks overlap, miss ground-set elements, or are empty."""
-
-
-class MirrorViolation(ValueError):
-    """Block family is not closed under negation in the required pattern."""
 
 
 class SingletonZeroBlock(ValueError):
@@ -99,10 +93,6 @@ class BadIndex(ValueError):
 
 class UnknownKind(ValueError):
     """A kind name the called function does not handle."""
-
-
-class DimensionMismatch(ValueError):
-    """Operands built for different n, m, or kind were combined."""
 
 
 class InvariantViolation(RuntimeError):

@@ -49,7 +49,6 @@ from operator import index, ne, neg
 from .config import DEFAULT_CAPS, EnumerationCaps, _weights
 from .errors import (
     BadIndex,
-    DimensionMismatch,
     InvariantViolation,
     SingletonZeroBlock,
     SizeOverflow,
@@ -71,24 +70,23 @@ __all__ = [
 ]
 
 
-def classify_point(kind: str, coords, m: int | None = None, n: int | None = None):
+def classify_point(kind: str, coords, m: int | None = None):
     """Canonical partition of the finest subspace containing the point.
 
     Each coordinate is read once: as a zero (0 on the cube, ZERO on the
     torus), or as its spot, tagged by sign or color, in its magnitude's class.
+    Cube coordinates, torus colors and magnitudes are read as ints (a bool
+    becomes one, a float is refused), so only lattice points classify.
     """
-    coords = tuple(coords)
-    if n is not None and len(coords) != n:
-        raise DimensionMismatch(
-            f"point of dimension {len(coords)} where n={n} was required"
-        )
     if kind == "G":
         if m is None or m < 1:
             raise BadIndex("kind G needs m >= 1")
+        coords = [v if v is ZERO else tuple(map(index, v)) for v in coords]
     elif kind not in ("B", "D"):
         raise UnknownKind(f"unknown classification kind {kind!r}")
     else:
         m = None
+        coords = list(map(index, coords))
     return _partition(kind, len(coords), m, *_classes(coords, m))
 
 

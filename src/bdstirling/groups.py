@@ -86,12 +86,17 @@ class SignedPermutation:
 
 @dataclass(frozen=True)
 class ColoredPermutation:
-    """Element of G_{m,n}: a value permutation with a color mod m per spot."""
+    """Element of G_{m,n}: a value permutation with a color mod m per spot.
+
+    m and the entries are read as ints (a bool becomes one, a float is
+    refused).
+    """
 
     m: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
         object.__setattr__(
             self, "entries", tuple((index(a), index(z)) for a, z in self.entries)
         )
@@ -110,29 +115,6 @@ class ColoredPermutation:
     def order_key(self, value: int, color: int) -> int:
         """Rank of value^[color] in the color order (smaller comes first)."""
         return (self.m - 1 - color) * self.n + (value - 1)
-
-    @classmethod
-    def from_text(cls, text: str, m: int) -> "ColoredPermutation":
-        text = text.replace("−", "-").strip()
-        if not text:
-            return cls(m, ())
-        entries = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if "^" in tok:
-                a, z = tok.split("^")
-                entries.append((int(a), int(z)))
-            else:
-                entries.append((int(tok), 0))
-        return cls(m, tuple(entries))
-
-    def to_text(self) -> str:
-        return ",".join(
-            str(a) if z == 0 else f"{a}^{z}" for a, z in self.entries
-        )
-
-    def __str__(self) -> str:
-        return f"[{self.to_text()}]"
 
 
 def colored_from_signed(beta: SignedPermutation) -> ColoredPermutation:

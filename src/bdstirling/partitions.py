@@ -23,12 +23,11 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 from operator import add, index, itemgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .config import _weights
 from .errors import (
     BadIndex,
-    MirrorViolation,
     NotAPartition,
     RepeatedValueInBlock,
     SingletonZeroBlock,
@@ -78,8 +77,10 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
 
     Kind A counts classical partitions of [n] (no zero block), B and D the
     signed partitions described above, G the m-colored ones.  B agrees with
-    G at m = 2 under negatives-as-color-1.
+    G at m = 2 under negatives-as-color-1.  n is read as an int, as by
+    stirling: a bool becomes one, a float is refused.
     """
+    n = index(n)
     if n < 0:
         raise BadIndex("n must be nonnegative")
     row = _triangle_row(*_weights(kind, m), n)
@@ -90,6 +91,7 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
 
 
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
+    n = index(n)
     if not 0 <= r <= n:
         return 0
     return stirling_row(kind, n, m)[r]
@@ -195,43 +197,6 @@ class BPartition:
             "{" + ",".join(str(v) for v in sorted(b)) + "}" for b in self.blocks()
         )
 
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "BPartition":
-        """Rebuild the canonical form from raw blocks, checking closure."""
-        family = [frozenset(map(index, b)) for b in blocks]
-        seen: list[frozenset[int]] = []
-        for b in family:
-            if not b:
-                raise NotAPartition("empty block")
-            if any(b & other for other in seen):
-                raise NotAPartition("blocks overlap")
-            seen.append(b)
-        union = frozenset().union(*family) if family else frozenset()
-        expected = frozenset(range(-n, n + 1))
-        if union != expected:
-            raise NotAPartition(
-                f"union misses or exceeds the ground set for n={n}"
-            )
-        zero = next(b for b in family if 0 in b)
-        if frozenset(-v for v in zero) != zero:
-            raise MirrorViolation("zero block is not closed under negation")
-        reps = []
-        rest = [b for b in family if b is not zero]
-        present = set(rest)
-        for b in rest:
-            mirror = frozenset(-v for v in b)
-            if mirror == b:
-                raise MirrorViolation(
-                    f"nonzero block {sorted(b)} equals its own mirror"
-                )
-            if mirror not in present:
-                raise MirrorViolation(
-                    f"mirror of block {sorted(b)} is missing"
-                )
-            if min(b, key=abs) > 0:
-                reps.append(b)
-        return cls(n, frozenset(v for v in zero if v > 0), tuple(reps))
-
 
 def _canonical_pairs(n, zero_support, pair_reps):
     """Check a type B partition one rule at a time, raising on the first
@@ -328,18 +293,6 @@ class GPartition:
     @property
     def r(self) -> int:
         return len(self.orbit_reps)
-
-    def zero_fiber(self) -> frozenset[tuple[int, int]]:
-        """All colored points whose value sits in the zero support."""
-        return frozenset(
-            (a, z) for a in self.zero_support for z in range(self.m)
-        )
-
-    def orbit_blocks(self, rep: frozenset[tuple[int, int]]) -> list[frozenset[tuple[int, int]]]:
-        return [
-            frozenset((a, (z + shift) % self.m) for a, z in rep)
-            for shift in range(self.m)
-        ]
 
     def sort_key(self):
         return (

@@ -1,5 +1,6 @@
 """Exact integer polynomials and the falling-factorial bases.
 
+A polynomial is its coefficients and its value at x, nothing more.
 Coefficients are stored ascending by degree with trailing zeros stripped,
 so the zero polynomial is the empty tuple and equality is structural.
 Every coefficient must be an exact integer (``operator.index``); a float
@@ -19,7 +20,7 @@ from operator import index, sub
 from .config import _weights
 from .errors import BadIndex
 
-__all__ = ["IntPolynomial", "ZERO", "ONE", "monomial", "falling_factorial"]
+__all__ = ["IntPolynomial", "monomial", "falling_factorial"]
 
 
 @dataclass(frozen=True)
@@ -32,74 +33,11 @@ class IntPolynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a))
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise BadIndex("negative polynomial power")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __call__(self, x: int) -> int:
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}{var}")
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
-
-
-ZERO = IntPolynomial(())
-ONE = IntPolynomial((1,))
 
 
 def monomial(k: int) -> IntPolynomial:

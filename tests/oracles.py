@@ -594,31 +594,50 @@ def falling_factorial_roots(kind, k, n=None, m=None):
     return roots
 
 
+def _times(p, q):
+    """Schoolbook product of two ascending coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _plus(p, q, scale=1):
+    """p + scale * q over ascending coefficient lists."""
+    out = list(p) + [0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] += scale * c
+    return out
+
+
 def _product(roots):
-    result = IntPolynomial((1,))
+    result = [1]
     for c in roots:
-        result = result * IntPolynomial((-c, 1))
+        result = _times(result, [-c, 1])
     return result
 
 
 def basis_report_by_products(name, kind, nmax, m):
     """x^n against sum_k S(n, k) p_k, every p_k rebuilt from its roots.
 
-    For D the correction n ((x - 1)^(n-1) - p_{n-1}) is added with the
-    generic power.  Instances match ``verify_identity(name, nmax, m)``.
+    For D the correction n ((x - 1)^(n-1) - p_{n-1}) is added, the power as
+    a product of n - 1 roots 1.  Polynomials are plain coefficient lists
+    with this module's own multiply and add, so nothing comes from the
+    library's basis.  Instances match ``verify_identity(name, nmax, m)``.
     """
     instances = []
     for n in range(nmax + 1):
-        rhs = IntPolynomial(())
+        rhs = []
         for k, coeff in enumerate(stirling_row(kind, n, m)):
-            rhs = rhs + coeff * _product(falling_factorial_roots(kind, k, n, m))
+            rhs = _plus(rhs, _product(falling_factorial_roots(kind, k, n, m)), coeff)
         if kind == "D" and n >= 1:
-            correction = IntPolynomial((-1, 1)) ** (n - 1) - _product(
-                falling_factorial_roots("B", n - 1)
+            correction = _plus(
+                _product([1] * (n - 1)), _product(falling_factorial_roots("B", n - 1)), -1
             )
-            rhs = rhs + n * correction
+            rhs = _plus(rhs, correction, n)
         params = [("n", n)] + ([("m", m)] if kind == "G" else [])
-        instances.append(
-            IdentityCheck(name, tuple(params), monomial(n).coeffs, rhs.coeffs)
-        )
+        instances.append(IdentityCheck(
+            name, tuple(params), monomial(n).coeffs, IntPolynomial(rhs).coeffs
+        ))
     return VerificationReport(name, tuple(instances))

@@ -401,6 +401,8 @@ def test_non_integer_n_is_refused_and_a_bool_is_stored_as_int():
     assert op == OrderedPartition("B", 1, blocks[:2])
     assert type(op.n) is int and op.to_doc()["n"] == 1
     assert OrderedPartition.from_doc(op.to_doc()) == op
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        d_unreachable_count(2.0, 1)
 
 
 def _refuse_diagnosis(monkeypatch):

@@ -13,7 +13,6 @@ from bdstirling import geometry
 from bdstirling.config import EnumerationCaps
 from bdstirling.errors import (
     BadIndex,
-    DimensionMismatch,
     InvariantViolation,
     SingletonZeroBlock,
     SizeOverflow,
@@ -54,9 +53,15 @@ class TestClassification:
         # coordinates with equal magnitude share a class, signs carried over
         assert p.pair_reps == (frozenset({1, -2}), frozenset({3}))
 
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            classify_point("B", (1, 2), n=3)
+    @pytest.mark.parametrize("kind, coords, m", [
+        ("B", (1.5, -1.5), None),
+        ("D", (0, 0, 2.0), None),
+        ("G", ((1, "a"), (0, "a")), 2),
+        ("G", (ZERO, (1, 1.5)), 3),
+    ])
+    def test_non_lattice_points_refused(self, kind, coords, m):
+        with pytest.raises(TypeError):
+            classify_point(kind, coords, m=m)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnknownKind, match="unknown classification kind 'C'"):
@@ -66,11 +71,6 @@ class TestClassification:
     def test_colored_needs_m(self, m):
         with pytest.raises(BadIndex, match="kind G needs m >= 1"):
             classify_point("G", (ZERO, (1, 1)), m=m)
-
-    @pytest.mark.parametrize("kind, m", [("C", None), ("G", None)])
-    def test_dimension_is_checked_first(self, kind, m):
-        with pytest.raises(DimensionMismatch):
-            classify_point(kind, (1,), m=m, n=2)
 
     def test_torus_magnitude_zero_is_an_ordinary_class(self):
         p = classify_point("G", ((1, 0), ZERO, (2, 0), (0, 4)), m=3)
@@ -92,7 +92,7 @@ class TestClassification:
         assert p.r == 1
 
     def test_colored_classification(self):
-        p = classify_point("G", (ZERO, (2, 5), (1, 5)), m=3, n=3)
+        p = classify_point("G", (ZERO, (2, 5), (1, 5)), m=3)
         assert p.zero_support == frozenset({1})
         assert p.r == 1
         q = classify_point("G", ((0, 1), (2, 4)), m=3)

@@ -71,13 +71,6 @@ class TestSignedPermutation:
 
 
 class TestColoredPermutation:
-    def test_from_text(self):
-        g = ColoredPermutation.from_text("2^1,1^0,3^2", m=3)
-        assert g.entries == ((2, 1), (1, 0), (3, 2))
-        # color 0 is elided on output but accepted on input
-        assert g.to_text() == "2^1,1,3^2"
-        assert ColoredPermutation.from_text(g.to_text(), m=3) == g
-
     def test_color_range_checked(self):
         with pytest.raises(ValueError):
             ColoredPermutation(2, ((1, 2),))
@@ -89,6 +82,10 @@ class TestColoredPermutation:
             ColoredPermutation(3, ((1.2, 2.9),))
         with pytest.raises(TypeError):
             ColoredPermutation(3, ((1, 2.0),))
+        with pytest.raises(TypeError):
+            ColoredPermutation(2.5, ((1, 2),))
+        g = ColoredPermutation(True, ((1, 0),))
+        assert type(g.m) is int and g == ColoredPermutation(1, ((1, 0),))
 
     def test_order_key_sorts_high_colors_first(self):
         g = ColoredPermutation(3, ((1, 0), (2, 0)))

@@ -13,7 +13,6 @@ from bdstirling import partitions
 from bdstirling.config import _weights
 from bdstirling.errors import (
     BadIndex,
-    MirrorViolation,
     NotAPartition,
     RepeatedValueInBlock,
     SingletonZeroBlock,
@@ -242,31 +241,11 @@ class TestPartitionObjects:
         with pytest.raises(TypeError):
             BPartition(2, frozenset(), (frozenset({1.0, 2}),))
         with pytest.raises(TypeError):
-            BPartition.from_blocks(1, [{0}, {1.0}, {-1.0}])
-        with pytest.raises(TypeError):
             GPartition(2, 3, frozenset(), (frozenset({(1, 0), (2.0, 1)}),))
 
     def test_repeated_absolute_value_rejected(self):
         with pytest.raises(RepeatedValueInBlock):
             BPartition(2, frozenset(), (frozenset({1, -1}), frozenset({2}),))
-
-    def test_from_blocks_round_trip(self):
-        p = BPartition.from_blocks(3, [{2, 0, -2}, {1, -3}, {-1, 3}])
-        assert p == BPartition(3, frozenset({2}), (frozenset({1, -3}),))
-        assert sorted(map(sorted, p.blocks())) == [[-3, 1], [-2, 0, 2], [-1, 3]]
-
-    def test_from_blocks_ground_set_includes_zero(self):
-        # 0 always belongs to some block, alone when the support is empty
-        p = BPartition.from_blocks(1, [{0}, {1}, {-1}])
-        assert p.zero_support == frozenset()
-        with pytest.raises(NotAPartition):
-            BPartition.from_blocks(1, [{1}, {-1}])
-
-    def test_from_blocks_requires_mirror_closure(self):
-        with pytest.raises(MirrorViolation):
-            BPartition.from_blocks(2, [{0}, {1, 2}, {-1}, {-2}])
-        with pytest.raises(MirrorViolation):
-            BPartition.from_blocks(2, [{0, 1, -1}, {2, -2}])
 
     def test_even_signed_rejects_single_zero_value(self):
         with pytest.raises(SingletonZeroBlock):
@@ -288,16 +267,6 @@ class TestPartitionObjects:
     def test_colored_partition_value_injectivity(self):
         with pytest.raises(RepeatedValueInBlock):
             GPartition(1, 4, frozenset(), (frozenset({(1, 0), (1, 2)}),))
-
-    def test_colored_zero_fiber(self):
-        p = GPartition(2, 3, frozenset({2}), (frozenset({(1, 0)}),))
-        assert p.zero_fiber() == frozenset({(2, 0), (2, 1), (2, 2)})
-
-    def test_colored_orbit_blocks(self):
-        p = GPartition(2, 3, frozenset(), (frozenset({(1, 0), (2, 1)}),))
-        orbit = p.orbit_blocks(p.orbit_reps[0])
-        assert len(orbit) == 3
-        assert frozenset({(1, 2), (2, 0)}) in orbit
 
     def test_colored_text(self):
         p = GPartition(2, 3, frozenset({2}), (frozenset({(1, 0)}),))
@@ -342,11 +311,14 @@ class TestEnumeration:
         keys = [p.sort_key() for p in parts]
         assert keys == sorted(keys)
 
-    def test_round_trip_through_blocks(self):
-        for p in enumerate_partitions("B", 4):
-            assert BPartition.from_blocks(4, p.blocks()) == p
-        for p in enumerate_partitions("D", 4):
-            assert DPartition.from_blocks(4, p.blocks()) == p
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_blocks_tile_the_ground_set_under_negation(self, kind):
+        ground = frozenset(range(-4, 5))
+        for p in enumerate_partitions(kind, 4):
+            blocks = p.blocks()
+            assert 0 in blocks[0] and sum(map(len, blocks)) == len(ground)
+            assert frozenset().union(*blocks) == ground
+            assert {frozenset(-v for v in b) for b in blocks} == set(blocks)
 
     def test_classical_set_partitions_counts(self):
         for n in range(7):
@@ -371,6 +343,10 @@ def test_bad_arguments_raise_typed_errors(call, error, message):
 
 
 def test_non_integer_sizes_are_refused_and_bools_stored_as_int():
+    for call in (lambda: stirling_row("D", 3.0), lambda: stirling("B", 2.0, 1)):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            call()
+    assert stirling_row("D", True) == stirling_row("D", 1) == (0, 1)
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
         BPartition(2.0, frozenset({1, 2}), ())
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
