@@ -6,7 +6,9 @@
 
 The parent side is ``git archive <parent>`` unpacked into a temporary
 directory, with this checkout's ``perfbench/`` copied over it, so both sides
-run the same harness; the change side is this checkout.  For each seed one
+run the same harness.  The change side is this checkout's tracked files as
+they are on disk, uncommitted edits included, copied into a sibling
+directory, so neither side runs from a different place.  For each seed one
 ``perfbench/run.py`` run of ``BENCHMARK.json``'s ``run_seconds`` is made on
 each side, the parent first for odd seeds and the change first for even
 ones.  It prints every pair, then for each end-to-end metric of
@@ -56,6 +58,25 @@ def unpack_parent(rev: str, into: str) -> str:
     return into
 
 
+def unpack_change(into: str) -> str:
+    """This checkout's tracked files as they are on disk."""
+    names = subprocess.run(["git", "-C", ROOT, "ls-files", "-z"],
+                           capture_output=True, check=True).stdout.decode()
+    for name in filter(None, names.split("\0")):
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):  # a tracked file deleted on disk stays out
+            target = os.path.join(into, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+    return into
+
+
+def unpack_sides(rev: str, tmp: str) -> dict[str, str]:
+    """The parent and change trees, side by side under tmp."""
+    return {"parent": unpack_parent(rev, os.path.join(tmp, "parent")),
+            "change": unpack_change(os.path.join(tmp, "change"))}
+
+
 def benchmark() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)
@@ -81,9 +102,8 @@ def metric_specs(bench: dict, workload: str) -> dict[str, dict]:
     }
 
 
-def pair(parent_root: str, workload: str, seed: int, seconds: float) -> dict:
+def pair(roots: dict[str, str], workload: str, seed: int, seconds: float) -> dict:
     sides = ("parent", "change") if seed % 2 else ("change", "parent")
-    roots = {"parent": parent_root, "change": ROOT}
     return {side: one_run(roots[side], workload, seed, seconds) for side in sides}
 
 
@@ -122,17 +142,17 @@ def main(argv=None) -> int:
     parent = subprocess.run(["git", "-C", ROOT, "rev-parse", args.parent],
                             capture_output=True, text=True, check=True).stdout.strip()
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = unpack_parent(args.parent, tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = unpack_sides(args.parent, tmp)
         pairs = {}
         for seed in args.seeds:
-            pairs[seed] = pair(parent_root, args.workload, seed, seconds)
+            pairs[seed] = pair(roots, args.workload, seed, seconds)
             for name in specs:
                 p, c = (pairs[seed][side]["metrics"][name]["value"]
                         for side in ("parent", "change"))
                 print(f"seed {seed} {name}: parent {p:.6g} change {c:.6g} "
                       f"({(c - p) / p:+.2%})")
-        held = (pair(parent_root, args.workload, args.held_out, seconds)
+        held = (pair(roots, args.workload, args.held_out, seconds)
                 if args.held_out is not None else None)
 
     result = {

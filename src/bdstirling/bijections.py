@@ -59,13 +59,8 @@ def _blocks_of(support, classes) -> tuple[frozenset[int], ...]:
     """The zero block, if any, then each class block and its mirror."""
     blocks = [frozenset((*support, *map(neg, support)))] if support else []
     for c in classes:
-        blocks += (c, _mirror(c))
+        blocks += (c, frozenset(map(neg, c)))
     return tuple(blocks)
-
-
-def _filled(op, kind, n, support, classes, blocks):
-    vars(op).update(kind=kind, n=n, zero_support=support, class_blocks=classes, blocks=blocks)
-    return op
 
 
 @dataclass(frozen=True, init=False, match_args=False)
@@ -116,26 +111,12 @@ class OrderedPartition:
                     and all(map(eq, pairs[1::2], map(_mirror, pairs[::2])))
                     and (kind == "B" or len(support) != 1)
                 ):
-                    _filled(self, kind, n, support, pairs[::2], blocks)
+                    vars(self).update(kind=kind, n=n, zero_support=support,
+                                      class_blocks=pairs[::2], blocks=blocks)
                     return
         n, blocks, support = _diagnosed_blocks(kind, n, blocks)
-        _filled(self, kind, n, support, blocks[1 if support else 0 :: 2], blocks)
-
-    @classmethod
-    def _from_cut(cls, kind: str, n: int, support, classes) -> OrderedPartition:
-        """Build from a cut's zero support and class blocks.  n values whose
-        absolute values are 1..n tile it, and then no class repeats one.  A
-        cut that fails goes to the constructor with its blocks, to raise."""
-        blocks = _blocks_of(support, classes)
-        if (
-            all(classes)
-            and len(support) + sum(map(len, classes)) == n
-            and support.union(map(abs, chain.from_iterable(classes)))
-            == frozenset(range(1, n + 1))
-            and (kind == "B" or len(support) != 1)
-        ):
-            return _filled(object.__new__(cls), kind, n, support, classes, blocks)
-        return cls(kind, n, blocks)
+        vars(self).update(kind=kind, n=n, zero_support=support,
+                          class_blocks=blocks[1 if support else 0 :: 2], blocks=blocks)
 
     @property
     def has_zero_block(self) -> bool:
@@ -223,37 +204,15 @@ def free_gaps(element: SignedPermutation, flavor: str) -> frozenset[int]:
     return frozenset(range(element.n)) - descent_set(element, flavor)
 
 
-def _checked_separators(
-    element: SignedPermutation, artificial, flavor: str
-) -> frozenset[int]:
-    """Descents plus the artificial separators.
-
-    Valid separators are accepted by whole-set checks; only when those
-    refuse does the per-gap loop run, naming the first bad gap.
-    """
-    descents = descent_set(element, flavor)
-    artificial = set(map(index, artificial))
-    n = len(element.window)
-    if artificial and not (
-        0 <= min(artificial) and max(artificial) < n and descents.isdisjoint(artificial)
-    ):
-        for g in artificial:
-            if not 0 <= g < n:
-                raise TooManySeparators(f"separator at gap {g} but gaps run 0..{n - 1}")
-            if g in descents:
-                raise SpotCollision(f"gap {g} already holds a descent")
-    return descents | artificial
-
-
 _Cut = tuple[frozenset[int], tuple[frozenset[int], ...]]
 
 
 def _cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
     """The zero support and the class blocks of the window cut at the gaps."""
     gaps = sorted(separators)
-    segments = map(window.__getitem__, map(slice, gaps, gaps[1:] + [len(window)]))
-    classes = list(map(frozenset, segments))
-    return frozenset(map(abs, window[: gaps[0]] if gaps else window)), tuple(classes)
+    gaps.append(len(window))
+    classes = list(map(frozenset, map(window.__getitem__, map(slice, gaps, gaps[1:]))))
+    return frozenset(map(abs, window[: gaps[0]])), tuple(classes)
 
 
 def _slid_cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
@@ -261,59 +220,71 @@ def _slid_cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
     flipping the first entry."""
     if 1 in separators and 0 not in separators:
         window = (-window[0],) + window[1:]
-        separators = (separators - {1}) | {0}
+        separators = separators.symmetric_difference((0, 1))
     return _cut(window, separators)
 
 
 def b_procedure(beta: SignedPermutation, artificial=()) -> OrderedPartition:
     """Cut the window at descents plus artificial separators into blocks."""
-    if not isinstance(beta, SignedPermutation):
-        raise FlavorMismatch("the block procedure needs a SignedPermutation")
-    separators = _checked_separators(beta, artificial, "B")
-    return OrderedPartition._from_cut("B", beta.n, *_cut(beta.window, separators))
+    return _procedure("B", beta, artificial)
 
 
 def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
     """Even-signed block procedure, with the gap 1 to gap 0 slide."""
-    if not isinstance(gamma, SignedPermutation):
+    return _procedure("D", gamma, artificial)
+
+
+def _procedure(kind: str, element: SignedPermutation, artificial) -> OrderedPartition:
+    """Cut the window at its descents plus the artificial separators.
+
+    Valid separators are accepted by whole-set checks; only when those
+    refuse does the per-gap loop run, naming the first bad gap.  The cut is
+    accepted when its n > 0 spots are distinct, none below 1 and none above
+    n, so they tile 1..n and no class repeats one; any other cut goes to the
+    constructor with its blocks, which raises, or for n = 0 accepts them.
+    """
+    if not isinstance(element, SignedPermutation):
         raise FlavorMismatch("the block procedure needs a SignedPermutation")
-    separators = _checked_separators(gamma, artificial, "D")
-    return OrderedPartition._from_cut("D", gamma.n, *_slid_cut(gamma.window, separators))
-
-
-def _window_and_cuts(op: OrderedPartition) -> tuple[list[int], list[int]]:
-    window = sorted(op.zero_support)
-    cuts = []
-    for c in op.class_blocks:
-        cuts.append(len(window))
-        window += sorted(c)
-    return window, cuts
-
-
-def _check_round_trip(op: OrderedPartition, n: int, image: _Cut) -> None:
-    """Raise unless the forward cut of the n-spot preimage gives op back."""
-    if n != op.n or image != (op.zero_support, op.class_blocks):
-        doc = {"kind": op.kind, "n": n, "blocks": [sorted(b) for b in _blocks_of(*image)]}
-        raise InvariantViolation(f"preimage maps to {doc} instead of {op.to_doc()}")
+    window = element.window
+    n = len(window)
+    separators = descent_set(element, kind)
+    artificial = set(map(index, artificial))
+    if artificial:
+        if not (
+            0 <= min(artificial) and max(artificial) < n and separators.isdisjoint(artificial)
+        ):
+            for g in artificial:
+                if not 0 <= g < n:
+                    raise TooManySeparators(f"separator at gap {g} but gaps run 0..{n - 1}")
+                if g in separators:
+                    raise SpotCollision(f"gap {g} already holds a descent")
+        separators = separators.union(artificial)
+    support, classes = (_cut if kind == "B" else _slid_cut)(window, separators)
+    blocks = _blocks_of(support, classes)
+    spots = support.union(map(abs, chain.from_iterable(classes)))
+    if (
+        all(classes)
+        and len(support) + sum(map(len, classes)) == len(spots) == n > 0
+        and 0 < min(spots)
+        and max(spots) <= n
+        and (kind == "B" or len(support) != 1)
+    ):
+        op = object.__new__(OrderedPartition)
+        vars(op).update(kind=kind, n=n, zero_support=support, class_blocks=classes,
+                        blocks=blocks)
+        return op
+    return OrderedPartition(kind, n, blocks)
 
 
 def _expect_kind(op: OrderedPartition, kind: str) -> None:
     if op.kind != kind:
-        raise FlavorMismatch(
-            f"expected an ordered partition of kind {kind}, got {op.kind!r}"
-        )
+        raise FlavorMismatch(f"expected an ordered partition of kind {kind}, got {op.kind!r}")
 
 
 def b_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozenset[int]]:
     """The unique (window, artificial separators) preimage of op."""
     _expect_kind(op, "B")
-    window, cuts = _window_and_cuts(op)
-    beta = SignedPermutation(tuple(window))
-    descents = descent_set(beta, "B")
-    artificial = frozenset(cuts) - descents
-    image = _cut(beta.window, descents | artificial)
-    _check_round_trip(op, beta.n, image)
-    return beta, artificial
+    return _inverse(op, False)
 
 
 def d_unreachable(op: OrderedPartition) -> bool:
@@ -351,14 +322,38 @@ def d_procedure_inverse(op: OrderedPartition) -> tuple[SignedPermutation, frozen
             "no zero block, singleton first block, odd class negatives",
             witness=op.to_doc(),
         )
-    window, cuts = _window_and_cuts(op)
+    return _inverse(op, odd)
+
+
+def _preimage_window(op: OrderedPartition, odd: bool) -> tuple[list[int], list[int]]:
+    """The zero support, then each class block, each sorted, and the gap
+    before each class.  With odd class negatives (D only) the first entry
+    flips, and with no zero block the first cut moves to gap 1."""
+    window = sorted(op.zero_support)
+    cuts = []
+    for c in op.class_blocks:
+        cuts.append(len(window))
+        window += sorted(c)
     if odd:
         window[0] = -window[0]
         if not op.zero_support:
             cuts[0] = 1
-    gamma = SignedPermutation(tuple(window))
-    descents = descent_set(gamma, "D")
+    return window, cuts
+
+
+def _inverse(op: OrderedPartition, odd: bool) -> tuple[SignedPermutation, frozenset[int]]:
+    """The preimage and its artificial separators, once the forward cut of
+    the preimage gives op back.  op's spots tile 1..n, so a window of length
+    n that cuts back to them holds each of 1..n once: the round trip proves
+    the preimage a signed permutation, and it is not validated again."""
+    window, cuts = _preimage_window(op, odd)
+    preimage = object.__new__(SignedPermutation)
+    vars(preimage)["window"] = window = tuple(window)
+    descents = descent_set(preimage, op.kind)
     artificial = frozenset(cuts) - descents
-    image = _slid_cut(gamma.window, descents | artificial)
-    _check_round_trip(op, gamma.n, image)
-    return gamma, artificial
+    image = (_cut if op.kind == "B" else _slid_cut)(window, descents | artificial)
+    if len(window) != op.n or image != (op.zero_support, op.class_blocks):
+        blocks = [sorted(b) for b in _blocks_of(*image)]
+        doc = {"kind": op.kind, "n": len(window), "blocks": blocks}
+        raise InvariantViolation(f"preimage maps to {doc} instead of {op.to_doc()}")
+    return preimage, artificial

@@ -274,7 +274,9 @@ def cmd_census(args) -> _Result:
         result = torus_census(args.n, args.m, args.t, caps=caps)
     items = sorted(result.counts.items(), key=lambda kv: (kv[0].r, kv[0].sort_key()))
     header = ("partition", "r", "count", "expected")
-    rows = [(p.text(), p.r, c, result.expected(p)) for p, c in items]
+    # the prediction depends on the rank only: one per rank
+    expected = {r: result.expected(p) for r, p in {p.r: p for p, _ in items}.items()}
+    rows = [(p.text(), p.r, c, expected[p.r]) for p, c in items]
     total = sum(result.counts.values()) + result.missing
     return _Result(
         {

@@ -60,7 +60,7 @@ class SignedPermutation:
 
     @property
     def negative_count(self) -> int:
-        return sum(1 for v in self.window if v < 0)
+        return sum(map((0).__gt__, self.window))
 
     def is_even_signed(self) -> bool:
         """True when the element lies in D_n."""

@@ -635,6 +635,22 @@ class TestInverse:
             for kind in "BD"
         )
 
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_preimage_equals_the_validated_window(self, kind, n):
+        """The inverse builds its preimage without validating it; the
+        validating constructor is the oracle."""
+        inverse = b_procedure_inverse if kind == "B" else d_procedure_inverse
+        for r in range(n + 1):
+            for op in ordered_forms(kind, n, r):
+                if kind == "D" and d_unreachable(op):
+                    continue
+                back, _ = inverse(op)
+                checked = SignedPermutation(back.window)
+                assert type(back) is SignedPermutation and type(back.window) is tuple
+                assert back == checked and hash(back) == hash(checked)
+                assert repr(back) == repr(checked)
+
     def test_recovers_window_and_artificial_spots(self):
         op = OrderedPartition(
             "B", 5, (fs(1, 4, -1, -4), fs(5), fs(-5), fs(-3, 2), fs(3, -2)))

@@ -264,6 +264,45 @@ class TestBijection:
         assert (res.returncode, res.stdout) == (code, "")
         assert res.stderr.splitlines() == [line]
 
+    @pytest.mark.parametrize("kind, n, zero, pair", [
+        ("B", 3, [-1, 1], [2, 3]),
+        ("D", 4, [-2, -1, 1, 2], [3, 4]),
+    ])
+    @pytest.mark.parametrize("fault, shrink", [("repeated", 0), ("dropped", 1)])
+    def test_faulty_preimage_window_is_an_internal_error_under_optimize(
+        self, kind, n, zero, pair, fault, shrink
+    ):
+        # The inverse does not validate its preimage window a second time:
+        # the round trip has to catch a window that is not a signed permutation.
+        program = (
+            "import sys\n"
+            "from bdstirling import bijections, cli\n"
+            "assert False, 'asserts must be off'\n"
+            "build = bijections._preimage_window\n"
+            "def repeated(op, odd):\n"
+            "    window, cuts = build(op, odd)\n"
+            "    window[-1] = window[-2]\n"
+            "    return window, cuts\n"
+            "def dropped(op, odd):\n"
+            "    window, cuts = build(op, odd)\n"
+            "    return window[:-1], cuts\n"
+            f"bijections._preimage_window = {fault}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        mirror = sorted(-v for v in pair)
+        doc = {"kind": kind, "n": n, "blocks": [zero, pair, mirror]}
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", program, "bijection", "inverse",
+             "--doc", json.dumps(doc)],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (4, "")
+        # either way the last entry is lost from the recut's last block
+        image = {"kind": kind, "n": n - shrink, "blocks": [zero, pair[:1], mirror[1:]]}
+        assert res.stderr.splitlines() == [
+            f"error: internal error: preimage maps to {image} instead of {doc}"
+        ]
+
     def test_format_flag_is_gone(self):
         res = run_cli("bijection", "forward", "--kind", "B", "--perm", "1,2",
                       "--format", "csv")
@@ -273,6 +312,22 @@ class TestBijection:
 
 
 class TestCensus:
+    def test_expected_counts_are_read_once_per_rank(self, monkeypatch):
+        from bdstirling import geometry
+
+        calls = []
+        real = geometry.falling_factorial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "falling_factorial", counted)
+        code, out, err = run_in_process(["census", "--kind", "B", "--n", "4", "--m", "2"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > 4 + 1
+        assert 0 < len(calls) <= 4 + 1
+
     def test_signed_census_totals(self):
         res = run_cli("census", "--kind", "B", "--n", "2", "--m", "3", "--format", "json")
         doc = json.loads(res.stdout)

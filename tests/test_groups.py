@@ -114,6 +114,11 @@ class TestDescentSets:
         with pytest.raises(OddNegativeCount):
             descent_set(S("-1,2"), "D")
 
+    def test_flavor_d_refusal_keeps_its_message(self):
+        with pytest.raises(OddNegativeCount) as err:
+            descent_set(S("3,-1,2,-5,-4,6"), "D")
+        assert str(err.value) == "'3,-1,2,-5,-4,6' has an odd number of negative entries"
+
     def test_flavor_d_small_windows_have_no_gap_zero(self):
         assert descent_set(S("1"), "D") == frozenset()
         assert descent_set(SignedPermutation(()), "D") == frozenset()
@@ -199,6 +204,12 @@ class TestEnumeration:
         assert len(seen) == group_order(kind, n)
         oracle = oracles.signed_group(n) if kind == "B" else oracles.even_signed_group(n)
         assert {w for w in (b.window for b in seen)} == set(oracle)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_even_signed_group_is_b_filtered_by_a_counted_parity(self, n):
+        even = [b for b in enumerate_group("B", n) if sum(1 for v in b.window if v < 0) % 2 == 0]
+        assert list(enumerate_group("D", n)) == even
+        assert all(type(b.negative_count) is int for b in even)
 
     @pytest.mark.parametrize("n,m", [(0, 2), (1, 3), (2, 3), (3, 2), (2, 4)])
     def test_colored_groups_complete_and_duplicate_free(self, n, m):

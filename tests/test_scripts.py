@@ -77,3 +77,30 @@ def test_bench_pairs_summary():
 def test_bench_pairs_help():
     res = _run("bench_pairs.py", "--help")
     assert res.returncode == 0 and "--parent" in res.stdout
+
+
+def test_bench_pairs_unpacks_both_sides_as_siblings(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    for name, text in {"src/lib.py": "X = 1\n", "perfbench/run.py": "# harness\n"}.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                        "-c", "user.email=t@example.com", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src" / "lib.py").write_text("X = 2\n")  # uncommitted
+    (repo / "untracked.txt").write_text("left out\n")
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "ROOT", str(repo))
+    roots = bench.unpack_sides("HEAD", str(tmp_path / "tmp"))
+    parent, change = (Path(roots[side]) for side in ("parent", "change"))
+    assert parent.parent == change.parent == tmp_path / "tmp" and parent != change
+    assert (parent / "src" / "lib.py").read_text() == "X = 1\n"
+    assert (change / "src" / "lib.py").read_text() == "X = 2\n"
+    assert (change / "perfbench" / "run.py").read_text() == "# harness\n"
+    assert not (change / "untracked.txt").exists()
