@@ -30,6 +30,7 @@ from .errors import (
     MalformedDocument,
     NotAPartition,
     NotTypeD,
+    OddNegativeCount,
     RepeatedValueInBlock,
     SpotCollision,
     TooManySeparators,
@@ -349,7 +350,10 @@ def _inverse(op: OrderedPartition, odd: bool) -> tuple[SignedPermutation, frozen
     window, cuts = _preimage_window(op, odd)
     preimage = object.__new__(SignedPermutation)
     vars(preimage)["window"] = window = tuple(window)
-    descents = descent_set(preimage, op.kind)
+    try:
+        descents = descent_set(preimage, op.kind)
+    except OddNegativeCount as fault:  # D parity: the window itself is faulty
+        raise InvariantViolation(f"preimage {fault}, so it cannot map to {op.to_doc()}") from None
     artificial = frozenset(cuts) - descents
     image = (_cut if op.kind == "B" else _slid_cut)(window, descents | artificial)
     if len(window) != op.n or image != (op.zero_support, op.class_blocks):

@@ -22,23 +22,23 @@ values, so the walk runs over signatures and counts the prefixes behind
 each; _last_axis_keys keys the last axis, and one point per distinct key
 is read.  For B and the torus the keys are exactly the classes, for D at
 most about twice as many.  The walk and the reading do not depend on the
-kind: B and D read a cube alike, and only the last step differs, where a
-lone zero becomes a singleton class or the point is missing.  So a census
-is two steps.  _reading walks a shape, the cube (n, m) or the torus
-(n, m, t), and reads each key's first point into its zero support and
+kind: B and D read a cube alike and differ only on a lone zero (one
+vanishing coordinate), which D makes a singleton class or counts missing.
+So a census is two steps.  _reading walks a shape, the cube (n, m) or the
+torus (n, m, t), reads each key's first point into its zero support and
 classes, already canonical (in first-spot order, each signed or colored
-relative to its first spot), with one frozenset per distinct class; the
-last 8 shapes read are kept.  _tally checks the sizes and the cap on every
-call, then turns each reading into the kind's partitions through their
-constructors' one-pass accept check.  classify_point is the same two
-steps for one point.  On one core of a 2-core x86 VM a cold census costs
-11 to 21 us per key, and a repeat of a kept shape, as D after B on one
-cube, only the partition step: a quarter to a third of that.  So the work
-grows with the keys, not the points: censuses near the 10^8-point cap
-(B n = 4, m = 49 and D n = 6, m = 10) take 0.01 and 0.1 s on that VM,
-against 42 and 72 s when every prefix was keyed, and B at n = 8, m = 2
-reads 50469 keys (3280 distinct classes) in some 1.1 s, after which D on
-that cube takes some 0.3 s.
+relative to its first spot), one frozenset per distinct class, and checks
+each key but a lone-zero one as a BPartition or GPartition in one accept
+pass; the last 8 shapes read are kept.  _tally checks the sizes and the
+cap on every call, then counts the kept partitions (D's as DPartitions
+sharing the checked fields) and each lone-zero key as a partition or missing.
+classify_point is the same two steps for one point.  On one core of a
+2-core x86 VM a cold census costs 11 to 29 us per key, and a repeat of a
+kept shape, as D after B on one cube, 1 to 2 us per key.  So the work
+grows with the keys, not the points: near the 10^8-point cap, B n = 4,
+m = 49 and D n = 6, m = 10 take 0.01 and 0.1 s, and B at n = 8, m = 2
+reads 50469 keys (3280 distinct classes) in 1.1 to 1.5 s, after which D
+on that cube takes some 0.08 s.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from .errors import (
     SizeOverflow,
     UnknownKind,
 )
-from .partitions import BPartition, DPartition, GPartition
+from .partitions import BPartition, DPartition, GPartition, _d_of_checked
 from .polynomials import falling_factorial
 
 ZERO = None
@@ -123,20 +123,22 @@ def _partition(kind: str, n: int, m: int | None, zeros: frozenset, classes: tupl
     accept pass; SingletonZeroBlock where an even-signed point fits none."""
     if kind == "G":
         return GPartition(n, m, zeros, classes)
-    if kind == "B":
-        return BPartition(n, zeros, classes)
-    if len(zeros) == 1:
-        if len(classes) < n - 1:
-            raise SingletonZeroBlock(
-                "one vanishing coordinate plus a repeated absolute value "
-                "fits no even-signed partition"
-            )
-        # every other spot is a class of its own, so the lone zero's spot
-        # is its place in first-spot order
-        (spot,) = zeros
-        classes = classes[: spot - 1] + (zeros,) + classes[spot - 1 :]
-        zeros = frozenset()
-    return DPartition(n, zeros, classes)
+    if (p := _cube_partition(kind, n, zeros, classes)) is None:
+        raise SingletonZeroBlock("one vanishing coordinate plus a repeated "
+                                 "absolute value fits no even-signed partition")
+    return p
+
+
+def _cube_partition(kind: str, n: int, zeros: frozenset, classes: tuple):
+    """The kind's partition of a cube reading, through its constructor, or
+    None where D has none: D takes a lone zero as a singleton class, in
+    first-spot order, only if every other spot is one too."""
+    if kind == "B" or len(zeros) != 1:
+        return (BPartition if kind == "B" else DPartition)(n, zeros, classes)
+    if len(classes) < n - 1:
+        return None
+    (spot,) = zeros
+    return DPartition(n, frozenset(), classes[: spot - 1] + (zeros,) + classes[spot - 1 :])
 
 
 @dataclass
@@ -224,13 +226,13 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
     state is expanded once, from its first prefix, by every axis index, and
     each child adds its count; where two or more prefixes share it, the
     later one is expanded too and must give the same children as a
-    multiset.  Then each key's first point is read once, by _classes, into
-    (count, zero support, classes).  B and D read a cube alike, so the
-    last few shapes are kept, and a repeat costs only the partition step.
-    Keys share most of their classes, so each distinct one is kept once,
-    and the partitions share it too: a kept reading stays small and cheap
-    for the garbage collector (B n = 8, m = 2: 3280 frozensets for 50469
-    keys, some 9 MB).
+    multiset.  Then each key's first point is read once, by _classes, and
+    kept as (count, checked BPartition or GPartition), or as (count, zero
+    support, classes) for a lone-zero cube key, which B and D read apart.
+    The last few shapes are kept, so a repeat, as D after B, costs only the
+    tally.  Each distinct class is kept once, shared by keys and partitions:
+    a kept reading stays small and cheap for the garbage collector (B n = 8,
+    m = 2: 3280 frozensets and 33829 partitions for 50469 keys, some 11 MB).
     """
     circle, magnitudes, relate = _cube_axis(m) if t is None else _torus_axis(m, t)
     x = len(circle)
@@ -258,24 +260,28 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
                     state = states.setdefault(key, [0, child, child])
                     state[0] += c
                     state[2] = child
-    colors = None if t is None else m
-    interned: dict = {}
-    reading = []
+    kind, colors = ("B", None) if t is None else ("G", m)
+    keep = {}.setdefault  # one object per distinct class
+    kept, lone = [], []
     for count, point, _ in states.values():
         zeros, classes = _classes(map(circle.__getitem__, point), colors)
-        reading.append((count, interned.setdefault(zeros, zeros),
-                        tuple([interned.setdefault(c, c) for c in classes])))
-    return tuple(reading)
+        zeros, classes = keep(zeros, zeros), tuple([keep(c, c) for c in classes])
+        if kind == "G" or len(zeros) != 1:
+            kept.append((count, _partition(kind, n, colors, zeros, classes)))
+        else:
+            lone.append((count, zeros, classes))
+    return tuple(kept), tuple(lone)
 
 
 def _tally(kind: str, n: int, m: int | None, x: int, caps: EnumerationCaps,
            shape: tuple) -> CensusResult:
     """Census of a shape's x^n points for one kind: the shape's _reading,
-    each key's classes turned into the kind's partition (or missing).
+    its partitions counted (D's with their checked fields shared), and each
+    lone-zero key turned into the kind's partition (or missing).
 
-    The kind and the sizes (by census and torus_census), n and the cap
-    are checked on every call before the reading is looked up, and every
-    partition and the result run their own checks; counts is new each call.
+    The kind and the sizes (by census and torus_census), n and the cap are
+    checked on every call before the reading is looked up; every partition
+    and the result run their own checks; counts is new each call.
     """
     if n < 0:
         raise BadIndex("n must be nonnegative")
@@ -285,15 +291,16 @@ def _tally(kind: str, n: int, m: int | None, x: int, caps: EnumerationCaps,
             f"census of {x}**{n} points exceeds cap {caps.census_points}"
             + ("" if x > 1 else f" (a point of {n} coordinates counts as 2**{n})")
         )
-    counts: dict = {}
+    kept, lone = _reading(*shape)
+    # kept keys have distinct partitions, else the total check would fail
+    counts = ({_d_of_checked(p): c for c, p in kept} if kind == "D"
+              else {p: c for c, p in kept})
     missing = 0
-    for count, zeros, classes in _reading(*shape):
-        try:
-            p = _partition(kind, n, m, zeros, classes)
-        except SingletonZeroBlock:
+    for count, zeros, classes in lone:
+        if (p := _cube_partition(kind, n, zeros, classes)) is None:
             missing += count
-            continue
-        counts[p] = counts.get(p, 0) + count
+        else:
+            counts[p] = counts.get(p, 0) + count
     free = sum(c for p, c in counts.items() if p.r == n)
     return CensusResult(kind, n, x, m, counts, free, missing)
 

@@ -238,6 +238,15 @@ class DPartition(BPartition):
             )
 
 
+def _d_of_checked(p: BPartition) -> DPartition:
+    """p, a checked BPartition with no lone zero, as a DPartition sharing its fields."""
+    d = object.__new__(DPartition)
+    object.__setattr__(d, "n", p.n)
+    object.__setattr__(d, "zero_support", p.zero_support)
+    object.__setattr__(d, "pair_reps", p.pair_reps)
+    return d
+
+
 @dataclass(frozen=True)
 class GPartition:
     """Canonical m-colored partition: zero support plus one block per orbit.

@@ -303,6 +303,34 @@ class TestBijection:
             f"error: internal error: preimage maps to {image} instead of {doc}"
         ]
 
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    def test_odd_signed_d_preimage_is_an_internal_error(self, optimize):
+        # a D preimage with an odd number of negatives has no D descents;
+        # that is the inverse's fault, reported as for kind B
+        program = (
+            "import sys\n"
+            "from bdstirling import bijections, cli\n"
+            "build = bijections._preimage_window\n"
+            "def flipped(op, odd):\n"
+            "    window, cuts = build(op, odd)\n"
+            "    window[-1] = -window[-1]\n"
+            "    return window, cuts\n"
+            "bijections._preimage_window = flipped\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        doc = {"kind": "D", "n": 4, "blocks": [[1, -1, 2, -2], [3, 4], [-3, -4]]}
+        res = subprocess.run(
+            [sys.executable, *optimize, "-c", program, "bijection", "inverse",
+             "--doc", json.dumps(doc)],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (4, "")
+        canonical = {"kind": "D", "n": 4, "blocks": [[-2, -1, 1, 2], [3, 4], [-4, -3]]}
+        assert res.stderr.splitlines() == [
+            "error: internal error: preimage '1,2,3,-4' has an odd number of "
+            f"negative entries, so it cannot map to {canonical}"
+        ]
+
     def test_format_flag_is_gone(self):
         res = run_cli("bijection", "forward", "--kind", "B", "--perm", "1,2",
                       "--format", "csv")

@@ -27,7 +27,7 @@ from bdstirling.geometry import (
     missing_point_count,
     torus_census,
 )
-from bdstirling.partitions import stirling_row
+from bdstirling.partitions import BPartition, DPartition, stirling_row
 from bdstirling.polynomials import falling_factorial
 
 from .oracles import census_by_points
@@ -359,8 +359,11 @@ class TestKeyedTallyAgainstPointOracle:
 
     @pytest.mark.parametrize("shape", [(4, 2), (3, 3, 2)])
     def test_a_reading_keeps_each_distinct_class_once(self, shape):
-        kept = [c for _, zeros, classes in geometry._reading(*shape)
-                for c in (zeros, *classes)]
+        partitions, lone = geometry._reading(*shape)
+        reps = "pair_reps" if len(shape) == 2 else "orbit_reps"
+        readings = [(p.zero_support, getattr(p, reps)) for _, p in partitions]
+        readings += [(zeros, classes) for _, zeros, classes in lone]
+        kept = [c for zeros, classes in readings for c in (zeros, *classes)]
         assert len({id(c) for c in kept}) == len(set(kept)) < len(kept)
 
     def test_d_reuses_the_reading_of_b(self):
@@ -392,6 +395,52 @@ class TestKeyedTallyAgainstPointOracle:
         # colors relate mod m, as the partitions read them: one key per class
         assert spy.call_count == len(res.counts)
         assert sum(res.counts.values()) == (m * t + 1) ** n
+
+
+class TestSharedPartitions:
+    """A D census on a kept cube takes its plain keys' partitions from the
+    B partitions the reading checked, and checks only lone-zero keys."""
+
+    @pytest.mark.parametrize("order", ["BD", "DB", "D"])
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 1), (4, 3), (5, 2)])
+    def test_d_partitions_equal_constructed_ones(self, n, m, order):
+        slow = {k: census_by_points(k, n, range(-m, m + 1)) for k in order}
+        for kind in order:
+            res = census(kind, n, m)
+            _same_result(res, slow[kind])
+            if kind == "D":
+                for p in res.counts:
+                    assert type(p) is DPartition
+                    assert p == DPartition(n, p.zero_support, p.pair_reps)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 3)])
+    def test_d_after_b_checks_only_the_lone_zero_keys_that_fit(self, n, m):
+        census("B", n, m)
+        _, lone = geometry._reading(n, m)
+        fits = sum(len(classes) == n - 1 for _, _, classes in lone)
+        assert 0 < fits < len(lone)
+        check = BPartition.__post_init__
+        with mock.patch.object(BPartition, "__post_init__", autospec=True,
+                               side_effect=check) as spy:
+            res = census("D", n, m)
+        assert spy.call_count == fits
+        assert res.missing == missing_point_count(n, 2 * m + 1) > 0
+
+    def test_cold_d_census_raises_no_singleton_zero_block(self):
+        raised = []
+
+        def spy(self, *args):
+            raised.append(args)
+            ValueError.__init__(self, *args)
+
+        with mock.patch.object(SingletonZeroBlock, "__init__", spy):
+            res = census("D", 4, 2)
+            assert res.missing == missing_point_count(4, 5) > 0
+            assert raised == []
+            # classify_point reads the same rule and still raises
+            with pytest.raises(SingletonZeroBlock, match="fits no even-signed"):
+                classify_point("D", (0, 1, 1, 2))
+        assert len(raised) == 1
 
 
 class TestCensusNearTheCap:
