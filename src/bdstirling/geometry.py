@@ -16,29 +16,29 @@ the rest fits no even-signed partition at all; censuses tally those as
 missing.
 
 A census counts every point without visiting each one.  Prefixes of the
-first coordinates that share a _signature, a cheap tuple that refines the
-classification, have the same children up to a relabelling of the axis
-values, so the walk runs over signatures and counts the prefixes behind
-each; _last_axis_keys keys the last axis, and one point per distinct key
-is read.  For B and the torus the keys are exactly the classes, for D at
-most about twice as many.  The walk and the reading do not depend on the
-kind: B and D read a cube alike and differ only on a lone zero (one
-vanishing coordinate), which D makes a singleton class or counts missing.
-So a census is two steps.  _reading walks a shape, the cube (n, m) or the
-torus (n, m, t), reads each key's first point into its zero support and
-classes, already canonical (in first-spot order, each signed or colored
-relative to its first spot), one frozenset per distinct class, and checks
-each key but a lone-zero one as a BPartition or GPartition in one accept
-pass; the last 8 shapes read are kept.  _tally checks the sizes and the
-cap on every call, then counts the kept partitions (D's as DPartitions
-sharing the checked fields) and each lone-zero key as a partition or missing.
-classify_point is the same two steps for one point.  On one core of a
-2-core x86 VM a cold census costs 11 to 29 us per key, and a repeat of a
-kept shape, as D after B on one cube, 1 to 2 us per key.  So the work
-grows with the keys, not the points: near the 10^8-point cap, B n = 4,
-m = 49 and D n = 6, m = 10 take 0.01 and 0.1 s, and B at n = 8, m = 2
-reads 50469 keys (3280 distinct classes) in 1.1 to 1.5 s, after which D
-on that cube takes some 0.08 s.
+first coordinates that share a key (one rule, _child_keys, keys every
+axis), which refines the classification, have the same children up to a
+relabelling of the axis values, so the walk runs over keys and counts the
+prefixes behind each, and one point per distinct key is read.  For B and
+the torus the keys are exactly the classes, for D at most about twice as
+many.  The walk and the reading do not depend on the kind: B and D read a
+cube alike and differ only on a lone zero (one vanishing coordinate),
+which D makes a singleton class or counts missing.  So a census is two
+steps.  _reading walks a shape, the cube (n, m) or the torus (n, m, t),
+reads each key's first point into its zero support and classes, already
+canonical (in first-spot order, each signed or colored relative to its
+first spot), one frozenset per distinct class, and checks each key but a
+lone-zero one as a BPartition or GPartition in one accept pass; the last 8
+shapes read are kept.  _tally checks the sizes and the cap on every call,
+then counts the kept partitions (D's as DPartitions sharing the checked
+fields) and each lone-zero key as a partition or missing.  classify_point
+is the same two steps for one point.  On one core of a 2-core x86 VM a
+cold census costs 11 to 29 us per key, and a repeat of a kept shape, as D
+after B on one cube, 1 to 2 us per key.  So the work grows with the keys,
+not the points: near the 10^8-point cap, B n = 4, m = 49 and D n = 6,
+m = 10 take 0.01 and 0.1 s, and B at n = 8, m = 2 reads 50469 keys (3280
+distinct classes) in 1.1 to 1.5 s, after which D on that cube takes some
+0.08 s.
 """
 from __future__ import annotations
 
@@ -184,27 +184,13 @@ def _torus_axis(m: int, t: int):
     return circle, (0,) + tuple(i for _, i in circle[1:]), relate
 
 
-def _signature(point, magnitudes, relate) -> tuple:
-    """A key that refines classify_point on the points of an axis^n.
-
-    point holds indices into the axis values.  The key is the first spot of
-    each spot's magnitude class, each spot related to that first spot, and
-    the first vanishing spot (-1 if none).  The partitions read a class's
-    signs or colors relative to its first spot too, so two points with one
-    key classify alike.
-    """
-    a = tuple(map(magnitudes.__getitem__, point))
-    first = tuple(map(a.index, a))
-    rel = tuple(map(relate, point, map(point.__getitem__, first)))
-    return first, rel, a.index(0) if 0 in a else -1
-
-
-def _last_axis_keys(prefix, tag, magnitudes, relate) -> list:
-    """The census keys of prefix + (v,) for each axis index v; tag stands
-    for the prefix's _signature.  A magnitude new to the prefix opens a class
-    at the last spot (flagged when it vanishes); any other value joins its
-    magnitude's first spot in the prefix, related to it.  So a key fixes the
-    point's _signature, and points with one key classify alike."""
+def _child_keys(prefix, tag, magnitudes, relate) -> list:
+    """The census keys of prefix + (v,) for each axis index v, tag being the
+    prefix's key (() for the empty prefix).  A key is (tag, spot, relation):
+    a magnitude new to the prefix opens a class at the next spot, flagged
+    when it vanishes; any other value joins its magnitude's first spot in
+    the prefix, related to it.  The partitions read a class relative to its
+    first spot too, so points with one key classify alike."""
     last = len(prefix)
     firsts = {magnitudes[i]: (spot, i)
               for spot, i in reversed(tuple(enumerate(prefix)))}
@@ -220,9 +206,9 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
     """The kind-independent census of a shape: the cube {-m..m}^n when t is
     None, else the torus of m colors and t magnitudes per axis.
 
-    The walk runs over prefix signatures, level by level.  A state is
-    [number of prefixes, first prefix, a later prefix (the first if none)],
-    by _signature, and by key (_last_axis_keys) on the last level.  Each
+    The walk runs over prefix keys, level by level, from the empty prefix's
+    key ().  A state is [number of prefixes, first prefix, a later prefix
+    (the first if none)], by the key _child_keys gives its prefixes.  Each
     state is expanded once, from its first prefix, by every axis index, and
     each child adds its count; where two or more prefixes share it, the
     later one is expanded too and must give the same children as a
@@ -235,20 +221,13 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
     m = 2: 3280 frozensets and 33829 partitions for 50469 keys, some 11 MB).
     """
     circle, magnitudes, relate = _cube_axis(m) if t is None else _torus_axis(m, t)
-    x = len(circle)
-
-    def children(prefix, signature):
-        if len(prefix) < n - 1:
-            return [_signature(prefix + (v,), magnitudes, relate) for v in range(x)]
-        return _last_axis_keys(prefix, signature, magnitudes, relate)
-
-    states = {_signature((), magnitudes, relate): [1, (), ()]}
+    states = {(): [1, (), ()]}
     for _ in range(n):
         parents, states = states, {}
-        for signature, (count, first, later) in parents.items():
-            walks = [(first, children(first, signature), count)]
+        for tag, (count, first, later) in parents.items():
+            walks = [(first, _child_keys(first, tag, magnitudes, relate), count)]
             if count > 1:
-                walks.append((later, children(later, signature), 0))
+                walks.append((later, _child_keys(later, tag, magnitudes, relate), 0))
                 if sorted(walks[0][1]) != sorted(walks[1][1]):
                     raise InvariantViolation(
                         f"census prefixes {first} and {later} share a "
@@ -329,10 +308,11 @@ def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:
     """Points on no hyperplane, by the closed falling-factorial form.
 
     A census with weights (a, b) has x = b (mod a) values per axis: odd
-    x = 2m + 1 for the cube, x = m t + 1 for the torus.
+    x = 2m + 1 for the cube, x = m t + 1 for the torus.  n and x are ints.
     """
     if kind not in ("B", "D", "G"):
         raise UnknownKind(f"unknown census kind {kind!r}")
+    n, x = index(n), index(x)
     a, b = _weights(kind, m)
     if x < 1 or (x - b) % a:
         raise BadIndex(f"kind {kind} censuses need x = {b} (mod {a}), got {x}")
@@ -341,6 +321,9 @@ def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:
 
 def missing_point_count(n: int, x: int) -> int:
     """Even-signed cube points no partition accepts, in closed form."""
+    n, x = index(n), index(x)
+    if n < 0:
+        raise BadIndex("n must be nonnegative")
     if x < 1 or x % 2 == 0:
         raise BadIndex("cube censuses need odd x = 2m + 1")
     if n == 0:

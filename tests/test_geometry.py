@@ -274,6 +274,33 @@ class TestBasisIdentitiesOnPoints:
         assert missing_point_count(2, 7) == 0
         assert missing_point_count(0, 7) == 0
 
+    def test_missing_count_refuses_a_negative_n(self):
+        with pytest.raises(BadIndex, match=r"^n must be nonnegative$"):
+            missing_point_count(-1, 5)
+
+
+class TestClosedFormsTakeIntegers:
+    """The closed-form counts read n and x as the censuses read their sizes:
+    a float is refused, a bool counts as an int, the result is an int."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: free_point_count("B", 2, 5.0),
+        lambda: free_point_count("D", 2.0, 5),
+        lambda: free_point_count("G", 2, 16.0, m=3),
+        lambda: missing_point_count(3, 5.0),
+        lambda: missing_point_count(3.0, 5),
+    ])
+    def test_a_float_is_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_a_bool_counts_as_an_int(self):
+        assert type(free_point_count("B", True, 3)) is int
+        assert free_point_count("B", True, 3) == free_point_count("B", 1, 3) == 2
+        assert free_point_count("B", False, True) == free_point_count("B", 0, 1) == 1
+        assert type(missing_point_count(True, 5)) is int
+        assert missing_point_count(True, 5) == missing_point_count(1, 5) == 0
+
 
 def _same_result(fast, slow):
     assert (fast.kind, fast.n, fast.x, fast.m) == (slow.kind, slow.n, slow.x, slow.m)
@@ -370,22 +397,20 @@ class TestKeyedTallyAgainstPointOracle:
         census("B", 4, 3)
         spies = [
             mock.patch.object(geometry, name, wraps=getattr(geometry, name))
-            for name in ("_signature", "_last_axis_keys", "_classes")
+            for name in ("_child_keys", "_classes")
         ]
-        with spies[0] as signatures, spies[1] as last_axis_keys, spies[2] as classes:
+        with spies[0] as child_keys, spies[1] as classes:
             res = census("D", 4, 3)
-        assert (signatures.call_count, last_axis_keys.call_count, classes.call_count) == (0, 0, 0)
+        assert (child_keys.call_count, classes.call_count) == (0, 0)
         _same_result(res, census_by_points("D", 4, range(-3, 4)))
 
     def test_walks_signatures_not_points(self):
-        signature = mock.patch.object(geometry, "_signature", wraps=geometry._signature)
-        keys = mock.patch.object(
-            geometry, "_last_axis_keys", wraps=geometry._last_axis_keys
-        )
-        with signature as signatures, keys as last_axis_keys:
+        keys = mock.patch.object(geometry, "_child_keys", wraps=geometry._child_keys)
+        with keys as child_keys:
             res = census("B", 4, 49)
         assert sum(res.counts.values()) == 99**4
-        assert signatures.call_count + last_axis_keys.call_count < 10**4
+        # one or two calls per state (62 here), not one per prefix or point
+        assert child_keys.call_count < 100
 
     @pytest.mark.parametrize("n, m, t", [(4, 3, 2), (3, 2, 5), (3, 4, 3), (4, 4, 2)])
     def test_torus_classifies_once_per_class(self, n, m, t):
@@ -463,11 +488,12 @@ class TestCensusNearTheCap:
 
 
 def _census_key(point, magnitudes, relate):
-    """The census key of a point (indices into the axis values): its prefix's
-    _signature as the tag, then the last axis keyed against the prefix."""
-    prefix = point[:-1]
-    tag = geometry._signature(prefix, magnitudes, relate)
-    return geometry._last_axis_keys(prefix, tag, magnitudes, relate)[point[-1]]
+    """The census key of a point (indices into the axis values): the key of
+    the empty prefix, (), extended by each spot in turn."""
+    key = ()
+    for spot, v in enumerate(point):
+        key = geometry._child_keys(point[:spot], key, magnitudes, relate)[v]
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -510,8 +536,7 @@ class TestSignatureRefinesClassification:
 
     def test_no_zero_and_zero_at_first_spot_differ(self):
         # (1, 2) and (0, 1) share every magnitude class and sign; only the
-        # prefix's zero spot tells them apart, and 0 == False, so a prefix key
-        # written "0 in a and a.index(0)" would merge them
+        # zero flag of the class the first spot opens tells them apart
         circle, *tables = geometry._cube_axis(2)
         no_zero, zero_first = (1, 2), (0, 1)
         keys = [_census_key(tuple(map(circle.index, p)), *tables)
@@ -545,29 +570,46 @@ class TestSignatureRefinesClassification:
 
 class TestCensusInvariant:
     LOSSY = "CensusResult('B', 2, 3, None, {'p': 8}, free=0)"
-    # children that depend on more than a prefix's signature: the last-axis
-    # keys differ on every call, or a prefix starting with the axis's last
-    # value (1 on the cube {-1, 0, 1}) hides its children's signatures
+    # children that depend on more than a prefix's key, on the census of
+    # B n = 3, m = 1: the keys of a last-axis prefix (length 2) differ on
+    # every call, or a prefix starting with the axis's last value (1 on the
+    # cube {-1, 0, 1}) hides its children's keys at every level, or every
+    # key differs on every call, so that no two prefixes share a state
     DRIFTING = {
-        "_last_axis_keys": (
+        "last-axis": (
             "import itertools\n"
             "from bdstirling import geometry\n"
             "calls = itertools.count()\n"
-            "real = geometry._last_axis_keys\n"
-            "geometry._last_axis_keys = lambda *args: [\n"
-            "    (key, next(calls)) for key in real(*args)]\n"
+            "real = geometry._child_keys\n"
+            "geometry._child_keys = lambda prefix, *args: [\n"
+            "    (key, next(calls)) for key in real(prefix, *args)\n"
+            "] if len(prefix) == 2 else real(prefix, *args)\n"
         ),
-        "_signature": (
+        "last-value": (
             "from bdstirling import geometry\n"
-            "real = geometry._signature\n"
-            "geometry._signature = lambda point, *args: (\n"
-            "    real(point, *args), len(point) > 1 and point[0] == 2)\n"
+            "real = geometry._child_keys\n"
+            "geometry._child_keys = lambda prefix, *args: [\n"
+            "    (key, prefix[:1] == (2,)) for key in real(prefix, *args)]\n"
+        ),
+        "every-key": (
+            "import itertools\n"
+            "from bdstirling import geometry\n"
+            "calls = itertools.count()\n"
+            "real = geometry._child_keys\n"
+            "geometry._child_keys = lambda *args: [\n"
+            "    (key, next(calls)) for key in real(*args)]\n"
         ),
     }
 
     # the first state two prefixes reach whose children drift: the last
-    # level's (-1, -1) and (1, 1), or the first level's (-1) and (1)
-    FIRST_DRIFT = {"_last_axis_keys": "(0, 0) and (2, 2)", "_signature": "(0,) and (2,)"}
+    # level's (-1, -1) and (1, 1), or the first level's (-1) and (1); with
+    # no shared state, the walk reads a key per point, and points whose
+    # partitions coincide are lost to the total check
+    RAISED = {
+        "last-axis": "census prefixes (0, 0) and (2, 2) share a signature but not its children",
+        "last-value": "census prefixes (0,) and (2,) share a signature but not its children",
+        "every-key": "census lost points: 20 != 3**3",
+    }
 
     def _census_with(self, patched, *flags):
         # under -O this assert shows that asserts are off
@@ -584,10 +626,7 @@ class TestCensusInvariant:
             capture_output=True, text=True,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout == (
-            f"raised: census prefixes {self.FIRST_DRIFT[patched]} share a "
-            "signature but not its children\n"
-        )
+        assert res.stdout == f"raised: {self.RAISED[patched]}\n"
 
     @pytest.mark.parametrize("patched", sorted(DRIFTING))
     def test_drifting_children_raise(self, patched):
