@@ -9,6 +9,7 @@ disagrees with the signed one even though the histograms agree.
 
 import argparse
 
+from bdstirling.cli import _at_least
 from bdstirling.geometry import census, torus_census
 from bdstirling.groups import SignedPermutation, colored_from_signed, des_stat
 from bdstirling.partitions import colored_literal_row, stirling_row
@@ -24,9 +25,9 @@ def show(res, label):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--half-width", type=int, default=3,
+    ap.add_argument("--half-width", type=_at_least(0), default=3,
                     help="m for the centered cube [-m, m]^n")
-    ap.add_argument("--turns", type=int, default=5,
+    ap.add_argument("--turns", type=_at_least(1), default=5,
                     help="t for the discrete torus with x = 3t + 1 points")
     args = ap.parse_args()
 

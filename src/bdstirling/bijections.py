@@ -238,11 +238,10 @@ def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
 def _procedure(kind: str, element: SignedPermutation, artificial) -> OrderedPartition:
     """Cut the window at its descents plus the artificial separators.
 
-    Valid separators are accepted by whole-set checks; only when those
-    refuse does the per-gap loop run, naming the first bad gap.  The cut is
-    accepted when its n > 0 spots are distinct, none below 1 and none above
-    n, so they tile 1..n and no class repeats one; any other cut goes to the
-    constructor with its blocks, which raises, or for n = 0 accepts them.
+    Artificial gaps are checked one at a time; the first bad one is named.
+    The cut is accepted when its n > 0 spots are distinct, none below 1 and
+    none above n, so they tile 1..n and no class repeats one; other cuts go
+    to the constructor with their blocks, which raises, or for n = 0 accepts.
     """
     if not isinstance(element, SignedPermutation):
         raise FlavorMismatch("the block procedure needs a SignedPermutation")
@@ -250,16 +249,12 @@ def _procedure(kind: str, element: SignedPermutation, artificial) -> OrderedPart
     n = len(window)
     separators = descent_set(element, kind)
     artificial = set(map(index, artificial))
-    if artificial:
-        if not (
-            0 <= min(artificial) and max(artificial) < n and separators.isdisjoint(artificial)
-        ):
-            for g in artificial:
-                if not 0 <= g < n:
-                    raise TooManySeparators(f"separator at gap {g} but gaps run 0..{n - 1}")
-                if g in separators:
-                    raise SpotCollision(f"gap {g} already holds a descent")
-        separators = separators.union(artificial)
+    for g in artificial:
+        if not 0 <= g < n:
+            raise TooManySeparators(f"separator at gap {g} but gaps run 0..{n - 1}")
+        if g in separators:
+            raise SpotCollision(f"gap {g} already holds a descent")
+    separators = separators.union(artificial)
     support, classes = (_cut if kind == "B" else _slid_cut)(window, separators)
     blocks = _blocks_of(support, classes)
     spots = support.union(map(abs, chain.from_iterable(classes)))

@@ -1,7 +1,8 @@
-"""Size guards for the exhaustive enumerations, and the weights of each kind."""
+"""Caps on the exhaustive enumerations, the size rule, and each kind's weights."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import BadIndex, SizeOverflow, UnknownKind
 
@@ -21,6 +22,15 @@ class EnumerationCaps:
 
 
 DEFAULT_CAPS = EnumerationCaps()
+
+
+def _size(n, name: str = "n") -> int:
+    """A size read as an int (a bool becomes one, a float is refused), and
+    refused as a BadIndex when negative."""
+    n = index(n)
+    if n < 0:
+        raise BadIndex(f"{name} must be nonnegative")
+    return n
 
 
 def _weights(kind: str, m: int | None = None) -> tuple[int, int]:

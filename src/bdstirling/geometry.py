@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import index, ne, neg
 
-from .config import DEFAULT_CAPS, EnumerationCaps, _weights
+from .config import DEFAULT_CAPS, EnumerationCaps, _size, _weights
 from .errors import (
     BadIndex,
     InvariantViolation,
@@ -87,7 +87,10 @@ def classify_point(kind: str, coords, m: int | None = None):
     else:
         m = None
         coords = list(map(index, coords))
-    return _partition(kind, len(coords), m, *_classes(coords, m))
+    if (p := _partition(kind, len(coords), m, *_classes(coords, m))) is None:
+        raise SingletonZeroBlock("one vanishing coordinate plus a repeated "
+                                 "absolute value fits no even-signed partition")
+    return p
 
 
 def _classes(coords, m: int | None) -> tuple:
@@ -119,20 +122,12 @@ def _classes(coords, m: int | None) -> tuple:
 
 
 def _partition(kind: str, n: int, m: int | None, zeros: frozenset, classes: tuple):
-    """The kind's partition of a class reading, through its constructor's
-    accept pass; SingletonZeroBlock where an even-signed point fits none."""
+    """The kind's partition of a cube or torus reading, through its
+    constructor's accept pass, or None where D has none: D takes a lone zero
+    as a singleton class, in first-spot order, only if every other spot is
+    one too."""
     if kind == "G":
         return GPartition(n, m, zeros, classes)
-    if (p := _cube_partition(kind, n, zeros, classes)) is None:
-        raise SingletonZeroBlock("one vanishing coordinate plus a repeated "
-                                 "absolute value fits no even-signed partition")
-    return p
-
-
-def _cube_partition(kind: str, n: int, zeros: frozenset, classes: tuple):
-    """The kind's partition of a cube reading, through its constructor, or
-    None where D has none: D takes a lone zero as a singleton class, in
-    first-spot order, only if every other spot is one too."""
     if kind == "B" or len(zeros) != 1:
         return (BPartition if kind == "B" else DPartition)(n, zeros, classes)
     if len(classes) < n - 1:
@@ -262,8 +257,7 @@ def _tally(kind: str, n: int, m: int | None, x: int, caps: EnumerationCaps,
     checked on every call before the reading is looked up; every partition
     and the result run their own checks; counts is new each call.
     """
-    if n < 0:
-        raise BadIndex("n must be nonnegative")
+    _size(n)
     # the lone point of a one-value axis still has n coordinates to build
     if max(x, 2) ** n > caps.census_points:
         raise SizeOverflow(
@@ -276,7 +270,7 @@ def _tally(kind: str, n: int, m: int | None, x: int, caps: EnumerationCaps,
               else {p: c for c, p in kept})
     missing = 0
     for count, zeros, classes in lone:
-        if (p := _cube_partition(kind, n, zeros, classes)) is None:
+        if (p := _partition(kind, n, m, zeros, classes)) is None:
             missing += count
         else:
             counts[p] = counts.get(p, 0) + count
@@ -288,9 +282,7 @@ def census(kind: str, n: int, m: int, caps: EnumerationCaps = DEFAULT_CAPS) -> C
     """Classify every point of {-m..m}^n; kind B or D, x = 2m + 1."""
     if kind not in ("B", "D"):
         raise UnknownKind(f"cube census kind must be B or D, got {kind!r}")
-    n, m = index(n), index(m)
-    if m < 0:
-        raise BadIndex("half-width m must be nonnegative")
+    n, m = index(n), _size(m, "half-width m")
     return _tally(kind, n, None, 2 * m + 1, caps, (n, m))
 
 
@@ -316,14 +308,12 @@ def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:
     a, b = _weights(kind, m)
     if x < 1 or (x - b) % a:
         raise BadIndex(f"kind {kind} censuses need x = {b} (mod {a}), got {x}")
-    return falling_factorial(kind, n, n=n, m=m)(x)
+    return falling_factorial(kind, _size(n), n=n, m=m)(x)
 
 
 def missing_point_count(n: int, x: int) -> int:
     """Even-signed cube points no partition accepts, in closed form."""
-    n, x = index(n), index(x)
-    if n < 0:
-        raise BadIndex("n must be nonnegative")
+    x, n = index(x), _size(n)
     if x < 1 or x % 2 == 0:
         raise BadIndex("cube censuses need odd x = 2m + 1")
     if n == 0:

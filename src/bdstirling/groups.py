@@ -12,11 +12,12 @@ color 0 last and values increasing inside each color class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
-from operator import index
-from typing import Iterator
+from operator import index, itemgetter
+from typing import Callable, Iterator, Sequence
 
-from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
+from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
 from .errors import (
     BadIndex,
     FlavorMismatch,
@@ -205,8 +206,7 @@ def des_stat(element, stat: str) -> int:
 
 def group_order(kind: str, n: int, m: int | None = None) -> int:
     """Order a^n n! of the group of a kind with weights (a, b), halved for D."""
-    if n < 0:
-        raise BadIndex("n must be nonnegative")
+    n = _size(n)
     a, _ = _weights(kind, m)
     order = a**n * factorial(n)
     return order // 2 if kind == "D" and n >= 1 else order
@@ -227,32 +227,23 @@ def enumerate_group(
     if kind not in ("B", "D", "G"):
         raise UnknownKind(f"unknown group kind {kind!r}")
     _check_group_cap(kind, group_order(kind, n, m), caps)
-    if kind == "B":
-        return _signed_windows(n)
-    if kind == "D":
-        return (b for b in _signed_windows(n) if b.is_even_signed())
-    return _colored_windows(n, m)
+    if kind == "G":
+        letters = [(a, z) for a in range(1, n + 1) for z in range(m)]
+        return _windows(n, letters, itemgetter(0), partial(ColoredPermutation, m))
+    signed = _windows(n, [*range(-n, 0), *range(1, n + 1)], abs, SignedPermutation)
+    return signed if kind == "B" else (b for b in signed if b.is_even_signed())
 
 
-def _signed_windows(n: int) -> Iterator[SignedPermutation]:
-    def rec(prefix: tuple[int, ...], remaining: frozenset[int]):
+def _windows(n: int, letters: Sequence, value: Callable, make: Callable) -> Iterator:
+    """make(window) for every window of n letters whose values are 1..n,
+    each once, in lexicographic order: letters is sorted, and each prefix
+    takes every letter in turn whose value it does not hold yet."""
+    def rec(prefix: tuple, remaining: frozenset[int]):
         if not remaining:
-            yield SignedPermutation(prefix)
+            yield make(prefix)
             return
-        descending = sorted(remaining, reverse=True)
-        for v in [-a for a in descending] + sorted(remaining):
-            yield from rec(prefix + (v,), remaining - {abs(v)})
-
-    yield from rec((), frozenset(range(1, n + 1)))
-
-
-def _colored_windows(n: int, m: int) -> Iterator[ColoredPermutation]:
-    def rec(prefix: tuple[tuple[int, int], ...], remaining: frozenset[int]):
-        if not remaining:
-            yield ColoredPermutation(m, prefix)
-            return
-        for a in sorted(remaining):
-            for z in range(m):
-                yield from rec(prefix + ((a, z),), remaining - {a})
+        for letter in letters:
+            if (v := value(letter)) in remaining:
+                yield from rec(prefix + (letter,), remaining - {v})
 
     yield from rec((), frozenset(range(1, n + 1)))

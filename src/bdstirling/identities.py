@@ -18,7 +18,7 @@ from operator import gt, mul
 from types import MappingProxyType
 
 from .bijections import d_unreachable_count
-from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _weights
+from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
 from .errors import BadIndex, UnknownKind
 from .groups import group_order
 from .partitions import flag_stirling_row, stirling_row
@@ -366,8 +366,5 @@ def verify_identity(
     if name not in IDENTITIES:
         raise UnknownKind(f"unknown identity {name!r}")
     entry = IDENTITIES[name]
-    if nmax is None:
-        nmax = entry["nmax"]
-    if nmax < 0:
-        raise BadIndex("nmax must be nonnegative")
+    nmax = _size(entry["nmax"] if nmax is None else nmax, "nmax")
     return entry["build"](name, entry["kind"], nmax, m, caps)

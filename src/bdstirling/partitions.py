@@ -25,7 +25,7 @@ from math import comb
 from operator import add, index, itemgetter, mul
 from typing import Iterator, Sequence
 
-from .config import _weights
+from .config import _size, _weights
 from .errors import (
     BadIndex,
     NotAPartition,
@@ -80,9 +80,7 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
     G at m = 2 under negatives-as-color-1.  n is read as an int, as by
     stirling: a bool becomes one, a float is refused.
     """
-    n = index(n)
-    if n < 0:
-        raise BadIndex("n must be nonnegative")
+    n = _size(n)
     row = _triangle_row(*_weights(kind, m), n)
     if kind != "D" or n == 0:
         return row
@@ -104,8 +102,7 @@ def flag_stirling_row(n: int) -> tuple[int, ...]:
     W_2(n, p).  Odd r = 2p + 1: nonempty zero support and p pairs, the
     rest of S_B(n, p).
     """
-    if n < 0:
-        raise BadIndex("n must be nonnegative")
+    n = _size(n)
     empty, signed = _triangle_row(2, 0, n), _triangle_row(2, 1, n)
     row = []
     for p in range(n + 1):
@@ -382,7 +379,7 @@ def classical_set_partitions(
     yield from rec(1, [[items[0]]])
 
 
-def _colorings(cls: Sequence[int], m: int) -> Iterator[frozenset[tuple[int, int]]]:
+def _colorings(cls: frozenset[int], m: int) -> Iterator[frozenset[tuple[int, int]]]:
     """All canonical colorings of a class (min value pinned to color 0)."""
     rest = sorted(cls)[1:]
     anchor = min(cls)
@@ -393,31 +390,27 @@ def _colorings(cls: Sequence[int], m: int) -> Iterator[frozenset[tuple[int, int]
 def enumerate_partitions(kind: str, n: int, r: int | None = None, m: int = 2) -> list:
     """Materialize all partitions of the given kind, sorted canonically.
 
+    Each set partition of {0, 1, ..., n} gives the zero support (the block
+    holding 0, less 0) and the classes, each colored every canonical way.
     With r given, only those with r mirror pairs or orbits.
     """
     if kind not in ("B", "D", "G"):
         raise UnknownKind(f"unknown partition kind {kind!r}")
+    n = _size(n)
     # B and D are G at m = 2, with color 1 read as a minus sign.
     colors = m if kind == "G" else 2
     maker = DPartition if kind == "D" else BPartition
     out = []
-    spots = range(1, n + 1)
-    for k in range(n + 1):
-        if kind == "D" and k == 1:
+    for zero, *classes in classical_set_partitions(range(n + 1)):
+        zs = zero - {0}
+        if (kind == "D" and len(zs) == 1) or (r is not None and len(classes) != r):
             continue
-        for zs in itertools.combinations(spots, k):
-            rest = [v for v in spots if v not in zs]
-            for classes in classical_set_partitions(rest):
-                if r is not None and len(classes) != r:
-                    continue
-                for reps in itertools.product(
-                    *(_colorings(sorted(c), colors) for c in classes)
-                ):
-                    if kind == "G":
-                        out.append(GPartition(n, m, frozenset(zs), reps))
-                    else:
-                        signed = [frozenset(-a if z else a for a, z in c) for c in reps]
-                        out.append(maker(n, frozenset(zs), tuple(signed)))
+        for reps in itertools.product(*(_colorings(c, colors) for c in classes)):
+            if kind == "G":
+                out.append(GPartition(n, m, zs, reps))
+            else:
+                signed = [frozenset(-a if z else a for a, z in c) for c in reps]
+                out.append(maker(n, zs, tuple(signed)))
     out.sort(key=lambda p: p.sort_key())
     return out
 

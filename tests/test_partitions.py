@@ -18,7 +18,7 @@ from bdstirling.errors import (
     SingletonZeroBlock,
     UnknownKind,
 )
-from bdstirling.geometry import ZERO, classify_point
+from bdstirling.geometry import ZERO, classify_point, free_point_count
 from bdstirling.partitions import (
     BPartition,
     DPartition,
@@ -284,12 +284,17 @@ class TestEnumeration:
             assert len(set(parts)) == len(parts)
 
     @pytest.mark.parametrize("kind", ["B", "D"])
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(5))
     def test_signed_enumeration_matches_raw_filter(self, kind, n):
         for r in range(n + 1):
             assert len(enumerate_partitions(kind, n, r)) == oracles.mirror_partition_count(
                 n, r, kind
             )
+        # the same block families, each once, with the marker 0 left out
+        families = [frozenset({b - {0} for b in p.blocks()} - {frozenset()})
+                    for p in enumerate_partitions(kind, n)]
+        assert len(set(families)) == len(families)
+        assert set(families) == set(map(frozenset, oracles.mirror_partitions(n, kind)))
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
     def test_colored_counts_match_rows(self, n, m):
@@ -333,8 +338,11 @@ class TestEnumeration:
      "m must be at least 1"),
     (lambda: enumerate_partitions("A", 2), UnknownKind,
      "unknown partition kind 'A'"),
+    (lambda: enumerate_partitions("B", -1), BadIndex, "n must be nonnegative"),
+    (lambda: free_point_count("B", -1, 3), BadIndex, "n must be nonnegative"),
     (lambda: _weights("C"), UnknownKind, "unknown kind 'C'"),
-], ids=["stirling_row", "flag_stirling_row", "colors", "enumerate", "weights"])
+], ids=["stirling_row", "flag_stirling_row", "colors", "enumerate", "enumerate_size",
+        "free_point_count", "weights"])
 def test_bad_arguments_raise_typed_errors(call, error, message):
     # both classes are ValueErrors, so the CLI exit codes stay as they were
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:

@@ -44,6 +44,18 @@ def test_verify_all_rejects_bad_sizes(argv, message):
     assert res.stderr.splitlines()[-1].endswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--half-width", "-1"), "argument --half-width: must be nonnegative, got -1"),
+    (("--turns", "0"), "argument --turns: must be at least 1, got 0"),
+])
+def test_census_report_rejects_bad_sizes(argv, message):
+    res = _run("census_report.py", *argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1].endswith(message)
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
