@@ -263,8 +263,8 @@ def cmd_bijection(args) -> _Result:
 def cmd_census(args) -> _Result:
     caps = _caps_from_args(args)
     if args.kind in ("B", "D"):
-        if args.m is None:
-            raise _Usage("cube census needs --m (half-width)")
+        if args.m is None or args.t is not None:
+            raise _Usage("cube census needs --m (half-width) and takes no --t")
         result = census(args.kind, args.n, args.m, caps=caps)
     else:
         if args.m is None or args.t is None or args.m < 2 or args.t < 1:

@@ -41,7 +41,8 @@ def _weights(kind: str, m: int | None = None) -> tuple[int, int]:
     factorials step through the roots b, b + a, b + 2a, ..., group orders
     are a^n n! (halved for D), and the Stirling-Eulerian identities weigh
     r classes by a^r r!.  Classical A is (1, 0), types B and D are (2, 1),
-    m-colored G is (m, 1); type B is G at m = 2.
+    m-colored G is (m, 1); type B is G at m = 2.  G's m is read as an int
+    (a bool becomes one, a float is refused), so every count stays exact.
     """
     if kind == "A":
         return 1, 0
@@ -49,7 +50,7 @@ def _weights(kind: str, m: int | None = None) -> tuple[int, int]:
         return 2, 1
     if kind != "G":
         raise UnknownKind(f"unknown kind {kind!r}")
-    if m is None or m < 1:
+    if m is None or (m := index(m)) < 1:
         raise BadIndex("kind G needs m >= 1")
     return m, 1
 

@@ -19,26 +19,27 @@ A census counts every point without visiting each one.  Prefixes of the
 first coordinates that share a key (one rule, _child_keys, keys every
 axis), which refines the classification, have the same children up to a
 relabelling of the axis values, so the walk runs over keys and counts the
-prefixes behind each, and one point per distinct key is read.  For B and
-the torus the keys are exactly the classes, for D at most about twice as
-many.  The walk and the reading do not depend on the kind: B and D read a
-cube alike and differ only on a lone zero (one vanishing coordinate),
-which D makes a singleton class or counts missing.  So a census is two
-steps.  _reading walks a shape, the cube (n, m) or the torus (n, m, t),
-reads each key's first point into its zero support and classes, already
-canonical (in first-spot order, each signed or colored relative to its
-first spot), one frozenset per distinct class, and checks each key but a
-lone-zero one as a BPartition or GPartition in one accept pass; the last 8
-shapes read are kept.  _tally checks the sizes and the cap on every call,
-then counts the kept partitions (D's as DPartitions sharing the checked
-fields) and each lone-zero key as a partition or missing.  classify_point
-is the same two steps for one point.  On one core of a 2-core x86 VM a
-cold census costs 11 to 29 us per key, and a repeat of a kept shape, as D
-after B on one cube, 1 to 2 us per key.  So the work grows with the keys,
-not the points: near the 10^8-point cap, B n = 4, m = 49 and D n = 6,
-m = 10 take 0.01 and 0.1 s, and B at n = 8, m = 2 reads 50469 keys (3280
-distinct classes) in 1.1 to 1.5 s, after which D on that cube takes some
-0.08 s.
+prefixes behind each, and reads no point: each key's reading is its
+parent's, grown by the one spot the key adds.  For B and the torus the
+keys are exactly the classes, for D at most about twice as many.  The walk
+and the reading do not depend on the kind: B and D read a cube alike and
+differ only on a lone zero (one vanishing coordinate), which D makes a
+singleton class or counts missing.  So a census is two steps.  _reading
+walks a shape, the cube (n, m) or the torus (n, m, t), grows each key's
+zero support and classes, already canonical (in first-spot order, each
+signed or colored relative to its first spot), one frozenset per distinct
+class, and checks each key but a lone-zero one as a BPartition or
+GPartition in one accept pass; the last 8 shapes read are kept.  _tally
+checks the sizes and the cap on every call, then counts the kept
+partitions (D's as DPartitions sharing the checked fields) and each
+lone-zero key as a partition or missing.  classify_point reads the classes
+of one point (_classes) and makes the same partition of them.  On one core
+of a 2-core x86 VM a cold census costs 11 to 28 us per key, and a repeat
+of a kept shape, as D after B on one cube, 0.3 to 1.7 us per key.  So the
+work grows with the keys, not the points: near the 10^8-point cap, B n = 4,
+m = 49 and D n = 6, m = 10 take 0.003 and 0.05 to 0.07 s, and B at n = 8,
+m = 2 reads 50469 keys (3280 distinct classes) in 0.85 to 0.95 s, after
+which D on that cube takes 0.05 to 0.07 s.
 """
 from __future__ import annotations
 
@@ -159,24 +160,22 @@ class CensusResult:
 
 
 def _cube_axis(m: int):
-    """The cube's axis values -m..m, their magnitudes, and how the indices
-    of two values with one magnitude relate: equal or not, as their signs."""
-    circle = range(-m, m + 1)
-    return circle, tuple(map(abs, circle)), ne
+    """The magnitudes of the cube's axis values -m..m, by index, and how the
+    indices of two values with one magnitude relate: equal or not, as their
+    signs."""
+    return tuple(map(abs, range(-m, m + 1))), ne
 
 
 def _torus_axis(m: int, t: int):
-    """The torus circle [ZERO, (color, magnitude), ...], its magnitudes (0
-    for ZERO), and how the indices of two values with one magnitude relate:
-    color-major order makes their difference t times the color difference,
-    read mod m t as the partitions read colors mod m."""
-    circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
-    period = m * t
+    """The magnitudes of the torus circle [ZERO, (color, magnitude), ...] in
+    color-major order, by index (0 for ZERO), and how the indices of two
+    values with one magnitude relate: their difference is t times the color
+    difference, which is read mod m, as the partitions read colors."""
 
     def relate(v, w):
-        return (v - w) % period
+        return (v - w) // t % m
 
-    return circle, (0,) + tuple(i for _, i in circle[1:]), relate
+    return (0,) + tuple(range(1, t + 1)) * m, relate
 
 
 def _child_keys(prefix, tag, magnitudes, relate) -> list:
@@ -203,23 +202,31 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
 
     The walk runs over prefix keys, level by level, from the empty prefix's
     key ().  A state is [number of prefixes, first prefix, a later prefix
-    (the first if none)], by the key _child_keys gives its prefixes.  Each
-    state is expanded once, from its first prefix, by every axis index, and
-    each child adds its count; where two or more prefixes share it, the
-    later one is expanded too and must give the same children as a
-    multiset.  Then each key's first point is read once, by _classes, and
-    kept as (count, checked BPartition or GPartition), or as (count, zero
-    support, classes) for a lone-zero cube key, which B and D read apart.
-    The last few shapes are kept, so a repeat, as D after B, costs only the
-    tally.  Each distinct class is kept once, shared by keys and partitions:
-    a kept reading stays small and cheap for the garbage collector (B n = 8,
-    m = 2: 3280 frozensets and 33829 partitions for 50469 keys, some 11 MB).
+    (the first if none), the first prefix's reading: its zero support, the
+    first spots of its classes as bits, and the classes], by the key
+    _child_keys gives its prefixes.  Each state is expanded once, from its
+    first prefix, by every axis index, and each child adds its count; where
+    two or more prefixes share it, the later one is expanded too and must
+    give the same children as a multiset.  A new key's reading is its
+    parent's with the one new spot: in the zero support, in a class of its
+    own, or in the class whose first spot the key names, signed or colored
+    by the key's relation.  Each key is kept as (count, checked BPartition
+    or GPartition), or as (count, zero support, classes) for a lone-zero
+    cube key, which B and D read apart.  The last few shapes are kept, so a
+    repeat, as D after B, costs only the tally.  Each distinct class is
+    kept once, shared by states and partitions: a kept reading stays small
+    and cheap for the garbage collector (B n = 8, m = 2: 3280 frozensets
+    and 33829 partitions for 50469 keys, some 11 MB).
     """
-    circle, magnitudes, relate = _cube_axis(m) if t is None else _torus_axis(m, t)
-    states = {(): [1, (), ()]}
-    for _ in range(n):
+    magnitudes, relate = _cube_axis(m) if t is None else _torus_axis(m, t)
+    keep = {}.setdefault  # one object per distinct class
+    states = {(): [1, (), (), frozenset(), 0, ()]}
+    for last in range(n):
         parents, states = states, {}
-        for tag, (count, first, later) in parents.items():
+        spot = last + 1  # the spot each child adds, counted from 1
+        alone = frozenset([spot if t is None else (spot, 0)])
+        alone = keep(alone, alone)
+        for tag, (count, first, later, zeros, heads, classes) in parents.items():
             walks = [(first, _child_keys(first, tag, magnitudes, relate), count)]
             if count > 1:
                 walks.append((later, _child_keys(later, tag, magnitudes, relate), 0))
@@ -231,15 +238,27 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
             for prefix, keys, c in walks:
                 for v, key in enumerate(keys):
                     child = prefix + (v,)
-                    state = states.setdefault(key, [0, child, child])
+                    if (state := states.get(key)) is None:
+                        _, at, relation = key
+                        if at == last and not relation:  # a class of its own
+                            state = [0, child, child, zeros, heads | 1 << last,
+                                     classes + (alone,)]
+                        elif at == last or at + 1 in zeros:  # the zero support
+                            grown = zeros | {spot}
+                            state = [0, child, child, keep(grown, grown), heads, classes]
+                        else:  # the class opened at `at`, the i-th by first spot
+                            i = (heads & ((1 << at) - 1)).bit_count()
+                            grown = classes[i] | {(spot, relation) if t is not None
+                                                  else -spot if relation else spot}
+                            state = [0, child, child, zeros, heads,
+                                     classes[:i] + (keep(grown, grown),) + classes[i + 1:]]
+                        states[key] = state
                     state[0] += c
                     state[2] = child
+    parents = None  # the last level's parents are not read again
     kind, colors = ("B", None) if t is None else ("G", m)
-    keep = {}.setdefault  # one object per distinct class
     kept, lone = [], []
-    for count, point, _ in states.values():
-        zeros, classes = _classes(map(circle.__getitem__, point), colors)
-        zeros, classes = keep(zeros, zeros), tuple([keep(c, c) for c in classes])
+    for count, _, _, zeros, _, classes in states.values():
         if kind == "G" or len(zeros) != 1:
             kept.append((count, _partition(kind, n, colors, zeros, classes)))
         else:

@@ -376,6 +376,14 @@ class TestCensus:
         res = run_cli("census", "--kind", "G", "--n", "1", "--m", "3")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_cube_refuses_t_as_one_line_usage_error(self, kind):
+        res = run_cli("census", "--kind", kind, "--n", "2", "--m", "2", "--t", "3")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "takes no --t" in res.stderr
+
     @pytest.mark.parametrize("m,t", [("0", "1"), ("1", "1"), ("3", "0")])
     def test_degenerate_torus_is_one_line_usage_error(self, m, t):
         res = run_cli("census", "--kind", "G", "--n", "1", "--m", m, "--t", t)

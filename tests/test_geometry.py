@@ -33,6 +33,12 @@ from bdstirling.polynomials import falling_factorial
 from .oracles import census_by_points
 
 
+def _torus_circle(m, t):
+    """The torus axis values in the census's index order: ZERO, then
+    (color, magnitude) color-major."""
+    return [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
+
+
 @pytest.fixture(autouse=True)
 def cold_readings():
     """Each test starts with no shape read, whatever ran before it."""
@@ -321,8 +327,7 @@ class TestKeyedTallyAgainstPointOracle:
     @pytest.mark.parametrize("m", range(2, 5))
     @pytest.mark.parametrize("n", range(5))
     def test_torus(self, n, m, t):
-        circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
-        _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
+        _same_result(torus_census(n, m, t), census_by_points("G", n, _torus_circle(m, t), m))
 
     @pytest.mark.parametrize("kind", ["B", "D"])
     @pytest.mark.parametrize("n, m", [(2, 12), (3, 6)])
@@ -331,15 +336,17 @@ class TestKeyedTallyAgainstPointOracle:
 
     def test_torus_with_a_wide_last_axis(self):
         n, m, t = 3, 4, 3
-        circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
-        _same_result(torus_census(n, m, t), census_by_points("G", n, circle, m))
+        _same_result(torus_census(n, m, t), census_by_points("G", n, _torus_circle(m, t), m))
 
     def test_classifies_once_per_key_and_walks_every_point(self):
         calls = mock.patch.object(geometry, "_classes", wraps=geometry._classes)
         with calls as spy:
             res = census("B", 4, 5)
+        # each key's reading grows from its parent's, and no point is read
+        assert spy.call_count == 0
         # B keys are exactly the classes, one reading each, for 11**4 points
-        assert spy.call_count == len(res.counts) == 116
+        kept, lone = geometry._reading(4, 5)
+        assert len(kept) + len(lone) == len(res.counts) == 116
         assert sum(res.counts.values()) == 11**4
 
     @settings(max_examples=25)
@@ -352,9 +359,8 @@ class TestKeyedTallyAgainstPointOracle:
         # cube, twice on the torus
         _, n, m, t = shape
         if t is not None:
-            circle = [ZERO] + [(z, i) for z in range(m) for i in range(1, t + 1)]
             runs = [[lambda: torus_census(n, m, t)] * 2]
-            slow = {"G": census_by_points("G", n, circle, m)}
+            slow = {"G": census_by_points("G", n, _torus_circle(m, t), m)}
         else:
             runs = [[lambda k=k: census(k, n, m) for k in order]
                     for order in ("BD", "DB")]
@@ -394,7 +400,10 @@ class TestKeyedTallyAgainstPointOracle:
         assert len({id(c) for c in kept}) == len(set(kept)) < len(kept)
 
     def test_d_reuses_the_reading_of_b(self):
-        census("B", 4, 3)
+        calls = mock.patch.object(geometry, "_classes", wraps=geometry._classes)
+        with calls as cold:
+            census("B", 4, 3)
+        assert cold.call_count == 0
         spies = [
             mock.patch.object(geometry, name, wraps=getattr(geometry, name))
             for name in ("_child_keys", "_classes")
@@ -417,8 +426,10 @@ class TestKeyedTallyAgainstPointOracle:
         calls = mock.patch.object(geometry, "_classes", wraps=geometry._classes)
         with calls as spy:
             res = torus_census(n, m, t)
+        assert spy.call_count == 0
         # colors relate mod m, as the partitions read them: one key per class
-        assert spy.call_count == len(res.counts)
+        kept, lone = geometry._reading(n, m, t)
+        assert (len(kept), lone) == (len(res.counts), ())
         assert sum(res.counts.values()) == (m * t + 1) ** n
 
 
@@ -500,7 +511,10 @@ def _census_key(point, magnitudes, relate):
 def _points_by_key(kind, n, m, t):
     """The points of a small cube or torus (n >= 1) grouped by their census
     key, each group a tuple of points."""
-    circle, *tables = geometry._torus_axis(m, t) if kind == "G" else geometry._cube_axis(m)
+    if kind == "G":
+        circle, tables = _torus_circle(m, t), geometry._torus_axis(m, t)
+    else:
+        circle, tables = range(-m, m + 1), geometry._cube_axis(m)
     groups = {}
     for point in product(range(len(circle)), repeat=n):
         key = _census_key(point, *tables)
@@ -534,10 +548,25 @@ class TestSignatureRefinesClassification:
         kind, m, p, q = pair
         assert _classify_or_missing(kind, p, m) == _classify_or_missing(kind, q, m)
 
+    @pytest.mark.parametrize("n, m, t", [(3, 2, None), (4, 1, None), (3, 2, 2), (2, 3, 3)])
+    def test_each_key_reads_as_its_first_point(self, n, m, t):
+        # the walk meets keys in the order their first points come in, so
+        # each key's reading, grown from its parent's, is the classification
+        # of its first point, signs and colors included, and not only a
+        # partition of the same rank with the same count
+        kind, colors = ("B", None) if t is None else ("G", m)
+        firsts = [classify_point(kind, group[0], m=colors)
+                  for group in _points_by_key(kind, n, m, t)]
+        kept, lone = geometry._reading(n, m) if t is None else geometry._reading(n, m, t)
+        apart = [kind == "B" and len(p.zero_support) == 1 for p in firsts]
+        assert [p for _, p in kept] == [p for p, a in zip(firsts, apart) if not a]
+        assert [(zeros, classes) for _, zeros, classes in lone] == [
+            (p.zero_support, p.pair_reps) for p, a in zip(firsts, apart) if a]
+
     def test_no_zero_and_zero_at_first_spot_differ(self):
         # (1, 2) and (0, 1) share every magnitude class and sign; only the
         # zero flag of the class the first spot opens tells them apart
-        circle, *tables = geometry._cube_axis(2)
+        circle, tables = range(-2, 3), geometry._cube_axis(2)
         no_zero, zero_first = (1, 2), (0, 1)
         keys = [_census_key(tuple(map(circle.index, p)), *tables)
                 for p in (no_zero, zero_first)]
@@ -548,7 +577,7 @@ class TestSignatureRefinesClassification:
     def test_no_zero_and_zero_at_last_spot_differ(self):
         # (1, 2) and (1, 0): the last value opens a class either way, and
         # only whether it vanishes tells them apart
-        circle, *tables = geometry._cube_axis(2)
+        circle, tables = range(-2, 3), geometry._cube_axis(2)
         no_zero, zero_last = (1, 2), (1, 0)
         keys = [_census_key(tuple(map(circle.index, p)), *tables)
                 for p in (no_zero, zero_last)]
@@ -560,7 +589,7 @@ class TestSignatureRefinesClassification:
     def test_torus_colors_relate_mod_m(self):
         # colors 0 then 2 and colors 1 then 0 differ by 2 and by -1, one
         # relative color mod 3, so the two points share a key and a class
-        circle, *tables = geometry._torus_axis(3, 1)
+        circle, tables = _torus_circle(3, 1), geometry._torus_axis(3, 1)
         wrapped, rotated = ((0, 1), (2, 1)), ((1, 1), (0, 1))
         keys = [_census_key(tuple(map(circle.index, p)), *tables)
                 for p in (wrapped, rotated)]
@@ -574,7 +603,9 @@ class TestCensusInvariant:
     # B n = 3, m = 1: the keys of a last-axis prefix (length 2) differ on
     # every call, or a prefix starting with the axis's last value (1 on the
     # cube {-1, 0, 1}) hides its children's keys at every level, or every
-    # key differs on every call, so that no two prefixes share a state
+    # key differs on every call, so that no two prefixes share a state; each
+    # key drifts in its parent tag, and keeps the spot and relation the walk
+    # grows a reading by
     DRIFTING = {
         "last-axis": (
             "import itertools\n"
@@ -582,14 +613,16 @@ class TestCensusInvariant:
             "calls = itertools.count()\n"
             "real = geometry._child_keys\n"
             "geometry._child_keys = lambda prefix, *args: [\n"
-            "    (key, next(calls)) for key in real(prefix, *args)\n"
+            "    ((tag, next(calls)), spot, relation)\n"
+            "    for tag, spot, relation in real(prefix, *args)\n"
             "] if len(prefix) == 2 else real(prefix, *args)\n"
         ),
         "last-value": (
             "from bdstirling import geometry\n"
             "real = geometry._child_keys\n"
             "geometry._child_keys = lambda prefix, *args: [\n"
-            "    (key, prefix[:1] == (2,)) for key in real(prefix, *args)]\n"
+            "    ((tag, prefix[:1] == (2,)), spot, relation)\n"
+            "    for tag, spot, relation in real(prefix, *args)]\n"
         ),
         "every-key": (
             "import itertools\n"
@@ -597,7 +630,8 @@ class TestCensusInvariant:
             "calls = itertools.count()\n"
             "real = geometry._child_keys\n"
             "geometry._child_keys = lambda *args: [\n"
-            "    (key, next(calls)) for key in real(*args)]\n"
+            "    ((tag, next(calls)), spot, relation)\n"
+            "    for tag, spot, relation in real(*args)]\n"
         ),
     }
 

@@ -25,6 +25,26 @@ def test_weight_table():
         _weights("C")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: _weights("G", 2.5),
+    lambda: _weights("G", 2.0),
+    lambda: group_order("G", 3, 2.5),
+    lambda: descent_histogram("G", 2, 2.5),
+    lambda: stirling_row("G", 3, 2.5),
+    lambda: falling_factorial("G", 2, m=2.5),
+])
+def test_colors_m_refuses_a_float(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_colors_m_reads_a_bool_as_an_int():
+    assert _weights("G", True) == (1, 1)
+    assert type(_weights("G", True)[0]) is int
+    assert group_order("G", 3, True) == group_order("G", 3, 1) == 6
+    assert descent_histogram("G", 2, True) == descent_histogram("G", 2, 1)
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_type_b_is_two_colors(n):
     assert stirling_row("B", n) == stirling_row("G", n, 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdstirling import partitions
+from bdstirling import geometry, partitions
 from bdstirling.config import _weights
 from bdstirling.errors import (
     BadIndex,
@@ -18,7 +18,7 @@ from bdstirling.errors import (
     SingletonZeroBlock,
     UnknownKind,
 )
-from bdstirling.geometry import ZERO, classify_point, free_point_count
+from bdstirling.geometry import ZERO, census, classify_point, free_point_count, torus_census
 from bdstirling.partitions import (
     BPartition,
     DPartition,
@@ -580,6 +580,16 @@ class TestAcceptingPass:
         _refuse_slow_paths(monkeypatch)
         for point in product(circle, repeat=n):
             classify_point("G", point, m=m)
+
+    @pytest.mark.parametrize("call", [
+        lambda: census("B", 5, 2), lambda: census("D", 4, 3),
+        lambda: torus_census(4, 3, 2), lambda: torus_census(3, 4, 3),
+    ], ids=["B-5-2", "D-4-3", "G-4-3-2", "G-3-4-3"])
+    def test_census_readings(self, call, monkeypatch):
+        # a key's classes grown from its parent's are canonical as they are
+        geometry._reading.cache_clear()
+        _refuse_slow_paths(monkeypatch)
+        assert call().counts
 
     @pytest.mark.parametrize("kind, n, m", [
         ("B", 5, 2), ("D", 5, 2), ("G", 4, 1), ("G", 4, 2), ("G", 3, 4),
