@@ -304,6 +304,7 @@ def _odd_class_negatives(op: OrderedPartition) -> bool:
 
 def d_unreachable_count(n: int, r: int) -> int:
     """How many ordered partitions with r pairs the image misses."""
+    n, r = index(n), index(r)
     if n < 1 or r < 1:
         return 0
     return n * 2 ** (n - 1) * factorial(r - 1) * stirling("A", n - 1, r - 1)

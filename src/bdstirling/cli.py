@@ -9,9 +9,9 @@ only writer of stdout, and maps every exception to an exit code through
 the one table _ERRORS.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage or
-malformed input (size-cap violations included), 3 fetch failure, 4 internal
-error (a failed consistency check or any unexpected exception: a bug, not
-bad input).  Every error is one line on stderr, never a traceback.
+malformed input (size-cap violations included), 3 failed fetch or output write,
+4 internal error (a failed consistency check or any unexpected exception:
+a bug, not bad input).  Every error is one line on stderr, never a traceback.
 Output in csv and json modes is byte-deterministic for a fixed invocation.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import zip_longest
 
 from . import oeis as oeis_mod
@@ -99,6 +99,10 @@ class _Usage(Exception):
     """Malformed command input; maps to exit code 2."""
 
 
+class _Unwritten(Exception):
+    """Writing the output failed, other than to a closed pipe; exit code 3."""
+
+
 def _at_least(low: int):
     """Argument type: an int no smaller than low."""
     bound = "nonnegative" if low == 0 else f"at least {low}"
@@ -126,12 +130,7 @@ def _caps_from_args(args) -> EnumerationCaps:
     cap = getattr(args, "cap", None)
     if cap is None:
         return DEFAULT_CAPS
-    floor = min(
-        DEFAULT_CAPS.signed_group,
-        DEFAULT_CAPS.colored_group,
-        DEFAULT_CAPS.census_points,
-    )
-    if cap > floor and not getattr(args, "allow_large", False):
+    if cap > min(astuple(DEFAULT_CAPS)) and not getattr(args, "allow_large", False):
         raise _Usage(
             f"--cap {cap} raises the default limit; acknowledge with --allow-large"
         )
@@ -229,6 +228,8 @@ def cmd_bijection(args) -> _Result:
         beta = SignedPermutation(tuple(window))
         proc = d_procedure if args.kind == "D" else b_procedure
         return _Result(proc(beta, frozenset(spots)).to_doc())
+    if args.doc is None and sys.stdin is None:
+        raise _Usage("inverse needs --doc when stdin is closed")
     text = args.doc if args.doc is not None else sys.stdin.read()
     try:
         data = json.loads(text)
@@ -408,17 +409,12 @@ def _glue_negative_values(argv):
     """Join "--perm -2,3,..." into "--perm=-2,3,..." so argparse does not
     mistake a window starting with a negative entry for an option flag."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in ("--perm", "--spots", "--doc") and nxt is not None
-                and len(nxt) >= 2 and nxt[0] == "-" and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if (out and out[-1] in ("--perm", "--spots", "--doc")
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -428,6 +424,7 @@ _ERRORS = (
     (SizeOverflow, 2, ""),
     (InvariantViolation, 4, "internal error: "),
     (TypeError, 2, ""),
+    (_Unwritten, 3, "cannot write output: "),
     (OSError, 3, "fetch failed: "),
     (ValueError, 1, ""),
     (Exception, 4, "internal error: {}: "),
@@ -446,6 +443,8 @@ def main(argv=None) -> int:
             # The reader stopped early (say, head): end quietly with the
             # verdict, and point stdout at devnull so the exit flush is silent.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as e:
+            raise _Unwritten(e) from None
         return result.code
     except Exception as e:
         code, prefix = next((c, p) for cls, c, p in _ERRORS if isinstance(e, cls))

@@ -12,8 +12,8 @@ class EnumerationCaps:
     """Hard limits on how many objects a single call may walk.
 
     signed_group bounds |B_n|, |D_n| and |S_n| streams (default |B_8|),
-    colored_group bounds |G_{m,n}| streams, census_points bounds the
-    number of lattice points a census visits.
+    colored_group bounds |G_{m,n}| streams, census_points bounds the x^n
+    points a census counts, x read as at least 2 (it walks keys, not points).
     """
 
     signed_group: int = 2**8 * 40320

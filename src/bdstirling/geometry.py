@@ -80,8 +80,7 @@ def classify_point(kind: str, coords, m: int | None = None):
     becomes one, a float is refused), so only lattice points classify.
     """
     if kind == "G":
-        if m is None or m < 1:
-            raise BadIndex("kind G needs m >= 1")
+        m, _ = _weights(kind, m)
         coords = [v if v is ZERO else tuple(map(index, v)) for v in coords]
     elif kind not in ("B", "D"):
         raise UnknownKind(f"unknown classification kind {kind!r}")

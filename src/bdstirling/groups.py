@@ -145,21 +145,19 @@ def descent_set(element, flavor: str) -> frozenset[int]:
         raise FlavorMismatch(f"flavor {flavor!r} needs a SignedPermutation")
     w = element.window
     n = len(w)
-    if flavor == "A":
-        return frozenset(i for i in range(1, n) if w[i - 1] > w[i])
+    des = {i for i in range(1, n) if w[i - 1] > w[i]}
     if flavor == "B":
-        virtual = 0 if n else None
+        if n and w[0] < 0:
+            des.add(0)
     elif flavor == "D":
         if not element.is_even_signed():
             raise OddNegativeCount(
                 f"{element.to_text()!r} has an odd number of negative entries"
             )
-        virtual = -w[1] if n >= 2 else None
-    else:
+        if n >= 2 and w[0] + w[1] < 0:
+            des.add(0)
+    elif flavor != "A":
         raise UnknownKind(f"unknown descent flavor {flavor!r}")
-    des = {i for i in range(1, n) if w[i - 1] > w[i]}
-    if virtual is not None and virtual > w[0]:
-        des.add(0)
     return frozenset(des)
 
 

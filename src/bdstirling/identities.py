@@ -21,7 +21,7 @@ from .bijections import d_unreachable_count
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
 from .errors import BadIndex, UnknownKind
 from .groups import group_order
-from .partitions import flag_stirling_row, stirling_row
+from .partitions import _entry, flag_stirling_row, stirling_row
 from .polynomials import IntPolynomial, _times_linear, monomial
 
 __all__ = [
@@ -183,7 +183,7 @@ def eulerian(
     else:
         hist = descent_histogram(kind, n, m, caps=caps)
     i = k - 1 if kind == "Bstar" or (kind == "A" and n > 0) else k
-    return hist[i] if 0 <= i < len(hist) else 0
+    return _entry(hist, i)
 
 
 def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
@@ -324,8 +324,7 @@ def _flag_report(name, kind, nmax, m, caps):
                 half = r // 2
                 lhs = 2**half * factorial(half) * row[r]
                 rhs = sum(
-                    (hist[k - 1] if k - 1 < len(hist) else 0)
-                    * _binom(n - (k + 1) // 2, (r - k) // 2)
+                    hist[k - 1] * _binom(n - (k + 1) // 2, (r - k) // 2)
                     for k in range(1, r + 1)
                 )
                 instances.append(

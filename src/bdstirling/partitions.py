@@ -88,11 +88,15 @@ def stirling_row(kind: str, n: int, m: int = 2) -> tuple[int, ...]:
     return tuple(v - n * w for v, w in zip(row, single))
 
 
+def _entry(row: Sequence[int], i: int) -> int:
+    """row[i], i read as an int (a float is refused), or 0 off the row."""
+    i = index(i)
+    return row[i] if 0 <= i < len(row) else 0
+
+
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
-    n = index(n)
-    if not 0 <= r <= n:
-        return 0
-    return stirling_row(kind, n, m)[r]
+    r, n = index(r), index(n)
+    return _entry(stirling_row(kind, n, m), r) if n >= 0 else 0
 
 
 def flag_stirling_row(n: int) -> tuple[int, ...]:
@@ -360,9 +364,6 @@ def classical_set_partitions(
     restricted growth enumeration.
     """
     items = list(items)
-    if not items:
-        yield ()
-        return
 
     def rec(i: int, blocks: list[list]):
         if i == len(items):
@@ -376,7 +377,7 @@ def classical_set_partitions(
         yield from rec(i + 1, blocks)
         blocks.pop()
 
-    yield from rec(1, [[items[0]]])
+    yield from rec(0, [])
 
 
 def _colorings(cls: frozenset[int], m: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -397,6 +398,7 @@ def enumerate_partitions(kind: str, n: int, r: int | None = None, m: int = 2) ->
     if kind not in ("B", "D", "G"):
         raise UnknownKind(f"unknown partition kind {kind!r}")
     n = _size(n)
+    r = r if r is None else index(r)
     # B and D are G at m = 2, with color 1 read as a minus sign.
     colors = m if kind == "G" else 2
     maker = DPartition if kind == "D" else BPartition

@@ -69,6 +69,7 @@ def falling_factorial(
     if kind == "D":
         if n is None:
             raise BadIndex("kind D needs n")
+        n = index(n)
         if k > n:
             raise BadIndex(f"kind D is only defined for k <= n, got k={k} n={n}")
         if k == n > 0:

@@ -532,6 +532,38 @@ class TestErrorLines:
         assert (code, out) == (3, "")
         assert err == "error: fetch failed: [Errno 32] Broken pipe\n"
 
+    def test_failed_write_is_not_a_fetch_failure(self):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        err = io.StringIO()
+        with redirect_stdout(Full()), redirect_stderr(err):
+            code = cli.main(["tables", "stirling", "--kind", "B", "--nmax", "3"])
+        assert code == 3
+        assert err.getvalue() == (
+            "error: cannot write output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_is_a_failed_write(self):
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                CLI + ["tables", "stirling", "--kind", "B", "--nmax", "3"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert res.returncode == 3
+        assert res.stderr == (
+            "error: cannot write output: [Errno 28] No space left on device\n")
+
+    def test_inverse_with_no_doc_and_closed_stdin_is_usage_error(self):
+        out, err = io.StringIO(), io.StringIO()
+        # a closed descriptor 0 leaves sys.stdin None
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch.object(sys, "stdin", None):
+            code = cli.main(["bijection", "inverse"])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == "error: inverse needs --doc when stdin is closed\n"
+
     def test_line_breaks_in_a_message_stay_on_one_line(self):
         doc = json.dumps({"kind": "a\nb", "n": 1, "blocks": []})
         code, out, err = run_in_process(["bijection", "inverse", "--kind", "B", "--doc", doc])
@@ -540,6 +572,27 @@ class TestErrorLines:
         code, out, err = run_in_process(["oeis", "--seq", "A039755", "x\ny"])
         assert (code, out) == (2, "")
         assert err == "bdstirling: error: unrecognized arguments: x y\n"
+
+
+@pytest.mark.parametrize("argv, glued", [
+    (["--perm", "-2,3,1", "bijection"], ["--perm=-2,3,1", "bijection"]),
+    (["bijection", "forward", "--perm", "-2,3,1", "--kind", "B"],
+     ["bijection", "forward", "--perm=-2,3,1", "--kind", "B"]),
+    (["bijection", "forward", "--kind", "D", "--perm", "-1"],
+     ["bijection", "forward", "--kind", "D", "--perm=-1"]),
+    (["--perm", "1,2", "--spots", "-1"], ["--perm", "1,2", "--spots=-1"]),
+    (["--doc", "-5"], ["--doc=-5"]),
+    (["--perm", "--kind", "B"], ["--perm", "--kind", "B"]),
+    (["bijection", "forward", "--perm"], ["bijection", "forward", "--perm"]),
+    (["--perm", "--perm", "-1"], ["--perm", "--perm=-1"]),
+    (["--perm", "-1", "-2"], ["--perm=-1", "-2"]),
+    (["--perm", "-x"], ["--perm", "-x"]),
+    (["--perm", "-"], ["--perm", "-"]),
+    (["--m", "-1"], ["--m", "-1"]),
+    ([], []),
+])
+def test_negative_values_are_glued_onto_their_flag(argv, glued):
+    assert cli._glue_negative_values(argv) == glued
 
 
 def pinned_examples():

@@ -32,6 +32,8 @@ def test_weight_table():
     lambda: descent_histogram("G", 2, 2.5),
     lambda: stirling_row("G", 3, 2.5),
     lambda: falling_factorial("G", 2, m=2.5),
+    # D's n is read the same way
+    lambda: falling_factorial("D", 2, n=2.5),
 ])
 def test_colors_m_refuses_a_float(call):
     with pytest.raises(TypeError):

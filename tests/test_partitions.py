@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdstirling import geometry, partitions
+from bdstirling.bijections import d_unreachable_count
 from bdstirling.config import _weights
 from bdstirling.errors import (
     BadIndex,
@@ -19,6 +20,7 @@ from bdstirling.errors import (
     UnknownKind,
 )
 from bdstirling.geometry import ZERO, census, classify_point, free_point_count, torus_census
+from bdstirling.identities import eulerian
 from bdstirling.partitions import (
     BPartition,
     DPartition,
@@ -330,6 +332,31 @@ class TestEnumeration:
             parts = list(classical_set_partitions(range(1, n + 1)))
             assert len(parts) == sum(stirling_row("A", n))
 
+    def test_classical_set_partitions_sequence(self):
+        # restricted growth strings in lexicographic order: each item joins
+        # the earlier blocks in turn, then opens a block of its own
+        assert list(classical_set_partitions("abc")) == [
+            (frozenset("abc"),),
+            (frozenset("ab"), frozenset("c")),
+            (frozenset("ac"), frozenset("b")),
+            (frozenset("a"), frozenset("bc")),
+            (frozenset("a"), frozenset("b"), frozenset("c")),
+        ]
+        for k in range(7):
+            items = "abcdef"[:k]
+            growth = [
+                g for g in product(range(k), repeat=k)
+                if all(g[i] <= max(g[:i], default=-1) + 1 for i in range(k))
+            ]
+            expect = [
+                tuple(
+                    frozenset(a for a, j in zip(items, g) if j == block)
+                    for block in range(max(g, default=-1) + 1)
+                )
+                for g in growth
+            ]
+            assert list(classical_set_partitions(items)) == expect
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: stirling_row("B", -1), BadIndex, "n must be nonnegative"),
@@ -341,8 +368,11 @@ class TestEnumeration:
     (lambda: enumerate_partitions("B", -1), BadIndex, "n must be nonnegative"),
     (lambda: free_point_count("B", -1, 3), BadIndex, "n must be nonnegative"),
     (lambda: _weights("C"), UnknownKind, "unknown kind 'C'"),
+    # off the row too, not only inside it
+    (lambda: stirling("C", 3, 5), UnknownKind, "unknown kind 'C'"),
+    (lambda: stirling("G", 3, 5, 0), BadIndex, "kind G needs m >= 1"),
 ], ids=["stirling_row", "flag_stirling_row", "colors", "enumerate", "enumerate_size",
-        "free_point_count", "weights"])
+        "free_point_count", "weights", "stirling_kind", "stirling_colors"])
 def test_bad_arguments_raise_typed_errors(call, error, message):
     # both classes are ValueErrors, so the CLI exit codes stay as they were
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
@@ -351,10 +381,24 @@ def test_bad_arguments_raise_typed_errors(call, error, message):
 
 
 def test_non_integer_sizes_are_refused_and_bools_stored_as_int():
-    for call in (lambda: stirling_row("D", 3.0), lambda: stirling("B", 2.0, 1)):
+    for call in (
+        lambda: stirling_row("D", 3.0),
+        lambda: stirling("B", 2.0, 1),
+        lambda: stirling("B", 3, 4.5),
+        lambda: stirling("B", -1, 0.5),
+        lambda: eulerian("B", 3, 10.5),
+        lambda: eulerian("B", 3, 2.0),
+        lambda: d_unreachable_count(0.5, 2),
+        lambda: d_unreachable_count(3, 0.5),
+        lambda: enumerate_partitions("B", 3, 2.5),
+        lambda: enumerate_partitions("B", 2, 1.0),
+    ):
         with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
             call()
     assert stirling_row("D", True) == stirling_row("D", 1) == (0, 1)
+    assert stirling("B", 3, True) == stirling("B", 3, 1) == 13
+    assert eulerian("B", 3, True) == eulerian("B", 3, 1) == 23
+    assert enumerate_partitions("B", 2, True) == enumerate_partitions("B", 2, 1)
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
         BPartition(2.0, frozenset({1, 2}), ())
     with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
