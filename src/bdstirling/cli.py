@@ -439,12 +439,13 @@ def main(argv=None) -> int:
         try:
             _emit(args.format, result)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped early (say, head): end quietly with the
-            # verdict, and point stdout at devnull so the exit flush is silent.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except OSError as e:
-            raise _Unwritten(e) from None
+            # Silence the exit flush of the bytes left unwritten (a stream put in
+            # place by an in-process caller is its own); a reader gone early is fine.
+            if sys.stdout is sys.__stdout__:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(e, BrokenPipeError):
+                raise _Unwritten(e) from None
         return result.code
     except Exception as e:
         code, prefix = next((c, p) for cls, c, p in _ERRORS if isinstance(e, cls))

@@ -95,8 +95,8 @@ def _entry(row: Sequence[int], i: int) -> int:
 
 
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
-    r, n = index(r), index(n)
-    return _entry(stirling_row(kind, n, m), r) if n >= 0 else 0
+    n = index(n)
+    return _entry(stirling_row(kind, n, m) if n >= 0 else (), r)
 
 
 def flag_stirling_row(n: int) -> tuple[int, ...]:

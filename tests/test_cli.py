@@ -545,11 +545,14 @@ class TestErrorLines:
             "error: cannot write output: [Errno 28] No space left on device\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_device_is_a_failed_write(self):
+    # Buffered, the bytes left unwritten meet the exit flush too.
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_device_is_a_failed_write(self, unbuffered):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
         with open("/dev/full", "w") as full:
             res = subprocess.run(
                 CLI + ["tables", "stirling", "--kind", "B", "--nmax", "3"],
-                stdout=full, stderr=subprocess.PIPE, text=True,
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
             )
         assert res.returncode == 3
         assert res.stderr == (
