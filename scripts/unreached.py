@@ -42,8 +42,6 @@ ALLOWED = {
     # Only a usage error reaches them.
     "cli._one_line",
     "cli._Parser.error",
-    # Only `oeis --fetch` reaches it, and that needs the network.
-    "oeis.fetch_bfile",
     # Documented reads of an ordered partition; the procedures read its
     # zero support and class blocks directly.
     "bijections.OrderedPartition.has_zero_block",

@@ -9,7 +9,7 @@ only writer of stdout, and maps every exception to an exit code through
 the one table _ERRORS.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage or
-malformed input (size-cap violations included), 3 failed fetch or output write,
+malformed input (size-cap violations included), 3 failed output write,
 4 internal error (a failed consistency check or any unexpected exception:
 a bug, not bad input).  Every error is one line on stderr, never a traceback.
 Output in csv and json modes is byte-deterministic for a fixed invocation.
@@ -230,7 +230,10 @@ def cmd_bijection(args) -> _Result:
         return _Result(proc(beta, frozenset(spots)).to_doc())
     if args.doc is None and sys.stdin is None:
         raise _Usage("inverse needs --doc when stdin is closed")
-    text = args.doc if args.doc is not None else sys.stdin.read()
+    try:
+        text = args.doc if args.doc is not None else sys.stdin.read()
+    except OSError as e:
+        raise _Usage(f"cannot read the document from stdin: {e}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -301,17 +304,11 @@ def cmd_census(args) -> _Result:
 
 
 def cmd_oeis(args) -> _Result:
-    if args.fetch and args.fixture:
-        raise _Usage("--fetch and --fixture are mutually exclusive")
-    if args.fetch:
-        reference = oeis_mod.fetch_bfile(args.seq)
-        source = "fetched b-file"
-    else:
-        try:
-            reference = oeis_mod.load_fixture(args.seq, path=args.fixture)
-        except OSError as e:
-            raise _Usage(f"cannot read fixture: {e}") from None
-        source = args.fixture or "packaged fixture"
+    try:
+        reference = oeis_mod.load_fixture(args.seq, path=args.fixture)
+    except OSError as e:
+        raise _Usage(f"cannot read fixture: {e}") from None
+    source = args.fixture or "packaged fixture"
     report = oeis_mod.compare(args.seq, reference, rows=args.nmax)
     mismatch = report.first_mismatch
     if report.ok:
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis", help="compare triangles against OEIS b-files")
     p.add_argument("--seq", choices=sorted(oeis_mod.SEQUENCES), required=True)
     p.add_argument("--fixture", default=None, help="path to a local b-file")
-    p.add_argument("--fetch", action="store_true", help="fetch the live b-file")
     p.add_argument("--nmax", type=_at_least(0), default=12,
                    help="triangle rows to generate for the comparison")
     add_common(p, cap=False)
@@ -425,7 +421,6 @@ _ERRORS = (
     (InvariantViolation, 4, "internal error: "),
     (TypeError, 2, ""),
     (_Unwritten, 3, "cannot write output: "),
-    (OSError, 3, "fetch failed: "),
     (ValueError, 1, ""),
     (Exception, 4, "internal error: {}: "),
 )
@@ -437,6 +432,8 @@ def main(argv=None) -> int:
     try:
         result = args.func(args)
         try:
+            if sys.stdout is None:
+                raise _Unwritten("stdout is closed")
             _emit(args.format, result)
             sys.stdout.flush()
         except OSError as e:

@@ -24,7 +24,6 @@ __all__ = [
     "InvariantViolation",
     "UnknownSequence",
     "MalformedBFile",
-    "MalformedTemplate",
 ]
 
 
@@ -105,7 +104,3 @@ class UnknownSequence(ValueError):
 
 class MalformedBFile(ValueError):
     """A b-file line that is not an index and a value, both integers."""
-
-
-class MalformedTemplate(TypeError):
-    """A b-file URL template that str.format cannot fill from {seq} and {num}."""

@@ -1,18 +1,15 @@
 """Cross-checks of the Stirling triangles against OEIS b-files.
 
 The triangles linearize row by row: entry (n, r) sits at flat index
-n(n+1)/2 + r.  Packaged fixtures carry the first seven rows so the check
-runs offline; fetch mode pulls the live b-file, with the URL template
-overridable through the BDSTIRLING_OEIS_URL environment variable for
-hermetic tests (file:// URLs work).
+n(n+1)/2 + r.  Packaged fixtures carry the first seven rows, so the check
+runs offline; any other b-file is read from a path.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import MalformedBFile, MalformedTemplate, UnknownSequence
+from .errors import MalformedBFile, UnknownSequence
 from .partitions import stirling_row
 
 __all__ = [
@@ -20,7 +17,6 @@ __all__ = [
     "triangle_terms",
     "parse_bfile",
     "load_fixture",
-    "fetch_bfile",
     "compare",
     "OeisReport",
 ]
@@ -29,9 +25,6 @@ SEQUENCES = {
     "A039755": {"kind": "B", "fixture": "b039755.txt"},
     "A039760": {"kind": "D", "fixture": "b039760.txt"},
 }
-
-DEFAULT_URL_TEMPLATE = "https://oeis.org/{seq}/b{num}.txt"
-URL_ENV_VAR = "BDSTIRLING_OEIS_URL"
 
 
 def triangle_terms(seq: str, rows: int) -> list[int]:
@@ -77,23 +70,6 @@ def load_fixture(seq: str, path: str | None = None) -> list[tuple[int, int]]:
             return parse_bfile(fh.read())
     name = _entry(seq)["fixture"]
     text = (resources.files("bdstirling") / "data" / name).read_text("utf-8")
-    return parse_bfile(text)
-
-
-def fetch_bfile(seq: str, timeout: float = 30.0) -> list[tuple[int, int]]:
-    """Fetch and parse the live b-file; raises OSError on transport failure
-    and MalformedTemplate (a TypeError) when the URL template is malformed."""
-    _entry(seq)
-    template = os.environ.get(URL_ENV_VAR, DEFAULT_URL_TEMPLATE)
-    try:
-        url = template.format(seq=seq, num=seq[1:])
-    except (LookupError, AttributeError, ValueError) as e:
-        raise MalformedTemplate(
-            f"{URL_ENV_VAR} {template!r} takes only {{seq}} and {{num}}: {e!r}"
-        ) from None
-    import urllib.request  # only --fetch needs it; at top level every start pays
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        text = response.read().decode("utf-8")
     return parse_bfile(text)
 
 

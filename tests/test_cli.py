@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path, PurePath
 from unittest import mock
 
@@ -444,18 +445,18 @@ class TestOeis:
         res = run_cli("oeis", "--seq", "A039755", "--fixture", "/no/such/file.txt")
         assert res.returncode == 2
 
-    def test_fetch_with_env_url(self, tmp_path):
-        data = tmp_path / "b039760.txt"
-        data.write_text("\n".join(
-            f"{i} {v}" for i, v in enumerate([1, 0, 1, 1, 2, 1])) + "\n")
-        res = run_cli("oeis", "--seq", "A039760", "--fetch",
-                      env={"BDSTIRLING_OEIS_URL": f"file://{tmp_path}/b{{num}}.txt"})
-        assert res.returncode == 0, res.stderr
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_bfile_piped_through_dev_stdin(self):
+        packaged = resources.files("bdstirling") / "data" / "b039755.txt"
+        res = run_cli("oeis", "--seq", "A039755", "--fixture", "/dev/stdin",
+                      stdin=packaged.read_text("utf-8"))
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "A039755: 28 terms checked against /dev/stdin: OK\n"
 
-    def test_fetch_failure_exit_code(self, tmp_path):
-        res = run_cli("oeis", "--seq", "A039760", "--fetch",
-                      env={"BDSTIRLING_OEIS_URL": f"file://{tmp_path}/nope_b{{num}}.txt"})
-        assert res.returncode == 3
+    def test_fetch_is_not_an_option(self):
+        res = run_cli("oeis", "--seq", "A039755", "--fetch")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.endswith("error: unrecognized arguments: --fetch\n")
 
 
 class TestDeterminism:
@@ -483,14 +484,6 @@ class TestErrorLines:
         assert res.stdout == ""
         assert res.stderr.splitlines() == [
             "error: spots covered [] do not tile 1..-1"]
-
-    def test_unknown_url_placeholder_is_usage_error(self):
-        res = run_cli("oeis", "--seq", "A039755", "--fetch",
-                      env={"BDSTIRLING_OEIS_URL": "file:///tmp/{x}.txt"})
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert len(res.stderr.splitlines()) == 1
-        assert "BDSTIRLING_OEIS_URL" in res.stderr and "Traceback" not in res.stderr
 
     def test_unexpected_exception_is_exit_4(self):
         code = (
@@ -520,17 +513,16 @@ class TestErrorLines:
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait() == 0
-        assert b"fetch failed" not in err
         assert err == b""
 
-    def test_broken_pipe_outside_the_writer_is_a_fetch_failure(self):
-        def fetch(args):
+    def test_oserror_outside_the_writer_is_an_internal_error(self):
+        def boom(args):
             raise BrokenPipeError(32, "Broken pipe")
 
-        with mock.patch.object(cli, "cmd_oeis", fetch):
+        with mock.patch.object(cli, "cmd_oeis", boom):
             code, out, err = run_in_process(["oeis", "--seq", "A039755"])
-        assert (code, out) == (3, "")
-        assert err == "error: fetch failed: [Errno 32] Broken pipe\n"
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
     def test_failed_write_is_not_a_fetch_failure(self):
         class Full(io.StringIO):
@@ -557,6 +549,23 @@ class TestErrorLines:
         assert res.returncode == 3
         assert res.stderr == (
             "error: cannot write output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_closed_stdout_is_a_failed_write(self, fmt):
+        command = shlex.join(
+            [*CLI, "tables", "stirling", "--kind", "B", "--nmax", "3", "--format", fmt])
+        res = subprocess.run(["sh", "-c", command + " >&-"], capture_output=True, text=True)
+        assert res.returncode == 3
+        assert res.stderr == "error: cannot write output: stdout is closed\n"
+
+    def test_unreadable_stdin_is_usage_error(self, tmp_path):
+        # descriptor 0 opened for writing only: reading it fails with EBADF
+        with open(tmp_path / "stdin", "w") as write_only:
+            res = subprocess.run(CLI + ["bijection", "inverse"], stdin=write_only,
+                                 capture_output=True, text=True)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (
+            "error: cannot read the document from stdin: [Errno 9] Bad file descriptor\n")
 
     def test_inverse_with_no_doc_and_closed_stdin_is_usage_error(self):
         out, err = io.StringIO(), io.StringIO()
@@ -600,7 +609,7 @@ def test_negative_values_are_glued_onto_their_flag(argv, glued):
 
 def pinned_examples():
     """(key, argv, stdin) for each README command line example in every
-    --format it takes; the live fetch and the placeholder path are skipped.
+    --format it takes; the placeholder path is skipped.
     thm-1.2, which no README example runs, is pinned as well."""
     text = README.read_text(encoding="utf-8")
     block = text.split("## Command line")[1].split("```sh")[1].split("```")[0]
@@ -610,7 +619,7 @@ def pinned_examples():
         if words[:1] == ["echo"]:
             stdin, words = words[1] + "\n", words[3:]
         argv = words[1:]
-        if not argv or "--fetch" in argv or any(w.startswith("path/") for w in argv):
+        if not argv or any(w.startswith("path/") for w in argv):
             continue
         if "--format" in argv:
             at = argv.index("--format")
@@ -1055,12 +1064,12 @@ def _value(action):
 @st.composite
 def argvs(draw):
     """argv from the parser's own vocabulary: sizes in -1..3 or junk, every
-    bijection with --doc, oeis never with --fetch, fixtures as PurePath
+    bijection with --doc, fixtures as PurePath
     names under a test directory."""
     name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     argv, options = [name], []
     for action in SUBCOMMANDS[name]._actions:
-        if action.dest in ("help", "fetch"):
+        if action.dest == "help":
             continue
         if not action.option_strings:
             argv.append(draw(_mostly(list(action.choices))))

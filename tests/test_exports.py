@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -18,6 +19,23 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_module_imports_a_network_client():
+    """The package reads b-files from files only; nothing in it can open a
+    connection."""
+    network = {"urllib", "http", "socket"}
+    found = []
+    for path in sorted(Path(bdstirling.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] in network]
+    assert found == []
 
 
 def test_readme_quick_tour_gives_its_commented_results():

@@ -1,11 +1,10 @@
 import pytest
 
-from bdstirling.errors import MalformedBFile, MalformedTemplate, UnknownSequence
+from bdstirling.errors import MalformedBFile, UnknownSequence
 from bdstirling.oeis import (
     SEQUENCES,
     OeisReport,
     compare,
-    fetch_bfile,
     load_fixture,
     parse_bfile,
     triangle_terms,
@@ -89,31 +88,3 @@ class TestComparison:
         r = OeisReport("A039755", 5, None)
         assert r.ok
         assert not OeisReport("A039755", 5, (1, 2, 3)).ok
-
-
-class TestFetch:
-    def test_env_template_with_file_url(self, tmp_path, monkeypatch):
-        p = tmp_path / "b039755.txt"
-        p.write_text("0 1\n1 1\n2 1\n3 1\n4 4\n")
-        monkeypatch.setenv(
-            "BDSTIRLING_OEIS_URL", f"file://{tmp_path}/b{{num}}.txt"
-        )
-        reference = fetch_bfile("A039755")
-        assert compare("A039755", reference).ok
-
-    def test_fetch_failure_is_oserror(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            "BDSTIRLING_OEIS_URL", f"file://{tmp_path}/missing_b{{num}}.txt"
-        )
-        with pytest.raises(OSError):
-            fetch_bfile("A039755")
-
-    def test_malformed_template(self, monkeypatch):
-        monkeypatch.setenv("BDSTIRLING_OEIS_URL", "file:///tmp/{x}.txt")
-        with pytest.raises(
-            MalformedTemplate,
-            match=r"^BDSTIRLING_OEIS_URL 'file:///tmp/\{x\}.txt' takes only \{seq\} and \{num\}: KeyError\('x'\)$",
-        ):
-            fetch_bfile("A039755")
-        # still a TypeError, so the CLI's exit code for it is unchanged
-        assert issubclass(MalformedTemplate, TypeError)
