@@ -4,15 +4,47 @@ even-signed cube for n = 3, half-width 3 by default; the three-colored torus
 for n = 1, 2, t = 5 by default), then two side notes that are easy to get
 wrong: the literal-versus-strict count of colored partitions for a composite
 color count, and an element where the two-colored descent statistic
-disagrees with the signed one even though the histograms agree.
+disagrees with the signed one even though the histograms agree.  The
+literal count is a reading the library does not use, so its counting rule,
+``colored_literal_row``, lives here.
 """
 
 import argparse
+from math import comb
 
 from bdstirling.cli import _at_least
 from bdstirling.geometry import census, torus_census
 from bdstirling.groups import SignedPermutation, colored_from_signed, des_stat
-from bdstirling.partitions import colored_literal_row, stirling_row
+from bdstirling.partitions import stirling_row
+
+
+def colored_literal_row(n: int, m: int) -> tuple[int, ...]:
+    """Colored partition counts when short orbits are allowed.
+
+    Blocks only need to be permuted nontrivially by the color shift, so a
+    block may repeat a value across colors (possible once m is composite).
+    The blocks over a class of c values then form one shift orbit of d
+    blocks, d > 1 dividing m, each block taking one residue of colors mod d
+    per value: w(c) = sum of d^(c-1) orbits per class.  Classes are counted
+    by the class holding the least value, P(s, r) = sum_c C(s-1, c-1) w(c)
+    P(s-c, r-1), and the zero support by a binomial.  Agrees with
+    stirling_row("G", n, m) for prime m, where w(c) = m^(c-1).
+    """
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    w = [0] + [sum(d ** (c - 1) for d in divisors) for c in range(1, n + 1)]
+    classes = [(1,)]  # classes[s][r] = P(s, r)
+    for s in range(1, n + 1):
+        classes.append((0,) + tuple(
+            sum(
+                comb(s - 1, c - 1) * w[c] * classes[s - c][r - 1]
+                for c in range(1, s - r + 2)
+            )
+            for r in range(1, s + 1)
+        ))
+    return tuple(
+        sum(comb(n, j) * classes[n - j][r] for j in range(n - r + 1))
+        for r in range(n + 1)
+    )
 
 
 def show(res, label):

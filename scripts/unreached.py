@@ -42,9 +42,9 @@ ALLOWED = {
     # Only a usage error reaches them.
     "cli._one_line",
     "cli._Parser.error",
-    # Documented reads of an ordered partition; the procedures read its
-    # zero support and class blocks directly.
-    "bijections.OrderedPartition.has_zero_block",
+    # The paper's rank r of an ordered partition, named as on BPartition
+    # and GPartition and read by the README quick tour; the procedures
+    # count its class blocks directly.
     "bijections.OrderedPartition.r",
 }
 

@@ -48,7 +48,6 @@ from .partitions import (
     DPartition,
     GPartition,
     classical_set_partitions,
-    colored_literal_row,
     enumerate_partitions,
     flag_stirling_row,
     stirling,

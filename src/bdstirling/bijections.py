@@ -120,10 +120,6 @@ class OrderedPartition:
                           class_blocks=blocks[1 if support else 0 :: 2], blocks=blocks)
 
     @property
-    def has_zero_block(self) -> bool:
-        return bool(self.zero_support)
-
-    @property
     def r(self) -> int:
         return len(self.class_blocks)
 

@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, cap=True):
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         if cap:
-            p.add_argument("--cap", type=int, default=None,
+            p.add_argument("--cap", type=_at_least(0), default=None,
                            help="override enumeration caps")
             p.add_argument("--allow-large", action="store_true",
                            help="acknowledge caps above the defaults")

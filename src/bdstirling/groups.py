@@ -161,23 +161,12 @@ def descent_set(element, flavor: str) -> frozenset[int]:
     return frozenset(des)
 
 
-def fdes(beta: SignedPermutation, order: str = "natural") -> int:
-    """Flag descents 2 * desA + eps, eps = 1 when the first entry is negative.
-
-    ``order`` picks the comparison inside the type A part: plain integer
-    order, or the 2-colored color order.  The two disagree elementwise but
-    produce the same distribution over B_n.
-    """
+def fdes(beta: SignedPermutation) -> int:
+    """Flag descents 2 * desA + eps, eps = 1 when the first entry is negative."""
     if not isinstance(beta, SignedPermutation):
         raise FlavorMismatch("fdes needs a SignedPermutation")
-    if order == "natural":
-        des_a = len(descent_set(beta, "A"))
-    elif order == "color":
-        des_a = len(descent_set(colored_from_signed(beta), "G"))
-    else:
-        raise UnknownKind(f"unknown fdes order {order!r}")
     eps = 1 if beta.n and beta.window[0] < 0 else 0
-    return 2 * des_a + eps
+    return 2 * len(descent_set(beta, "A")) + eps
 
 
 def des_stat(element, stat: str) -> int:
@@ -186,7 +175,7 @@ def des_stat(element, stat: str) -> int:
     desB and desD count the flavor B / D descent set of a signed
     permutation.  desG counts the flavor G set of a colored permutation
     plus 1 when the first entry has nonzero color.  fdes is the flag
-    statistic on a signed permutation viewed as 2-colored.
+    statistic of a signed permutation in the natural order.
     """
     if stat == "desB":
         return len(descent_set(element, "B"))

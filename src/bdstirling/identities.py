@@ -156,6 +156,8 @@ def flag_histogram(
     A weighted sum over the tally of S_n, like ``descent_histogram``, with
     each descent counted twice.  Both orders put the negative letters
     lowest, so they give equal counts, each under its own cache entry.
+    ``fdes`` reads the natural order; the elementwise color-order
+    statistic is the test oracle ``fdes_color``.
     """
     if order not in ("natural", "color"):
         raise UnknownKind(f"unknown fdes order {order!r}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from operator import add, index, itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -43,7 +42,6 @@ __all__ = [
     "stirling",
     "stirling_row",
     "flag_stirling_row",
-    "colored_literal_row",
     "enumerate_partitions",
 ]
 
@@ -96,7 +94,8 @@ def _entry(row: Sequence[int], i: int) -> int:
 
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
     n = index(n)
-    return _entry(stirling_row(kind, n, m) if n >= 0 else (), r)
+    row = stirling_row(kind, max(n, 0), m)  # row 0 checks kind and m
+    return _entry(row if n >= 0 else (), r)
 
 
 def flag_stirling_row(n: int) -> tuple[int, ...]:
@@ -416,35 +415,3 @@ def enumerate_partitions(kind: str, n: int, r: int | None = None, m: int = 2) ->
     out.sort(key=lambda p: p.sort_key())
     return out
 
-
-# ---------------------------------------------------------------------------
-# the looser colored reading, kept for comparison reports
-
-
-def colored_literal_row(n: int, m: int) -> tuple[int, ...]:
-    """Colored partition counts when short orbits are allowed.
-
-    Blocks only need to be permuted nontrivially by the color shift, so a
-    block may repeat a value across colors (possible once m is composite).
-    The blocks over a class of c values then form one shift orbit of d
-    blocks, d > 1 dividing m, each block taking one residue of colors mod d
-    per value: w(c) = sum of d^(c-1) orbits per class.  Classes are counted
-    by the class holding the least value, P(s, r) = sum_c C(s-1, c-1) w(c)
-    P(s-c, r-1), and the zero support by a binomial.  Agrees with
-    stirling_row("G", n, m) for prime m, where w(c) = m^(c-1).
-    """
-    divisors = [d for d in range(2, m + 1) if m % d == 0]
-    w = [0] + [sum(d ** (c - 1) for d in divisors) for c in range(1, n + 1)]
-    classes = [(1,)]  # classes[s][r] = P(s, r)
-    for s in range(1, n + 1):
-        classes.append((0,) + tuple(
-            sum(
-                comb(s - 1, c - 1) * w[c] * classes[s - c][r - 1]
-                for c in range(1, s - r + 2)
-            )
-            for r in range(1, s + 1)
-        ))
-    return tuple(
-        sum(comb(n, j) * classes[n - j][r] for j in range(n - r + 1))
-        for r in range(n + 1)
-    )

@@ -37,7 +37,13 @@ from bdstirling.errors import (
     UnknownKind,
 )
 from bdstirling.geometry import CensusResult, classify_point
-from bdstirling.groups import des_stat, enumerate_group, fdes
+from bdstirling.groups import (
+    colored_from_signed,
+    des_stat,
+    descent_set,
+    enumerate_group,
+    fdes,
+)
 from bdstirling.identities import IdentityCheck, VerificationReport
 from bdstirling.partitions import BPartition, DPartition, stirling_row
 from bdstirling.polynomials import IntPolynomial, monomial
@@ -270,11 +276,20 @@ def descent_histogram_by_elements(kind, n, m=2):
     return tuple(counts)
 
 
+def fdes_color(beta):
+    """Flag descents with the type A part read in the two-colored color
+    order: the descents of beta viewed as 2-colored, doubled, plus one when
+    the first entry is negative.  It disagrees with fdes elementwise."""
+    des = descent_set(colored_from_signed(beta), "G")
+    return 2 * len(des) + (1 if beta.n and beta.window[0] < 0 else 0)
+
+
 def flag_histogram_by_elements(n, order="natural"):
-    """Histogram of fdes over the validated elements of B_n."""
+    """Histogram of fdes over the validated elements of B_n, in either order."""
+    stat = fdes if order == "natural" else fdes_color
     counts = [0] * max(2 * n, 1)
     for beta in enumerate_group("B", n):
-        counts[fdes(beta, order)] += 1
+        counts[stat(beta)] += 1
     return tuple(counts)
 
 

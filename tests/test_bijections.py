@@ -76,7 +76,7 @@ def ordered_forms(kind, n, r):
 class TestOrderedPartition:
     def test_blocks_pair_up(self):
         op = OrderedPartition("B", 2, (fs(1, -1), fs(2), fs(-2)))
-        assert op.has_zero_block and op.zero_support == fs(1)
+        assert op.zero_support == fs(1)
         assert op.class_blocks == (fs(2),)
         assert op.r == 1
 
@@ -155,7 +155,7 @@ class TestOrderedPartition:
         assert repr(op) == f"OrderedPartition(kind='B', n=2, blocks={op.blocks!r})"
         assert repr(cut) == repr(op)
         bare = OrderedPartition("B", 2, (fs(1), fs(-1), fs(2), fs(-2)))
-        assert not bare.has_zero_block and bare.zero_support == frozenset()
+        assert bare.zero_support == frozenset()
         assert bare.class_blocks == (fs(1), fs(2))
 
 
@@ -198,7 +198,7 @@ class TestOrderedPartitionPins:
             assert twin == op and hash(twin) == hash(op) and not twin != op
             lead = blocks[0] if blocks else frozenset()
             zero = bool(lead) and lead == frozenset(-v for v in lead)
-            assert op.has_zero_block is zero
+            assert bool(op.zero_support) is zero
             assert op.zero_support == frozenset(v for v in lead if zero and v > 0)
             assert type(op.zero_support) is frozenset
             assert op.class_blocks == blocks[zero::2]
@@ -385,7 +385,7 @@ class TestValidatorAgainstReference:
                     assert rebuilt == op and hash(rebuilt) == hash(op)
                     lead = op.blocks[0] if op.blocks else frozenset()
                     leads = bool(lead) and lead == frozenset(-v for v in lead)
-                    assert rebuilt.has_zero_block == leads
+                    assert bool(rebuilt.zero_support) == leads
                     assert rebuilt.zero_support == frozenset(
                         v for v in lead if leads and v > 0)
                     assert rebuilt.class_blocks == op.blocks[leads::2]
@@ -479,7 +479,7 @@ class TestForward:
 
     def test_leading_segment_becomes_zero_block(self):
         op = b_procedure(S("2,3,5,-1,-4"))
-        assert op.has_zero_block and op.zero_support == fs(2, 3, 5)
+        assert op.zero_support == fs(2, 3, 5)
         assert [sorted(b) for b in op.blocks[1:]] == [[-1], [1], [-4], [4]]
 
     def test_artificial_separator_added(self):

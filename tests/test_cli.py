@@ -991,6 +991,17 @@ def test_empty_permutation_meets_the_cap(argv):
         2, "", "error: group of order 1 exceeds cap 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    "tables stirling --kind A --nmax 1 --cap -1",
+    "verify --identity thm-1.2 --nmax 1 --cap -1",
+    "tables eulerian --kind A --n 2 --cap -1",
+])
+def test_negative_cap_is_one_line_usage_error(argv):
+    code, out, err = run_in_process(argv.split())
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.endswith("error: argument --cap: must be nonnegative, got -1\n")
+
+
 def test_census_over_the_cap_is_pinned():
     assert run_in_process("census --kind B --n 9 --m 4".split()) == (
         2, "", "error: census of 9**9 points exceeds cap 100000000\n")

@@ -163,12 +163,12 @@ class TestFlagStatistic:
         assert fdes(S("2,1")) == 2
         assert fdes(S("2,-1")) == 2
         assert fdes(S("-2,1")) == 1
-        assert fdes(S("-2,-1"), order="color") == 3
+        assert oracles.fdes_color(S("-2,-1")) == 3
 
     def test_natural_and_color_orders_disagree_pointwise(self):
         beta = S("-2,-1")
-        assert fdes(beta, order="natural") == 1
-        assert fdes(beta, order="color") == 3
+        assert fdes(beta) == 1
+        assert oracles.fdes_color(beta) == 3
 
     def test_orders_agree_in_distribution(self):
         for n in range(1, 5):
@@ -176,7 +176,7 @@ class TestFlagStatistic:
             hist_col = {}
             for beta in enumerate_group("B", n):
                 hist_nat[fdes(beta)] = hist_nat.get(fdes(beta), 0) + 1
-                k = fdes(beta, order="color")
+                k = oracles.fdes_color(beta)
                 hist_col[k] = hist_col.get(k, 0) + 1
             assert hist_nat == hist_col
 
@@ -257,7 +257,6 @@ def test_descent_statistic_total_is_group_order(n):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: descent_set(S("1,2"), "Q"), UnknownKind, "unknown descent flavor 'Q'"),
-    (lambda: fdes(S("1,2"), "reverse"), UnknownKind, "unknown fdes order 'reverse'"),
     (lambda: des_stat(S("1,2"), "desQ"), UnknownKind, "unknown statistic 'desQ'"),
     (lambda: group_order("B", -1), BadIndex, "n must be nonnegative"),
     (lambda: enumerate_group("A", 2), UnknownKind, "unknown group kind 'A'"),
@@ -269,7 +268,7 @@ def test_descent_statistic_total_is_group_order(n):
      "values must form a permutation of 1..n"),
     (lambda: ColoredPermutation(2, ((1, 2),)), BadIndex,
      "colors must lie in 0..m-1"),
-], ids=["descent_set", "fdes", "des_stat", "group_order", "enumerate_group",
+], ids=["descent_set", "des_stat", "group_order", "enumerate_group",
         "window", "window_text", "colors_m", "values", "color_range"])
 def test_bad_arguments_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:

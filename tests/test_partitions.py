@@ -26,7 +26,6 @@ from bdstirling.partitions import (
     DPartition,
     GPartition,
     classical_set_partitions,
-    colored_literal_row,
     enumerate_partitions,
     flag_stirling_row,
     stirling,
@@ -371,8 +370,12 @@ class TestEnumeration:
     # off the row too, not only inside it
     (lambda: stirling("C", 3, 5), UnknownKind, "unknown kind 'C'"),
     (lambda: stirling("G", 3, 5, 0), BadIndex, "kind G needs m >= 1"),
+    # and below row 0
+    (lambda: stirling("Z", -1, 0), UnknownKind, "unknown kind 'Z'"),
+    (lambda: stirling("G", -1, 0, m=0), BadIndex, "kind G needs m >= 1"),
 ], ids=["stirling_row", "flag_stirling_row", "colors", "enumerate", "enumerate_size",
-        "free_point_count", "weights", "stirling_kind", "stirling_colors"])
+        "free_point_count", "weights", "stirling_kind", "stirling_colors",
+        "stirling_negative_kind", "stirling_negative_colors"])
 def test_bad_arguments_raise_typed_errors(call, error, message):
     # both classes are ValueErrors, so the CLI exit codes stay as they were
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
@@ -649,28 +652,3 @@ class TestAcceptingPass:
         with pytest.raises(AssertionError, match="per-block checks ran"):
             GPartition(1, 2, frozenset(), (frozenset({(1, 1)}),))
 
-
-class TestLiteralColoredRule:
-    def test_prime_color_counts_coincide_with_strict(self):
-        for n in range(8):
-            for m in (2, 3, 5, 7):
-                assert colored_literal_row(n, m) == stirling_row("G", n, m)
-
-    @pytest.mark.parametrize(
-        "n,m", [(0, 3), (1, 1), (1, 4), (1, 6), (1, 8), (1, 9), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
-    )
-    def test_orbit_count_matches_brute_force(self, n, m):
-        assert colored_literal_row(n, m) == oracles.colored_literal_row_by_partitions(n, m)
-
-    def test_composite_color_count_differs(self):
-        # a block family invariant under a proper shift power is literal
-        # but not strict, so four colors admit one extra singleton family
-        assert colored_literal_row(1, 4) == (1, 2)
-        assert stirling_row("G", 1, 4) == (1, 1)
-
-    def test_composite_color_count_n2(self):
-        literal = colored_literal_row(2, 4)
-        strict = stirling_row("G", 2, 4)
-        assert literal[0] == strict[0] == 1
-        assert all(a >= b for a, b in zip(literal, strict))
-        assert literal != strict

@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from bdstirling.partitions import stirling_row
+
+from . import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -56,16 +60,16 @@ def test_census_report_rejects_bad_sizes(argv, message):
     assert res.stderr.splitlines()[-1].endswith(message)
 
 
-def _bench_pairs():
+def _script(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+        name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_bench_pairs_summary():
-    bench = _bench_pairs()
+    bench = _script("bench_pairs")
     assert bench.seed_list("1-3,7") == [1, 2, 3, 7]
 
     def run(wall, items):
@@ -107,7 +111,7 @@ def test_bench_pairs_unpacks_both_sides_as_siblings(tmp_path, monkeypatch):
     git("commit", "-q", "-m", "parent")
     (repo / "src" / "lib.py").write_text("X = 2\n")  # uncommitted
     (repo / "untracked.txt").write_text("left out\n")
-    bench = _bench_pairs()
+    bench = _script("bench_pairs")
     monkeypatch.setattr(bench, "ROOT", str(repo))
     roots = bench.unpack_sides("HEAD", str(tmp_path / "tmp"))
     parent, change = (Path(roots[side]) for side in ("parent", "change"))
@@ -116,3 +120,35 @@ def test_bench_pairs_unpacks_both_sides_as_siblings(tmp_path, monkeypatch):
     assert (change / "src" / "lib.py").read_text() == "X = 2\n"
     assert (change / "perfbench" / "run.py").read_text() == "# harness\n"
     assert not (change / "untracked.txt").exists()
+
+
+class TestLiteralColoredRule:
+    """The literal colored count behind census_report.py's side note."""
+
+    @pytest.fixture
+    def colored_literal_row(self):
+        return _script("census_report").colored_literal_row
+
+    def test_prime_color_counts_coincide_with_strict(self, colored_literal_row):
+        for n in range(8):
+            for m in (2, 3, 5, 7):
+                assert colored_literal_row(n, m) == stirling_row("G", n, m)
+
+    @pytest.mark.parametrize(
+        "n,m", [(0, 3), (1, 1), (1, 4), (1, 6), (1, 8), (1, 9), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
+    )
+    def test_orbit_count_matches_brute_force(self, n, m, colored_literal_row):
+        assert colored_literal_row(n, m) == oracles.colored_literal_row_by_partitions(n, m)
+
+    def test_composite_color_count_differs(self, colored_literal_row):
+        # a block family invariant under a proper shift power is literal
+        # but not strict, so four colors admit one extra singleton family
+        assert colored_literal_row(1, 4) == (1, 2)
+        assert stirling_row("G", 1, 4) == (1, 1)
+
+    def test_composite_color_count_n2(self, colored_literal_row):
+        literal = colored_literal_row(2, 4)
+        strict = stirling_row("G", 2, 4)
+        assert literal[0] == strict[0] == 1
+        assert all(a >= b for a, b in zip(literal, strict))
+        assert literal != strict
