@@ -13,8 +13,11 @@ directory, so neither side runs from a different place.  For each seed one
 each side, the parent first for odd seeds and the change first for even
 ones.  It prints every pair, then for each end-to-end metric of
 ``BENCHMARK.json`` the median of each side, the parent's quartiles, the
-median paired delta and how many pairs the change won.  A held-out seed
-runs one more pair after the series, reported apart.
+median paired delta, how many pairs the change won (a tie counts for
+neither side) and whether the change meets the gain rule: it won at least
+9 of every 10 pairs and its median is better than the parent's by more than
+the parent's q3 - q1.  A held-out seed runs one more pair after the series,
+reported apart.
 ``--json`` writes all of it, with the command line, as printed.  Standard
 library only; run it from anywhere inside the repository.
 """
@@ -120,9 +123,14 @@ def summary(pairs: dict[int, dict], specs: dict[str, dict]) -> dict:
                          if len(vals) > 1 else (vals[0],) * 3)
             entry[side] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
                            "per_seed": vals}
+        wins = sum(sign * d > 0 for d in deltas)
+        parent = entry["parent"]
         entry["median_delta"] = statistics.median(deltas)
-        entry["change_wins"] = (
-            f"{sum(sign * d > 0 for d in deltas)}/{len(deltas)}")
+        entry["change_wins"] = f"{wins}/{len(deltas)}"
+        entry["meets_gain_rule"] = (
+            10 * wins >= 9 * len(deltas)
+            and sign * (entry["change"]["median"] - parent["median"])
+            > parent["q3"] - parent["q1"])
         out[name] = entry
     return out
 
@@ -173,7 +181,8 @@ def main(argv=None) -> int:
         print(f"{name} [{entry['unit']}]: parent median {p['median']:.6g} "
               f"(q1 {p['q1']:.6g}, q3 {p['q3']:.6g}, spread {p['q3'] - p['q1']:.4g}); "
               f"change median {c['median']:.6g}; median paired delta "
-              f"{entry['median_delta']:+.2%}; change wins {entry['change_wins']}")
+              f"{entry['median_delta']:+.2%}; change wins {entry['change_wins']}; "
+              f"meets gain rule {entry['meets_gain_rule']}")
     if held is not None:
         result["held_out"] = {
             "seed": args.held_out,

@@ -205,11 +205,29 @@ _Cut = tuple[frozenset[int], tuple[frozenset[int], ...]]
 
 
 def _cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
-    """The zero support and the class blocks of the window cut at the gaps."""
-    gaps = sorted(separators)
-    gaps.append(len(window))
-    classes = list(map(frozenset, map(window.__getitem__, map(slice, gaps, gaps[1:]))))
-    return frozenset(map(abs, window[: gaps[0]])), tuple(classes)
+    """The zero support and the class blocks of the window cut at the gaps.
+
+    One pass over the window: an occupied gap opens a new segment, any
+    other position extends the current one, and the leading segment gives
+    the zero support.  A separator at or past the end of the window is
+    never reached; each one adds an empty class, as a slice there would.
+    """
+    segment = zero = []
+    classes = []
+    gap = 0
+    for value in window:
+        if gap in separators:
+            segment = [value]
+            classes.append(segment)
+        else:
+            segment.append(value)
+        gap += 1
+    # a tuple display is built at its exact size; tuple(map(...)) would grow
+    # and shrink a new tuple per cut, and those pile up on the free lists
+    classes = (*map(frozenset, classes),)
+    if len(classes) < len(separators):
+        classes += (_NO_SPOTS,) * (len(separators) - len(classes))
+    return frozenset(map(abs, zero)), classes
 
 
 def _slid_cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:

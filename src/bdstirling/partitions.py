@@ -93,6 +93,12 @@ def _entry(row: Sequence[int], i: int) -> int:
 
 
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
+    """Entry r of row n of the given kind's Stirling triangle.
+
+    n and r are read as ints, so a float is refused.  Row n is built before
+    r is read, so an off-row lookup costs a row build, and an off-row r
+    gives 0.  A negative n gives 0 after the same kind and m checks.
+    """
     n = index(n)
     row = stirling_row(kind, max(n, 0), m)  # row 0 checks kind and m
     return _entry(row if n >= 0 else (), r)

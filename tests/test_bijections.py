@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -545,6 +546,29 @@ class TestCutAgainstOracle:
                         assert kind == "D" and n == 1 and not art
                         continue
                     assert op.blocks == expected and type(op.blocks) is tuple
+
+    @pytest.mark.parametrize("cut, oracle", [
+        (bijections._cut, blocks_from_cut_window),
+        (bijections._slid_cut, slid_blocks),
+    ], ids=["cut", "slid_cut"])
+    def test_cut_matches_slicing_oracle_past_the_window(self, cut, oracle):
+        # every separator set over gaps 0..n+1, so gaps n and n+1 lie past
+        # the window; each separator gives one class, empty past the window
+        rng = random.Random(27)
+        windows = [g.window for n in range(1, 5) for g in enumerate_group("B", n)]
+        for n in (5, 5, 5, 6, 6, 6):
+            spots = rng.sample(range(1, n + 1), n)
+            windows.append(tuple(v if rng.random() < 0.5 else -v for v in spots))
+        for window in windows:
+            gaps = range(len(window) + 2)
+            for k in range(len(gaps) + 1):
+                for separators in map(frozenset, combinations(gaps, k)):
+                    support, classes = cut(window, separators)
+                    expected = oracle(window, separators)
+                    lead = len(expected) - 2 * len(separators)
+                    zero = frozenset(v for v in chain(*expected[:lead]) if v > 0)
+                    assert type(classes) is tuple
+                    assert (support, classes) == (zero, expected[lead::2])
 
     def test_failed_cut_checks_raise_under_optimize(self):
         code = (

@@ -304,6 +304,39 @@ class TestBijection:
             f"error: internal error: preimage maps to {image} instead of {doc}"
         ]
 
+    @pytest.mark.parametrize("doc, image", [
+        ({"kind": "B", "n": 2, "blocks": [[1, -1], [2], [-2]]},
+         {"kind": "B", "n": 2, "blocks": [[-1, 1], [2], [-2], [], []]}),
+        ({"kind": "D", "n": 3, "blocks": [[1, -2], [-1, 2], [3], [-3]]},
+         {"kind": "D", "n": 3, "blocks": [[-2, 1], [-1, 2], [3], [-3], [], []]}),
+    ], ids=["B", "D"])
+    def test_preimage_cut_past_the_window_is_an_internal_error_under_optimize(
+        self, doc, image
+    ):
+        # a cut at gap n lies past the window; the recut gives it an empty
+        # class, so the round trip fails instead of printing a preimage
+        program = (
+            "import sys\n"
+            "from bdstirling import bijections, cli\n"
+            "assert False, 'asserts must be off'\n"
+            "build = bijections._preimage_window\n"
+            "def past(op, odd):\n"
+            "    window, cuts = build(op, odd)\n"
+            "    return window, cuts + [len(window)]\n"
+            "bijections._preimage_window = past\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", program, "bijection", "inverse",
+             "--doc", json.dumps(doc)],
+            capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (4, "")
+        expected = {**doc, "blocks": [sorted(b) for b in doc["blocks"]]}
+        assert res.stderr.splitlines() == [
+            f"error: internal error: preimage maps to {image} instead of {expected}"
+        ]
+
     @pytest.mark.parametrize("optimize", [[], ["-O"]])
     def test_odd_signed_d_preimage_is_an_internal_error(self, optimize):
         # a D preimage with an odd number of negatives has no D descents;

@@ -90,6 +90,28 @@ def test_bench_pairs_summary():
     assert got["items_per_ref"]["change_wins"] == "4/5"
 
 
+def test_bench_pairs_gain_rule():
+    bench = _script("bench_pairs")
+    spec = {"wall_ref": {"unit": "ref", "better": "lower"}}
+
+    def summary(parent, change):
+        pairs = {s: {side: {"metrics": {"wall_ref": {"value": v}}}
+                     for side, v in (("parent", p), ("change", c))}
+                 for s, (p, c) in enumerate(zip(parent, change), 1)}
+        return bench.summary(pairs, spec)["wall_ref"]
+
+    parent = [100.0 + s for s in range(10)]  # q1 102.25, q3 106.75
+    # 9/10 wins and a median 5 lower, against a spread of 4.5: met
+    met = summary(parent, [v - 5 for v in parent[:9]] + [parent[9]])
+    assert (met["change_wins"], met["meets_gain_rule"]) == ("9/10", True)
+    # the same medians with two ties: 8/10 wins, missed
+    tied = summary(parent, [v - 5 for v in parent[:8]] + parent[8:])
+    assert (tied["change_wins"], tied["meets_gain_rule"]) == ("8/10", False)
+    # 10/10 wins by 4, within the parent's spread: missed
+    near = summary(parent, [v - 4 for v in parent])
+    assert (near["change_wins"], near["meets_gain_rule"]) == ("10/10", False)
+
+
 def test_bench_pairs_help():
     res = _run("bench_pairs.py", "--help")
     assert res.returncode == 0 and "--parent" in res.stdout
