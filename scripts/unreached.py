@@ -60,7 +60,7 @@ CLI_RUNS = [
       for fmt in FORMATS),
     ["tables", "eulerian", "--kind", "D", "--n", "5", "--cap", "100000"],
     *(["verify", "--identity", name] for name in sorted(IDENTITIES)),
-    ["verify", "--identity", "thm-4.1", "--rmax", "2", "--format", "json"],
+    ["verify", "--identity", "thm-4.1", "--format", "json"],
     ["bijection", "forward", "--kind", "B", "--perm", "-2,3,5,1,-4", "--spots", "1,2"],
     ["bijection", "forward", "--kind", "D", "--perm", "-2,3,5,1,-4", "--spots", "0"],
     ["bijection", "inverse", "--doc", json.dumps(DOC_B)],

@@ -134,7 +134,7 @@ def _caps_from_args(args) -> EnumerationCaps:
         raise _Usage(
             f"--cap {cap} raises the default limit; acknowledge with --allow-large"
         )
-    return EnumerationCaps(signed_group=cap, colored_group=cap, census_points=cap)
+    return EnumerationCaps(signed_group=cap, census_points=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +177,10 @@ def cmd_tables(args) -> _Result:
 def cmd_verify(args) -> _Result:
     caps = _caps_from_args(args)
     report = verify_identity(args.identity, args.nmax, args.m, caps=caps)
-    instances = report.instances
-    if args.rmax is not None:
-        instances = tuple(
-            inst
-            for inst in instances
-            if all(
-                key not in ("r", "k") or value <= args.rmax
-                for key, value in inst.params
-            )
-        )
-    failures = sum(1 for inst in instances if not inst.ok)
-    passed = failures == 0
+    failures = sum(1 for inst in report.instances if not inst.ok)
     summary = (
-        f"{report.identity}: {'PASS' if passed else 'FAIL'}"
-        f" ({len(instances)} instances, {failures} mismatches"
+        f"{report.identity}: {'PASS' if report.passed else 'FAIL'}"
+        f" ({len(report.instances)} instances, {failures} mismatches"
         + (f"; skipped {', '.join(report.skipped)}" if report.skipped else "")
         + ("; report only, not asserted" if not report.asserted else "")
         + ")"
@@ -200,22 +189,22 @@ def cmd_verify(args) -> _Result:
         {
             "identity": report.identity,
             "asserted": report.asserted,
-            "passed": passed,
+            "passed": report.passed,
             "skipped": report.skipped,
             "instances": [
                 {"params": dict(inst.params), "lhs": inst.lhs, "rhs": inst.rhs,
                  "ok": inst.ok, "note": inst.note}
-                for inst in instances
+                for inst in report.instances
             ],
         },
         header=("params", "lhs", "rhs", "ok", "note"),
         rows=[
             (inst.params_text(), inst.lhs, inst.rhs,
              "yes" if inst.ok else "no", inst.note)
-            for inst in instances
+            for inst in report.instances
         ],
         footer=(summary,),
-        code=1 if report.asserted and not passed else 0,
+        code=1 if report.asserted and not report.passed else 0,
     )
 
 
@@ -366,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one identity over a parameter range")
     p.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
     p.add_argument("--nmax", type=_at_least(0), default=None)
-    p.add_argument("--rmax", type=_at_least(0), default=None)
     p.add_argument("--m", type=_at_least(1), default=2)
     add_common(p)
     p.set_defaults(func=cmd_verify)

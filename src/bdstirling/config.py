@@ -11,13 +11,13 @@ from .errors import BadIndex, SizeOverflow, UnknownKind
 class EnumerationCaps:
     """Hard limits on how many objects a single call may walk.
 
-    signed_group bounds |B_n|, |D_n| and |S_n| streams (default |B_8|),
-    colored_group bounds |G_{m,n}| streams, census_points bounds the x^n
-    points a census counts, x read as at least 2 (it walks keys, not points).
+    signed_group bounds the order of every group walked, S_n, B_n, D_n and
+    G_{m,n} alike (default |B_8| = |G_{2,8}|); it keeps its name because
+    benchmark probes read it.  census_points bounds the x^n points a census
+    counts, x read as at least 2 (it walks keys, not points).
     """
 
     signed_group: int = 2**8 * 40320
-    colored_group: int = 10**7
     census_points: int = 10**8
 
 
@@ -55,11 +55,7 @@ def _weights(kind: str, m: int | None = None) -> tuple[int, int]:
     return m, 1
 
 
-def _check_group_cap(kind: str, order: int, caps: EnumerationCaps) -> None:
-    """Refuse to walk a group of this order when it passes the kind's cap.
-
-    Colored groups answer to colored_group; S_n, B_n and D_n to signed_group.
-    """
-    cap = caps.colored_group if kind == "G" else caps.signed_group
-    if order > cap:
-        raise SizeOverflow(f"group of order {order} exceeds cap {cap}")
+def _check_group_cap(order: int, caps: EnumerationCaps) -> None:
+    """Refuse to walk a group of this order when it passes the group cap."""
+    if order > caps.signed_group:
+        raise SizeOverflow(f"group of order {order} exceeds cap {caps.signed_group}")

@@ -213,7 +213,7 @@ def enumerate_group(
     """
     if kind not in ("B", "D", "G"):
         raise UnknownKind(f"unknown group kind {kind!r}")
-    _check_group_cap(kind, group_order(kind, n, m), caps)
+    _check_group_cap(group_order(kind, n, m), caps)
     if kind == "G":
         letters = [(a, z) for a in range(1, n + 1) for z in range(m)]
         return _windows(n, letters, itemgetter(0), partial(ColoredPermutation, m))
@@ -225,12 +225,15 @@ def _windows(n: int, letters: Sequence, value: Callable, make: Callable) -> Iter
     """make(window) for every window of n letters whose values are 1..n,
     each once, in lexicographic order: letters is sorted, and each prefix
     takes every letter in turn whose value it does not hold yet."""
-    def rec(prefix: tuple, remaining: frozenset[int]):
-        if not remaining:
-            yield make(prefix)
-            return
-        for letter in letters:
-            if (v := value(letter)) in remaining:
-                yield from rec(prefix + (letter,), remaining - {v})
+    return _extend((), frozenset(range(1, n + 1)), letters, value, make)
 
-    yield from rec((), frozenset(range(1, n + 1)))
+
+def _extend(prefix: tuple, remaining: frozenset[int], letters, value, make):
+    """The windows of _windows that start with prefix, remaining the values
+    still to place; a module-level generator, so it leaves no cycle."""
+    if not remaining:
+        yield make(prefix)
+        return
+    for letter in letters:
+        if (v := value(letter)) in remaining:
+            yield from _extend(prefix + (letter,), remaining - {v}, letters, value, make)

@@ -144,7 +144,7 @@ def descent_histogram(
     order.  Calls that differ only in ``caps``, or in ``m`` outside kind
     G, share one cache entry.
     """
-    _check_group_cap(kind, group_order(kind, n, m), caps)
+    _check_group_cap(group_order(kind, n, m), caps)
     return _descent_histogram(kind, n, m if kind == "G" else 2)
 
 
@@ -161,7 +161,7 @@ def flag_histogram(
     """
     if order not in ("natural", "color"):
         raise UnknownKind(f"unknown fdes order {order!r}")
-    _check_group_cap("B", group_order("B", n), caps)
+    _check_group_cap(group_order("B", n), caps)
     return _flag_histogram(n, order)
 
 
@@ -188,7 +188,7 @@ def eulerian(
     return _entry(hist, i)
 
 
-def eulerian_from_stirling(kind: str, n: int, k: int, m: int = 2) -> int:
+def eulerian_from_stirling(kind: str, n: int, k: int) -> int:
     """Eulerian numbers rebuilt from Stirling rows by binomial inversion.
 
     Kind A inverts r! S(n,r) = sum_k A(n,k) C(n-k, r-k); kinds B and D

@@ -360,29 +360,28 @@ def _canonical_orbits(n, m, zero_support, orbit_reps):
 # enumeration
 
 
-def classical_set_partitions(
-    items: Sequence,
-) -> Iterator[tuple[frozenset, ...]]:
+def classical_set_partitions(items: Sequence) -> Iterator[tuple[frozenset, ...]]:
     """All set partitions of items, each as a tuple of frozensets.
 
     Blocks appear in order of their least-indexed element, the standard
     restricted growth enumeration.
     """
-    items = list(items)
+    yield from _grow_blocks(list(items), 0, [])
 
-    def rec(i: int, blocks: list[list]):
-        if i == len(items):
-            yield tuple(frozenset(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(items[i])
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([items[i]])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
 
-    yield from rec(0, [])
+def _grow_blocks(items: list, i: int, blocks: list[list]) -> Iterator:
+    """Every partition of items whose first i items sit in blocks; a
+    module-level generator, so it leaves no cycle."""
+    if i == len(items):
+        yield tuple(frozenset(b) for b in blocks)
+        return
+    for b in blocks:
+        b.append(items[i])
+        yield from _grow_blocks(items, i + 1, blocks)
+        b.pop()
+    blocks.append([items[i]])
+    yield from _grow_blocks(items, i + 1, blocks)
+    blocks.pop()
 
 
 def _colorings(cls: frozenset[int], m: int) -> Iterator[frozenset[tuple[int, int]]]:

@@ -172,14 +172,14 @@ class TestCubeCensus:
             assert cnt == falling_factorial("B", part.r)(7)
 
     def test_cap_enforced(self):
-        tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
+        tiny = EnumerationCaps(signed_group=10**6, census_points=10)
         with pytest.raises(SizeOverflow):
             census("B", 2, 3, caps=tiny)
 
     def test_cap_counts_two_values_on_the_one_value_axis(self):
         # m = 0 has one point, but it has n coordinates: 2**3 fits under
         # 10, 2**4 does not
-        tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
+        tiny = EnumerationCaps(signed_group=10**6, census_points=10)
         assert sum(census("B", 3, 0, caps=tiny).counts.values()) == 1
         with pytest.raises(SizeOverflow, match=r"1\*\*4 points exceeds cap 10"):
             census("D", 4, 0, caps=tiny)
@@ -200,7 +200,7 @@ class TestCubeCensus:
         with pytest.raises(BadIndex, match="n must be nonnegative"):
             census("B", -1, 2)
         # n is checked before the cap, which a negative n would pass
-        tiny = EnumerationCaps(signed_group=1, colored_group=1, census_points=1)
+        tiny = EnumerationCaps(signed_group=1, census_points=1)
         with pytest.raises(BadIndex, match="n must be nonnegative"):
             census("D", -3, 2, caps=tiny)
 
@@ -242,7 +242,7 @@ class TestTorusCensus:
             torus_census(1, 3, 0)
 
     def test_cap_enforced(self):
-        tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
+        tiny = EnumerationCaps(signed_group=10**6, census_points=10)
         with pytest.raises(SizeOverflow):
             torus_census(2, 3, 5, caps=tiny)
 
@@ -378,7 +378,7 @@ class TestKeyedTallyAgainstPointOracle:
     ])
     def test_cached_shape_still_meets_the_cap(self, call):
         call(EnumerationCaps())
-        tiny = EnumerationCaps(signed_group=10**6, colored_group=10**6, census_points=10)
+        tiny = EnumerationCaps(signed_group=10**6, census_points=10)
         with pytest.raises(SizeOverflow, match=r"^census of 5\*\*3 points exceeds cap 10$"):
             call(tiny)
 

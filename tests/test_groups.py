@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -23,6 +24,7 @@ from bdstirling.groups import (
     fdes,
     group_order,
 )
+from bdstirling.partitions import classical_set_partitions
 
 from . import oracles
 from .strategies import colored_perms, signed_perms, signed_windows
@@ -226,12 +228,29 @@ class TestEnumeration:
         assert windows == sorted(windows)
 
     def test_cap_enforced(self):
-        caps = EnumerationCaps(signed_group=10, colored_group=10, census_points=10)
+        caps = EnumerationCaps(signed_group=10, census_points=10)
         with pytest.raises(SizeOverflow):
             enumerate_group("B", 3, caps=caps)
         with pytest.raises(SizeOverflow):
             enumerate_group("G", 2, 4, caps=caps)
         assert len(list(enumerate_group("B", 1, caps=caps))) == 2
+
+    @pytest.mark.parametrize("walk", [
+        lambda: enumerate_group("B", 3),
+        lambda: enumerate_group("G", 2, 3),
+        lambda: classical_set_partitions(range(4)),
+    ], ids=["B", "G", "set_partitions"])
+    def test_enumerators_leave_no_reference_cycles(self, walk):
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            list(walk())
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
 
     def test_group_orders(self):
         assert [group_order("B", n) for n in range(5)] == [1, 2, 8, 48, 384]

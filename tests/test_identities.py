@@ -176,14 +176,14 @@ class TestHistogramCache:
         assert descent_histogram("G", 3, 2) != descent_histogram("G", 3, 3)
 
     def test_classical_honours_caps(self):
-        tens = EnumerationCaps(signed_group=10, colored_group=10, census_points=10)
+        tens = EnumerationCaps(signed_group=10, census_points=10)
         with pytest.raises(SizeOverflow):
             descent_histogram("A", 9, caps=tens)
         with pytest.raises(SizeOverflow):
             eulerian("A", 9, 1, caps=tens)
 
     def test_flag_honours_caps(self):
-        tens = EnumerationCaps(signed_group=10, colored_group=10, census_points=10)
+        tens = EnumerationCaps(signed_group=10, census_points=10)
         with pytest.raises(SizeOverflow):
             flag_histogram(3, caps=tens)
 
@@ -233,10 +233,10 @@ class TestEulerianNumbers:
     @pytest.mark.parametrize("kind, k", [("A", 0), ("Bstar", 1), ("B", 0), ("D", 0), ("G", 0)])
     def test_empty_permutation_meets_the_cap(self, kind, k):
         # every kind checks even the trivial group against the cap
-        nothing = EnumerationCaps(signed_group=0, colored_group=0, census_points=0)
+        nothing = EnumerationCaps(signed_group=0, census_points=0)
         with pytest.raises(SizeOverflow, match="^group of order 1 exceeds cap 0$"):
             eulerian(kind, 0, k, m=3, caps=nothing)
-        one = EnumerationCaps(signed_group=1, colored_group=1, census_points=0)
+        one = EnumerationCaps(signed_group=1, census_points=0)
         assert eulerian(kind, 0, k, m=3, caps=one) == 1
 
     def test_inversion_formulas_match_enumeration(self):
@@ -349,7 +349,7 @@ class TestVerification:
             assert entry["nmax"] >= 3
 
     def test_caps_thread_through(self):
-        tiny = EnumerationCaps(signed_group=3, colored_group=3, census_points=3)
+        tiny = EnumerationCaps(signed_group=3, census_points=3)
         with pytest.raises(SizeOverflow):
             verify_identity("thm-4.1", nmax=3, caps=tiny)
 

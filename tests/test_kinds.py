@@ -1,8 +1,11 @@
 """Each kind is defined once, by its weights (a, b), and every layer reads them."""
+import io
+from contextlib import redirect_stdout
 from math import factorial
 
 import pytest
 
+from bdstirling import cli
 from bdstirling.config import EnumerationCaps, _weights
 from bdstirling.errors import BadIndex, SizeOverflow
 from bdstirling.geometry import census, free_point_count, torus_census
@@ -54,6 +57,25 @@ def test_type_b_is_two_colors(n):
     assert group_order("B", n) == group_order("G", n, 2)
 
 
+def test_type_b_and_two_colors_meet_one_cap():
+    for n in range(9):
+        assert descent_histogram("G", n, 2) == descent_histogram("B", n)
+    enumerate_group("G", 8, 2)  # the cap is checked on the call, nothing is walked
+    for kind in ("B", "G"):
+        for walk in (enumerate_group, descent_histogram):
+            with pytest.raises(SizeOverflow, match=f"exceeds cap {group_order('B', 8)}$"):
+                walk(kind, 9, 2)
+    rows = []
+    for kind in ("B", "G"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["tables", "eulerian", "--kind", kind, "--m", "2", "--n", "8",
+                             "--format", "csv"])
+        assert code == 0
+        rows.append(out.getvalue().splitlines()[-1])
+    assert rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("kind,m", KINDS)
 def test_group_order_is_a_to_the_n_times_n_factorial(kind, m):
     a, _ = _weights(kind, m)
@@ -103,7 +125,7 @@ def test_free_points_reject_kinds_without_a_census():
 
 
 def test_each_overflow_names_its_cap():
-    caps = EnumerationCaps(signed_group=10, colored_group=20, census_points=30)
+    caps = EnumerationCaps(signed_group=10, census_points=30)
     over = {
         "cap 10": [
             lambda: descent_histogram("A", 4, caps=caps),
@@ -112,8 +134,6 @@ def test_each_overflow_names_its_cap():
             lambda: flag_histogram(3, caps=caps),
             lambda: enumerate_group("B", 3, caps=caps),
             lambda: enumerate_group("D", 3, caps=caps),
-        ],
-        "cap 20": [
             lambda: descent_histogram("G", 2, 4, caps=caps),
             lambda: enumerate_group("G", 2, 4, caps=caps),
         ],
@@ -127,9 +147,9 @@ def test_each_overflow_names_its_cap():
         for call in calls:
             with pytest.raises(SizeOverflow, match=f"exceeds {cap}$"):
                 call()
-    # colored groups answer to their own cap, not to the signed one
-    assert sum(descent_histogram("G", 1, 15, caps=caps)) == 15
-    assert len(list(enumerate_group("G", 1, 15, caps=caps))) == 15
+    # colored groups answer to the same cap, and a group of its order is walked
+    assert sum(descent_histogram("G", 1, 10, caps=caps)) == 10
+    assert len(list(enumerate_group("G", 1, 10, caps=caps))) == 10
 
 
 @pytest.mark.parametrize("kind", ["A", "C", "Bstar", "classical"])
