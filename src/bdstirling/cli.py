@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, replace
 from itertools import zip_longest
 
 from . import oeis as oeis_mod
@@ -126,15 +126,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {_one_line(message)}\n")
 
 
-def _caps_from_args(args) -> EnumerationCaps:
-    cap = getattr(args, "cap", None)
+def _caps_from_args(args, field: str) -> EnumerationCaps:
+    """The default caps with --cap in the one field the subcommand reads;
+    a cap above that field's default needs --allow-large."""
+    cap = args.cap
     if cap is None:
         return DEFAULT_CAPS
-    if cap > min(astuple(DEFAULT_CAPS)) and not getattr(args, "allow_large", False):
+    if cap > getattr(DEFAULT_CAPS, field) and not args.allow_large:
         raise _Usage(
             f"--cap {cap} raises the default limit; acknowledge with --allow-large"
         )
-    return EnumerationCaps(signed_group=cap, census_points=cap)
+    return replace(DEFAULT_CAPS, **{field: cap})
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def _table_row(args, n: int, caps: EnumerationCaps):
 
 
 def cmd_tables(args) -> _Result:
-    caps = _caps_from_args(args)
+    caps = _caps_from_args(args, "signed_group")
     ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
     # Eulerian rows sum one cached tally of S_n, itself one walk of S_{n-1};
     # largest first, a size over the cap fails before any walk.  Stirling
@@ -175,7 +177,7 @@ def cmd_tables(args) -> _Result:
 
 
 def cmd_verify(args) -> _Result:
-    caps = _caps_from_args(args)
+    caps = _caps_from_args(args, "signed_group")
     report = verify_identity(args.identity, args.nmax, args.m, caps=caps)
     failures = sum(1 for inst in report.instances if not inst.ok)
     summary = (
@@ -254,7 +256,7 @@ def cmd_bijection(args) -> _Result:
 
 
 def cmd_census(args) -> _Result:
-    caps = _caps_from_args(args)
+    caps = _caps_from_args(args, "census_points")
     if args.kind in ("B", "D"):
         if args.m is None or args.t is not None:
             raise _Usage("cube census needs --m (half-width) and takes no --t")
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("md", "csv", "json"), default="md")
         if cap:
             p.add_argument("--cap", type=_at_least(0), default=None,
-                           help="override enumeration caps")
+                           help="override the enumeration cap")
             p.add_argument("--allow-large", action="store_true",
                            help="acknowledge caps above the defaults")
 

@@ -50,23 +50,36 @@ __all__ = [
 # counting
 
 
-_TRIANGLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+# (a, b) -> rows 0, 1, ..., k of that triangle, k < _KEPT_ROWS, and once the
+# prefix is full, the last two rows past it that were asked for, oldest first
+_KEPT_ROWS = 128
+_TRIANGLES: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
 def _triangle_row(a: int, b: int, s: int) -> tuple[int, ...]:
     """Row s of T(s, r) = T(s-1, r-1) + (a r + b) T(s-1, r), T(0, 0) = 1.
 
-    The last two rows asked for per (a, b) are kept, so callers that
-    alternate two rows (D rows and the flag grading share W_2) build
-    neither again; any other row extends the longest kept row no longer
-    than it, or row 0.  Row s has s + 1 entries.
+    Rows 0..127 (_KEPT_ROWS) of each (a, b) are kept once built, so a
+    repeat below row 128 is a lookup that returns the same tuple.  Past the
+    prefix only the last two rows asked for are kept, so memory stays
+    bounded for any s, and callers that alternate two rows (D rows and the
+    flag grading share W_2) build neither again; any other row extends the
+    longest kept row no longer than it, at worst the last prefix row.  Row
+    s has s + 1 entries.
     """
-    kept = _TRIANGLES.get((a, b), ())
-    row = max((r for r in kept if len(r) <= s + 1), key=len, default=(1,))
+    rows = _TRIANGLES.setdefault((a, b), [(1,)])
+    prefix = min(len(rows), _KEPT_ROWS)
+    if s < prefix:
+        return rows[s]
+    row = max((r for r in rows[prefix - 1:] if len(r) <= s + 1), key=len)
     while len(row) <= s:
         factors = range(b, a * len(row) + b + 1, a)
         row = tuple(map(add, (0,) + row, map(mul, factors, row + (0,))))
-    _TRIANGLES[a, b] = tuple(r for r in kept if r is not row)[-1:] + (row,)
+        if len(rows) < _KEPT_ROWS:  # then row extends rows[-1]
+            rows.append(row)
+    if s >= _KEPT_ROWS:
+        past = [r for r in rows[_KEPT_ROWS:] if r is not row]
+        rows[_KEPT_ROWS:] = past[-1:] + [row]
     return row
 
 
@@ -95,9 +108,10 @@ def _entry(row: Sequence[int], i: int) -> int:
 def stirling(kind: str, n: int, r: int, m: int = 2) -> int:
     """Entry r of row n of the given kind's Stirling triangle.
 
-    n and r are read as ints, so a float is refused.  Row n is built before
-    r is read, so an off-row lookup costs a row build, and an off-row r
-    gives 0.  A negative n gives 0 after the same kind and m checks.
+    n and r are read as ints, so a float is refused.  Row n is fetched
+    before r is read, so an off-row lookup costs what an on-row one does: a
+    lookup once built below row 128, a row build past it.  An off-row r
+    gives 0, and a negative n gives 0 after the same kind and m checks.
     """
     n = index(n)
     row = stirling_row(kind, max(n, 0), m)  # row 0 checks kind and m

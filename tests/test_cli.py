@@ -1033,6 +1033,22 @@ def test_census_over_the_cap_is_pinned():
         2, "", "error: census of 9**9 points exceeds cap 100000000\n")
 
 
+def test_census_cap_sets_only_the_census_cap():
+    # a census --cap above |B_8| but below 10^8 lowers the census cap, so it
+    # needs no --allow-large; above 10^8 it does
+    plain = run_in_process("census --kind B --n 2 --m 1".split())
+    assert run_in_process("census --kind B --n 2 --m 1 --cap 50000000".split()) == plain
+    assert run_in_process("census --kind D --n 6 --m 10 --cap 50000000".split()) == (
+        2, "", "error: census of 21**6 points exceeds cap 50000000\n")
+    code, out, err = run_in_process("census --kind B --n 2 --m 1 --cap 100000001".split())
+    assert (code, out) == (2, "")
+    assert err.endswith("acknowledge with --allow-large\n")
+    for args in ("tables eulerian --kind B --nmax 3", "verify --identity thm-1.1 --nmax 2"):
+        code, out, err = run_in_process(f"{args} --cap 50000000".split())
+        assert (code, out) == (2, "")
+        assert err.endswith("acknowledge with --allow-large\n")
+
+
 def test_one_value_census_counts_two_values_per_axis_against_the_cap():
     # --m 0 has a single point, but its n coordinates are built all the same
     code, out, err = run_in_process("census --kind B --n 5 --m 0 --cap 10".split())

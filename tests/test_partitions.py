@@ -2,6 +2,7 @@ import operator
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import product
 from unittest import mock
 
@@ -20,7 +21,7 @@ from bdstirling.errors import (
     UnknownKind,
 )
 from bdstirling.geometry import ZERO, census, classify_point, free_point_count, torus_census
-from bdstirling.identities import eulerian
+from bdstirling.identities import eulerian, verify_identity
 from bdstirling.partitions import (
     BPartition,
     DPartition,
@@ -130,43 +131,64 @@ class TestStirlingRows:
         assert early == tuple(oracles.signed_stirling(5, r, 3) for r in range(6))
         assert flag_stirling_row(3) == (0, 1, 4, 9, 6, 3, 1)
 
-    def test_alternating_rows_of_one_triangle_are_kept(self):
-        # D row 40 reads W_2 row 39, the flag row 40 reads W_2 row 40
-        with mock.patch.dict(partitions._TRIANGLES, clear=True):
-            stirling_row("D", 40)
-            flag_stirling_row(40)
-            w39 = partitions._triangle_row(2, 0, 39)
-            w40 = partitions._triangle_row(2, 0, 40)
-            for _ in range(3):
-                stirling_row("D", 40)
-                flag_stirling_row(40)
-                assert partitions._triangle_row(2, 0, 39) is w39
-                assert partitions._triangle_row(2, 0, 40) is w40
-            assert [len(r) for r in partitions._TRIANGLES[2, 0]] == [40, 41]
+    def test_rows_below_the_bound_are_built_once(self):
+        def sweep():
+            rows = {kind: [stirling_row(kind, n, 3) for n in range(101)]
+                    for kind in ("A", "B", "D", "G")}
+            rows["flag"] = [flag_stirling_row(n) for n in range(101)]
+            return rows
+
+        with mock.patch.dict(partitions._TRIANGLES, clear=True), \
+                _counted_adds() as entries:
+            first = sweep()
+            # rows 1..100 of A, B, G at m = 3 and W_2, each built once
+            assert len(entries) == 4 * sum(j + 1 for j in range(1, 101))
+            entries.clear()
+            second = sweep()
+            for name in ("thm-1.2", "thm-5.1", "thm-5.3", "thm-6.10"):
+                assert verify_identity(name, nmax=36, m=3).passed
+            assert entries == []
+        assert second == first
+        for kind in ("A", "B", "G"):
+            assert all(map(operator.is_, second[kind], first[kind]))
+        for r in (0, 1, 2, 50, 99, 100):
+            assert first["B"][100][r] == oracles.signed_stirling(100, r)
 
     @pytest.mark.parametrize("kept,s,steps", [
-        ((10, 20), 25, range(21, 26)),  # extends the longer kept row
-        ((10, 20), 15, range(11, 16)),  # extends the one not past it
-        ((10, 20), 5, range(1, 6)),  # no kept row fits: from row 0
+        ((140, 150), 155, range(151, 156)),  # extends the longer kept row
+        ((140, 150), 145, range(141, 146)),  # extends the one not past it
+        ((140, 150), 135, range(128, 136)),  # no kept row fits: the last prefix row
     ])
-    def test_a_row_extends_the_longest_kept_row_not_past_it(self, kept, s, steps):
-        entries = []
-
-        def counting_add(x, y):
-            entries.append(1)
-            return operator.add(x, y)
-
+    def test_past_the_prefix_a_row_extends_the_longest_kept_row_not_past_it(
+        self, kept, s, steps
+    ):
+        bound = partitions._KEPT_ROWS
         with mock.patch.dict(partitions._TRIANGLES, clear=True):
             for k in kept:
                 partitions._triangle_row(2, 1, k)
-            with mock.patch.object(partitions, "add", counting_add):
+            with _counted_adds() as entries:
                 row = partitions._triangle_row(2, 1, s)
             # building row j from row j - 1 adds j + 1 entries
             assert len(entries) == sum(j + 1 for j in steps)
-            assert [len(r) for r in partitions._TRIANGLES[2, 1]] == [kept[-1] + 1, s + 1]
+            lengths = [len(r) for r in partitions._TRIANGLES[2, 1]]
+            assert lengths == [*range(1, bound + 1), kept[-1] + 1, s + 1]
         with mock.patch.dict(partitions._TRIANGLES, clear=True):
             assert row == partitions._triangle_row(2, 1, s)
-        assert row == tuple(oracles.signed_stirling(s, r) for r in range(s + 1))
+        assert len(row) == s + 1
+        for r in (0, 1, 2, s // 2, s - 1, s):
+            assert row[r] == oracles.signed_stirling(s, r)
+
+    def test_alternating_rows_past_the_prefix_are_kept(self):
+        # D row 400 reads W_2 row 399, the flag row 400 reads W_2 row 400
+        with mock.patch.dict(partitions._TRIANGLES, clear=True):
+            d, flag = stirling_row("D", 400), flag_stirling_row(400)
+            with _counted_adds() as entries:
+                for _ in range(3):
+                    assert stirling_row("D", 400) == d
+                    assert flag_stirling_row(400) == flag
+            assert entries == []
+            past = partitions._TRIANGLES[2, 0][partitions._KEPT_ROWS:]
+            assert [len(r) for r in past] == [400, 401]
 
     def test_cold_thousandth_row_keeps_memory_small(self):
         # VmHWM is the child's own peak; its ru_maxrss starts at the peak of
@@ -182,10 +204,45 @@ class TestStirlingRows:
         )
         assert int(res.stdout) < 100 * 1024  # KiB on Linux
 
+    def test_sweep_past_the_prefix_keeps_memory_small(self):
+        # B, D and flag rows 0..600 keep at most the prefix plus two rows of
+        # each triangle, so the peak stays far below keeping every row
+        code = (
+            "from bdstirling.partitions import _TRIANGLES, flag_stirling_row, stirling_row\n"
+            "for n in range(601):\n"
+            "    stirling_row('B', n), stirling_row('D', n), flag_stirling_row(n)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n"
+            "for key in ((2, 1), (2, 0)):\n"
+            "    print(*(len(r) for r in _TRIANGLES[key]))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        peak, *triangles = res.stdout.splitlines()
+        assert int(peak) < 40 * 1024  # KiB on Linux
+        for line in triangles:
+            lengths = list(map(int, line.split()))
+            assert len([k for k in lengths if k > 128]) <= 2
+            assert [k for k in lengths if k <= 128] == list(range(1, 129))
+
     def test_flag_row_total_counts_all_signed_partitions(self):
         # every signed partition lands at exactly one flag index
         for n in range(6):
             assert sum(flag_stirling_row(n)) == sum(stirling_row("B", n))
+
+
+@contextmanager
+def _counted_adds():
+    """Count the triangle entries built while the block runs."""
+    entries = []
+
+    def counting_add(x, y):
+        entries.append(1)
+        return operator.add(x, y)
+
+    with mock.patch.object(partitions, "add", counting_add):
+        yield entries
 
 
 def _comb(n, j):
