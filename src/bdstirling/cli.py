@@ -157,7 +157,7 @@ def _table_row(args, n: int, caps: EnumerationCaps):
 
 def cmd_tables(args) -> _Result:
     caps = _caps_from_args(args, "signed_group")
-    ns = [args.n] if args.n is not None else list(range(args.nmax + 1))
+    ns = [args.n] if args.n is not None else range(args.nmax + 1)
     # Eulerian rows sum one cached tally of S_n, itself one walk of S_{n-1};
     # largest first, a size over the cap fails before any walk.  Stirling
     # rows build on smaller ones.

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from operator import index
 
 from .errors import BadIndex, SizeOverflow, UnknownKind
@@ -55,7 +56,27 @@ def _weights(kind: str, m: int | None = None) -> tuple[int, int]:
     return m, 1
 
 
-def _check_group_cap(order: int, caps: EnumerationCaps) -> None:
-    """Refuse to walk a group of this order when it passes the group cap."""
-    if order > caps.signed_group:
-        raise SizeOverflow(f"group of order {order} exceeds cap {caps.signed_group}")
+def group_order(kind: str, n: int, m: int | None = None) -> int:
+    """Order a^n n! of the group of a kind with weights (a, b), halved for D."""
+    n = _size(n)
+    a, _ = _weights(kind, m)
+    order = a**n * factorial(n)
+    return order // 2 if kind == "D" and n >= 1 else order
+
+
+def _check_group_cap(kind: str, n: int, m: int | None, caps: EnumerationCaps) -> None:
+    """Refuse to walk the group of a kind, n and m when its order passes the
+    group cap.
+
+    Every order a^n n! (halved for D) is at least n!, as a >= 1 and D's
+    half is paid by a = 2, and n! >= 2^(n-1), as each of 2..n is at least
+    2.  A cap of bit length L is below 2^L, so every n > L passes it: such
+    an n is refused, once the kind and m are checked, without computing
+    its order.
+    """
+    cap = caps.signed_group
+    if (size := index(n)) > cap.bit_length():
+        _weights(kind, m)
+        raise SizeOverflow(f"group of order at least 2**{size - 1} exceeds cap {cap}")
+    if (order := group_order(kind, n, m)) > cap:
+        raise SizeOverflow(f"group of order {order} exceeds cap {cap}")

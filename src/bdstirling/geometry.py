@@ -34,12 +34,12 @@ checks the sizes and the cap on every call, then counts the kept
 partitions (D's as DPartitions sharing the checked fields) and each
 lone-zero key as a partition or missing.  classify_point reads the classes
 of one point (_classes) and makes the same partition of them.  On one core
-of a 2-core x86 VM a cold census costs 11 to 28 us per key, and a repeat
-of a kept shape, as D after B on one cube, 0.3 to 1.7 us per key.  So the
+of a 2-core x86 VM a cold census costs 9 to 30 us per key, and a repeat
+of a kept shape, as D after B on one cube, 0.3 to 2.4 us per key.  So the
 work grows with the keys, not the points: near the 10^8-point cap, B n = 4,
-m = 49 and D n = 6, m = 10 take 0.003 and 0.05 to 0.07 s, and B at n = 8,
-m = 2 reads 50469 keys (3280 distinct classes) in 0.85 to 0.95 s, after
-which D on that cube takes 0.05 to 0.07 s.
+m = 49 and D n = 6, m = 10 take 0.003 to 0.005 and 0.05 to 0.08 s, and B
+at n = 8, m = 2 reads 50469 keys (3280 distinct classes) in 0.86 to 1.12
+s, after which D on that cube takes 0.06 to 0.09 s.
 """
 from __future__ import annotations
 
@@ -185,8 +185,9 @@ def _child_keys(prefix, tag, magnitudes, relate) -> list:
     the prefix, related to it.  The partitions read a class relative to its
     first spot too, so points with one key classify alike."""
     last = len(prefix)
-    firsts = {magnitudes[i]: (spot, i)
-              for spot, i in reversed(tuple(enumerate(prefix)))}
+    firsts = {}
+    for spot, i in enumerate(prefix):
+        firsts.setdefault(magnitudes[i], (spot, i))
     return [
         (tag, last, a == 0) if (f := firsts.get(a)) is None
         else (tag, f[0], relate(v, f[1]))
@@ -226,34 +227,38 @@ def _reading(n: int, m: int, t: int | None = None) -> tuple:
         alone = frozenset([spot if t is None else (spot, 0)])
         alone = keep(alone, alone)
         for tag, (count, first, later, zeros, heads, classes) in parents.items():
-            walks = [(first, _child_keys(first, tag, magnitudes, relate), count)]
+            keys = _child_keys(first, tag, magnitudes, relate)
+            for v, key in enumerate(keys):
+                child = first + (v,)
+                if (state := states.get(key)) is not None:
+                    state[0] += count
+                    state[2] = child
+                    continue
+                _, at, relation = key
+                if at == last and not relation:  # a class of its own
+                    state = [count, child, child, zeros, heads | 1 << last,
+                             classes + (alone,)]
+                elif at == last or at + 1 in zeros:  # the zero support
+                    grown = zeros | {spot}
+                    state = [count, child, child, keep(grown, grown), heads, classes]
+                else:  # the class opened at `at`, the i-th by first spot
+                    i = (heads & ((1 << at) - 1)).bit_count()
+                    grown = classes[i] | {(spot, relation) if t is not None
+                                          else -spot if relation else spot}
+                    state = [count, child, child, zeros, heads,
+                             classes[:i] + (keep(grown, grown),) + classes[i + 1:]]
+                states[key] = state
             if count > 1:
-                walks.append((later, _child_keys(later, tag, magnitudes, relate), 0))
-                if sorted(walks[0][1]) != sorted(walks[1][1]):
+                # the later prefix's children are the first's, so each has
+                # a state: the pass only records the later prefix
+                later_keys = _child_keys(later, tag, magnitudes, relate)
+                if sorted(keys) != sorted(later_keys):
                     raise InvariantViolation(
                         f"census prefixes {first} and {later} share a "
                         "signature but not its children"
                     )
-            for prefix, keys, c in walks:
-                for v, key in enumerate(keys):
-                    child = prefix + (v,)
-                    if (state := states.get(key)) is None:
-                        _, at, relation = key
-                        if at == last and not relation:  # a class of its own
-                            state = [0, child, child, zeros, heads | 1 << last,
-                                     classes + (alone,)]
-                        elif at == last or at + 1 in zeros:  # the zero support
-                            grown = zeros | {spot}
-                            state = [0, child, child, keep(grown, grown), heads, classes]
-                        else:  # the class opened at `at`, the i-th by first spot
-                            i = (heads & ((1 << at) - 1)).bit_count()
-                            grown = classes[i] | {(spot, relation) if t is not None
-                                                  else -spot if relation else spot}
-                            state = [0, child, child, zeros, heads,
-                                     classes[:i] + (keep(grown, grown),) + classes[i + 1:]]
-                        states[key] = state
-                    state[0] += c
-                    state[2] = child
+                for v, key in enumerate(later_keys):
+                    states[key][2] = later + (v,)
     parents = None  # the last level's parents are not read again
     kind, colors = ("B", None) if t is None else ("G", m)
     kept, lone = [], []
@@ -276,10 +281,13 @@ def _tally(kind: str, n: int, m: int | None, x: int, caps: EnumerationCaps,
     and the result run their own checks; counts is new each call.
     """
     _size(n)
-    # the lone point of a one-value axis still has n coordinates to build
-    if max(x, 2) ** n > caps.census_points:
+    # the lone point of a one-value axis still has n coordinates to build;
+    # the cap is below 2**L, L its bit length, so an n of L or more is
+    # refused before the power is taken
+    cap = caps.census_points
+    if n >= cap.bit_length() or max(x, 2) ** n > cap:
         raise SizeOverflow(
-            f"census of {x}**{n} points exceeds cap {caps.census_points}"
+            f"census of {x}**{n} points exceeds cap {cap}"
             + ("" if x > 1 else f" (a point of {n} coordinates counts as 2**{n})")
         )
     kept, lone = _reading(*shape)

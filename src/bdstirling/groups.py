@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import factorial
 from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
+from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, group_order
 from .errors import (
     BadIndex,
     FlavorMismatch,
@@ -191,14 +190,6 @@ def des_stat(element, stat: str) -> int:
     raise UnknownKind(f"unknown statistic {stat!r}")
 
 
-def group_order(kind: str, n: int, m: int | None = None) -> int:
-    """Order a^n n! of the group of a kind with weights (a, b), halved for D."""
-    n = _size(n)
-    a, _ = _weights(kind, m)
-    order = a**n * factorial(n)
-    return order // 2 if kind == "D" and n >= 1 else order
-
-
 def enumerate_group(
     kind: str,
     n: int,
@@ -213,7 +204,7 @@ def enumerate_group(
     """
     if kind not in ("B", "D", "G"):
         raise UnknownKind(f"unknown group kind {kind!r}")
-    _check_group_cap(group_order(kind, n, m), caps)
+    _check_group_cap(kind, n, m, caps)
     if kind == "G":
         letters = [(a, z) for a in range(1, n + 1) for z in range(m)]
         return _windows(n, letters, itemgetter(0), partial(ColoredPermutation, m))

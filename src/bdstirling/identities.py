@@ -20,7 +20,6 @@ from types import MappingProxyType
 from .bijections import d_unreachable_count
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
 from .errors import BadIndex, UnknownKind
-from .groups import group_order
 from .partitions import _entry, flag_stirling_row, stirling_row
 from .polynomials import IntPolynomial, _times_linear, monomial
 
@@ -144,7 +143,7 @@ def descent_histogram(
     order.  Calls that differ only in ``caps``, or in ``m`` outside kind
     G, share one cache entry.
     """
-    _check_group_cap(group_order(kind, n, m), caps)
+    _check_group_cap(kind, n, m, caps)
     return _descent_histogram(kind, n, m if kind == "G" else 2)
 
 
@@ -161,7 +160,7 @@ def flag_histogram(
     """
     if order not in ("natural", "color"):
         raise UnknownKind(f"unknown fdes order {order!r}")
-    _check_group_cap(group_order("B", n), caps)
+    _check_group_cap("B", n, None, caps)
     return _flag_histogram(n, order)
 
 

@@ -51,8 +51,10 @@ __all__ = [
 
 
 # (a, b) -> rows 0, 1, ..., k of that triangle, k < _KEPT_ROWS, and once the
-# prefix is full, the last two rows past it that were asked for, oldest first
+# prefix is full, the last two rows past it that were asked for, oldest first;
+# at most _KEPT_TRIANGLES triangles, in the order they were first built
 _KEPT_ROWS = 128
+_KEPT_TRIANGLES = 8
 _TRIANGLES: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
@@ -64,10 +66,15 @@ def _triangle_row(a: int, b: int, s: int) -> tuple[int, ...]:
     prefix only the last two rows asked for are kept, so memory stays
     bounded for any s, and callers that alternate two rows (D rows and the
     flag grading share W_2) build neither again; any other row extends the
-    longest kept row no longer than it, at worst the last prefix row.  Row
-    s has s + 1 entries.
+    longest kept row no longer than it, at worst the last prefix row.  At
+    most 8 triangles are kept (_KEPT_TRIANGLES): a new one drops the one
+    built first, so a sweep over many m stays small.  Row s has s + 1
+    entries.
     """
-    rows = _TRIANGLES.setdefault((a, b), [(1,)])
+    if (rows := _TRIANGLES.get((a, b))) is None:
+        if len(_TRIANGLES) >= _KEPT_TRIANGLES:
+            del _TRIANGLES[next(iter(_TRIANGLES))]
+        rows = _TRIANGLES[a, b] = [(1,)]
     prefix = min(len(rows), _KEPT_ROWS)
     if s < prefix:
         return rows[s]
@@ -169,18 +176,18 @@ class BPartition:
             and _FROZENSET.issuperset(map(type, reps))
             and all(reps)
         ):
-            union = _NO_SPOTS.union(*reps)
-            if _INT.issuperset(map(type, union)) and _INT.issuperset(map(type, zs)):
-                # As many distinct spots in 1..n as the zero support and the
-                # blocks hold, and n of them, tile 1..n.  Canonical blocks
+            union = zs.union(*reps)
+            if _INT.issuperset(map(type, union)):
+                # Equal sizes make the zero support and the blocks disjoint
+                # sets of signed spots; their magnitudes and the zero support
+                # as it is then make up 1..n only if the magnitudes are
+                # distinct and the zero support positive.  Canonical blocks
                 # hold their least magnitude (the lead) as a positive spot,
                 # and the leads ascend.
-                spots = zs.union(map(abs, union))
                 leads = list(map(min, map(map, itertools.repeat(abs), reps)))
                 if (
-                    len(spots) == sum(map(len, reps)) + len(zs) == n
-                    and 0 < min(spots, default=1)
-                    and max(spots, default=0) <= n
+                    len(union) == sum(map(len, reps)) + len(zs) == n
+                    and zs.union(map(abs, union)) == frozenset(range(1, n + 1))
                     and union.issuperset(leads)
                     and leads == sorted(leads)
                 ):
@@ -298,15 +305,14 @@ class GPartition:
             if _TUPLE.issuperset(map(type, union)) and _PAIR.issuperset(map(len, union)):
                 values, colors = zip(*union) if union else ((), ())
                 if _INT.issuperset(map(type, itertools.chain(values, colors, zs))):
-                    # As for type B, with values for magnitudes; canonical
-                    # blocks hold their least value (the lead) in color 0,
-                    # and the leads ascend.
-                    spots = zs.union(values)
+                    # As for type B, with values for magnitudes: n spots in
+                    # all whose values make up 1..n repeat no value.
+                    # Canonical blocks hold their least value (the lead) in
+                    # color 0, and the leads ascend.
                     leads = list(map(min, reps))
                     if (
-                        len(spots) == sum(map(len, reps)) + len(zs) == n
-                        and 0 < min(spots, default=1)
-                        and max(spots, default=0) <= n
+                        sum(map(len, reps)) + len(zs) == n
+                        and zs.union(values) == frozenset(range(1, n + 1))
                         and 0 <= min(colors, default=0)
                         and max(colors, default=0) < m
                         and not any(map(itemgetter(1), leads))

@@ -11,7 +11,9 @@ with the statistic counted inline (the tuple kernels); the package sums
 one tally of S_n by standardization instead.  That tally is itself
 checked against a walk of S_{n-2} for every pair of first two ranks, the
 route its one shared walk of S_{n-1} replaced.  Censuses classify every
-point on its own, the route the keyed tally replaced; partition objects
+point on its own, the route the keyed tally replaced, and the census's
+child keys find each magnitude's first spot by a backward dict build, the
+route its forward scan replaced; partition objects
 are validated block by block, the route the constructors' one-pass accept
 check replaced; and the separation procedures' cut builds every block and
 its mirror, the route the ordered partition's stored zero support and
@@ -586,6 +588,21 @@ def census_by_points(kind, n, circle, m=None):
         counts[p] = counts.get(p, 0) + 1
     free = sum(c for p, c in counts.items() if p.r == n)
     return CensusResult(kind, n, len(circle), m, counts, free, missing)
+
+
+def child_keys_backward(prefix, tag, magnitudes, relate):
+    """The census keys of prefix + (v,) for each axis index v, as
+    geometry._child_keys gives them, with each magnitude's first spot taken
+    from a dict built over the prefix backward, so the first spot is
+    written last."""
+    last = len(prefix)
+    firsts = {magnitudes[i]: (spot, i)
+              for spot, i in reversed(tuple(enumerate(prefix)))}
+    return [
+        (tag, last, a == 0) if (f := firsts.get(a)) is None
+        else (tag, f[0], relate(v, f[1]))
+        for v, a in enumerate(magnitudes)
+    ]
 
 
 # ---------------------------------------------------------------------------

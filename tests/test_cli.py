@@ -1049,6 +1049,38 @@ def test_census_cap_sets_only_the_census_cap():
         assert err.endswith("acknowledge with --allow-large\n")
 
 
+HUGE = 10**20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (f"census --kind B --n {HUGE} --m 1", f"census of 3**{HUGE} points exceeds cap 100000000"),
+    (f"census --kind D --n {HUGE} --m 2", f"census of 5**{HUGE} points exceeds cap 100000000"),
+    (f"census --kind G --n {HUGE} --m 2 --t 1",
+     f"census of 3**{HUGE} points exceeds cap 100000000"),
+    (f"census --kind B --n {HUGE} --m 0", f"census of 1**{HUGE} points exceeds cap 100000000 "
+     f"(a point of {HUGE} coordinates counts as 2**{HUGE})"),
+    *((f"tables eulerian --kind {kind} --n {HUGE}",
+       f"group of order at least 2**{HUGE - 1} exceeds cap 10321920")
+      for kind in ("A", "B", "D", "Bstar")),
+    (f"tables eulerian --kind G --m 3 --n {HUGE}",
+     f"group of order at least 2**{HUGE - 1} exceeds cap 10321920"),
+    (f"tables eulerian --kind B --nmax {HUGE}",
+     f"group of order at least 2**{HUGE - 1} exceeds cap 10321920"),
+    # the cap 10321920 has 24 bits: n = 24 still gets its order, n = 25 does not
+    ("tables eulerian --kind A --n 24",
+     "group of order 620448401733239439360000 exceeds cap 10321920"),
+    ("tables eulerian --kind B --n 25",
+     "group of order at least 2**24 exceeds cap 10321920"),
+    ("tables eulerian --kind B --n 9", "group of order 185794560 exceeds cap 10321920"),
+], ids=["census-B", "census-D", "census-G", "census-one-value", "eulerian-A",
+        "eulerian-B", "eulerian-D", "eulerian-Bstar", "eulerian-G", "eulerian-nmax",
+        "order-at-24", "bound-at-25", "order-at-9"])
+def test_huge_sizes_are_refused_before_any_power(argv, message):
+    # a subprocess with a timeout, so a size that hangs fails fast
+    res = subprocess.run(CLI + argv.split(), capture_output=True, text=True, timeout=20)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_one_value_census_counts_two_values_per_axis_against_the_cap():
     # --m 0 has a single point, but its n coordinates are built all the same
     code, out, err = run_in_process("census --kind B --n 5 --m 0 --cap 10".split())

@@ -30,7 +30,7 @@ from bdstirling.geometry import (
 from bdstirling.partitions import BPartition, DPartition, stirling_row
 from bdstirling.polynomials import falling_factorial
 
-from .oracles import census_by_points
+from .oracles import census_by_points, child_keys_backward
 
 
 def _torus_circle(m, t):
@@ -562,6 +562,22 @@ class TestSignatureRefinesClassification:
         assert [p for _, p in kept] == [p for p, a in zip(firsts, apart) if not a]
         assert [(zeros, classes) for _, zeros, classes in lone] == [
             (p.zero_support, p.pair_reps) for p, a in zip(firsts, apart) if a]
+
+    @pytest.mark.parametrize("n, m, t", [
+        (4, 0, None), (4, 1, None), (4, 2, None), (4, 3, None), (3, 2, 2), (3, 3, 2),
+    ])
+    def test_child_keys_match_the_backward_oracle(self, n, m, t):
+        # every prefix the walk keys the children of, up to n - 1 spots,
+        # which holds every prefix of the smaller cubes
+        tables = geometry._cube_axis(m) if t is None else geometry._torus_axis(m, t)
+        width = len(tables[0])
+        checked = 0
+        for length in range(n):
+            for prefix in product(range(width), repeat=length):
+                assert geometry._child_keys(prefix, prefix, *tables) == \
+                    child_keys_backward(prefix, prefix, *tables)
+                checked += 1
+        assert checked == sum(width**k for k in range(n))
 
     def test_no_zero_and_zero_at_first_spot_differ(self):
         # (1, 2) and (0, 1) share every magnitude class and sign; only the

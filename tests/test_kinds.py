@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from bdstirling import cli
+from bdstirling import cli, config
 from bdstirling.config import EnumerationCaps, _weights
 from bdstirling.errors import BadIndex, SizeOverflow
 from bdstirling.geometry import census, free_point_count, torus_census
@@ -74,6 +74,48 @@ def test_type_b_and_two_colors_meet_one_cap():
         assert code == 0
         rows.append(out.getvalue().splitlines()[-1])
     assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("kind,m", KINDS)
+def test_group_cap_refuses_past_its_bit_length_before_the_order(kind, m, monkeypatch):
+    # every order is at least n! >= 2**(n-1), so n > L passes a cap of L bits
+    for bits in (0, 1, 5, 24):
+        caps = EnumerationCaps(signed_group=2**bits - 1)  # a cap of that bit length
+        # n = L is checked by its order, n = L + 1 by the bound alone
+        if (order := group_order(kind, bits, m)) > caps.signed_group:
+            with pytest.raises(SizeOverflow, match=f"^group of order {order} exceeds"):
+                descent_histogram(kind, bits, m, caps=caps)
+        else:
+            assert sum(descent_histogram(kind, bits, m, caps=caps)) == order
+        assert group_order(kind, bits + 1, m) > caps.signed_group
+        with pytest.raises(SizeOverflow, match=rf"^group of order at least 2\*\*{bits} "
+                                               rf"exceeds cap {caps.signed_group}$"):
+            descent_histogram(kind, bits + 1, m, caps=caps)
+    monkeypatch.setattr(config, "group_order", None)  # never reached
+    for n in (25, 10**20):
+        with pytest.raises(SizeOverflow, match=rf"^group of order at least 2\*\*{n - 1} "
+                                               r"exceeds cap 10321920$"):
+            descent_histogram(kind, n, m)
+
+
+def test_group_cap_checks_the_kind_and_m_before_the_size():
+    with pytest.raises(BadIndex, match="kind G needs m >= 1"):
+        descent_histogram("G", 10**20, 0)
+    with pytest.raises(TypeError):
+        descent_histogram("G", 10**20, 2.5)
+    with pytest.raises(ValueError, match="unknown kind 'C'"):
+        config._check_group_cap("C", 10**20, None, EnumerationCaps())
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: census("B", n, 1), lambda n: census("D", n, 0), lambda n: torus_census(n, 3, 2),
+])
+def test_census_cap_refuses_past_its_bit_length_before_the_power(call):
+    # the cap 10**8 has 27 bits; a one-value axis counts as two values
+    with pytest.raises(SizeOverflow, match=r"\*\*27 points exceeds cap 100000000"):
+        call(27)
+    with pytest.raises(SizeOverflow, match=rf"\*\*{10**20} points exceeds cap 100000000"):
+        call(10**20)
 
 
 @pytest.mark.parametrize("kind,m", KINDS)

@@ -226,6 +226,39 @@ class TestStirlingRows:
             assert len([k for k in lengths if k > 128]) <= 2
             assert [k for k in lengths if k <= 128] == list(range(1, 129))
 
+    def test_sweep_over_many_colors_keeps_few_triangles(self):
+        # row 127 of G for m = 1..200 builds 200 triangle prefixes; only the
+        # last _KEPT_TRIANGLES stay, in the order they were first built
+        code = (
+            "from bdstirling.partitions import _KEPT_TRIANGLES, _TRIANGLES, stirling_row\n"
+            "for m in range(1, 201):\n"
+            "    stirling_row('G', 127, m)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n"
+            "print(_KEPT_TRIANGLES, *(a for a, b in _TRIANGLES))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        peak, triangles = res.stdout.splitlines()
+        assert int(peak) < 60 * 1024  # KiB on Linux; keeping all 200 takes ~190 MB
+        kept, *colors = map(int, triangles.split())
+        assert 4 <= kept == len(colors)
+        assert colors == list(range(201 - kept, 201))
+
+    def test_a_new_triangle_drops_the_one_built_first(self):
+        bound = partitions._KEPT_TRIANGLES
+        with mock.patch.dict(partitions._TRIANGLES, clear=True):
+            rows = [stirling_row("G", 3, m) for m in range(1, bound + 1)]
+            assert list(partitions._TRIANGLES) == [(m, 1) for m in range(1, bound + 1)]
+            # a kept triangle asked again keeps its place and its rows
+            assert stirling_row("G", 3, 1) is rows[0]
+            stirling_row("G", 3, bound + 1)
+            assert list(partitions._TRIANGLES) == [(m, 1) for m in range(2, bound + 2)]
+            assert stirling_row("G", 3, 1) == rows[0]
+            assert list(partitions._TRIANGLES) == [
+                *((m, 1) for m in range(3, bound + 2)), (1, 1)]
+
     def test_flag_row_total_counts_all_signed_partitions(self):
         # every signed partition lands at exactly one flag index
         for n in range(6):
@@ -643,6 +676,25 @@ class TestAcceptPassAgainstReference:
         ("G", (1, 2, frozenset(), (frozenset({(1, 0, 0)}),))),
         ("G", (1, 2, frozenset(), (frozenset({(1, -1)}),))),
         ("G", (0, 1, frozenset(), ())),
+        # one union of the zero support and the blocks: the zero support
+        # holding a block's spot, its negative, 0 or a negative spot; a
+        # lead found only in the zero support; sizes that add up while a
+        # magnitude or value repeats
+        ("B", (2, frozenset({1}), (frozenset({1}),))),
+        ("B", (2, frozenset({1}), (frozenset({-1}),))),
+        ("B", (1, frozenset({0}), ())),
+        ("B", (2, frozenset({0}), (frozenset({2}),))),
+        ("B", (2, frozenset({-1}), (frozenset({2}),))),
+        ("B", (3, frozenset({1}), (frozenset({-1, 3}),))),
+        ("B", (3, frozenset({2}), (frozenset({3}), frozenset({-2, 1})))),
+        ("B", (2, frozenset(), (frozenset({1, -1}),))),
+        ("B", (2, frozenset(), (frozenset({1}), frozenset({-1})))),
+        ("B", (3, frozenset({1, 2}), (frozenset({-2}),))),
+        ("G", (2, 2, frozenset({1}), (frozenset({(1, 0)}),))),
+        ("G", (2, 2, frozenset({0}), (frozenset({(2, 0)}),))),
+        ("G", (2, 2, frozenset({-1}), (frozenset({(2, 0)}),))),
+        ("G", (2, 2, frozenset(), (frozenset({(1, 0), (1, 1)}),))),
+        ("G", (3, 2, frozenset({3}), (frozenset({(1, 0)}), frozenset({(1, 1)})))),
     ])
     def test_each_rule(self, kind, args):
         assert_constructs_like_reference(kind, args)
