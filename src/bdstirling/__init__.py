@@ -53,6 +53,6 @@ from .partitions import (
     stirling,
     stirling_row,
 )
-from .polynomials import IntPolynomial, falling_factorial, monomial
+from .polynomials import falling_factorial
 
 __version__ = "0.1.0"

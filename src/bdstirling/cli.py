@@ -424,7 +424,15 @@ def main(argv=None) -> int:
         try:
             if sys.stdout is None:
                 raise _Unwritten("stdout is closed")
-            _emit(args.format, result)
+            # Lift CPython's digit limit (3.10.7+) for the library's exact output.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+            if limit is not None:
+                sys.set_int_max_str_digits(0)
+            try:
+                _emit(args.format, result)
+            finally:
+                if limit is not None:
+                    sys.set_int_max_str_digits(limit)
             sys.stdout.flush()
         except OSError as e:
             # Silence the exit flush of the bytes left unwritten (a stream put in

@@ -56,7 +56,7 @@ from .errors import (
     UnknownKind,
 )
 from .partitions import BPartition, DPartition, GPartition, _d_of_checked
-from .polynomials import falling_factorial
+from .polynomials import _value_at
 
 ZERO = None
 
@@ -155,7 +155,7 @@ class CensusResult:
 
     def expected(self, partition) -> int:
         """The per-partition count the falling-factorial bases predict."""
-        return falling_factorial(self.kind, partition.r, n=self.n, m=self.m)(self.x)
+        return _value_at(self.x, self.kind, partition.r, self.n, self.m)
 
 
 def _cube_axis(m: int):
@@ -334,7 +334,7 @@ def free_point_count(kind: str, n: int, x: int, m: int | None = None) -> int:
     a, b = _weights(kind, m)
     if x < 1 or (x - b) % a:
         raise BadIndex(f"kind {kind} censuses need x = {b} (mod {a}), got {x}")
-    return falling_factorial(kind, _size(n), n=n, m=m)(x)
+    return _value_at(x, kind, _size(n), n, m)
 
 
 def missing_point_count(n: int, x: int) -> int:
@@ -344,4 +344,4 @@ def missing_point_count(n: int, x: int) -> int:
         raise BadIndex("cube censuses need odd x = 2m + 1")
     if n == 0:
         return 0
-    return n * ((x - 1) ** (n - 1) - falling_factorial("B", n - 1)(x))
+    return n * ((x - 1) ** (n - 1) - _value_at(x, "B", n - 1))

@@ -21,7 +21,7 @@ from .bijections import d_unreachable_count
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
 from .errors import BadIndex, UnknownKind
 from .partitions import _entry, flag_stirling_row, stirling_row
-from .polynomials import IntPolynomial, _times_linear, monomial
+from .polynomials import _roots, _times_linear
 
 __all__ = [
     "descent_histogram",
@@ -284,15 +284,14 @@ def _inversion_report(name, kind, nmax, m, caps):
 def _basis_report(name, kind, nmax, m, caps):
     """x^n against sum_k S(n, k) p_k, with p_k = falling_factorial(kind, k).
 
-    The basis p_0..p_nmax is built once, one linear factor per step, and
-    each n adds its row into one plain coefficient list.  For D, the top
-    member p_{n-1} (x - n + 1) and the correction n ((x - 1)^(n-1) - p_{n-1})
-    come from the same basis and a running power of (x - 1).
+    The basis p_0..p_nmax is built once over _roots, and each n adds its row
+    into one plain coefficient list, whose top entry is S(n, n) = 1.  For D,
+    the top member (p_{n-1} times the factor for _roots' top root) and the
+    correction n ((x - 1)^(n-1) - p_{n-1}) come from the same basis and a
+    running power of (x - 1).
     """
-    a, b = _weights(kind, m)
-    basis = [(1,)]
-    for k in range(nmax):
-        basis.append(_times_linear(basis[k], b + a * k))
+    roots = _roots(kind, nmax, n=nmax + 1, m=m)  # every D member below its top
+    basis = list(itertools.accumulate(roots, _times_linear, initial=(1,)))
     power = (1,)  # (x - 1)^(n - 1) for D
     instances = []
     for n in range(nmax + 1):
@@ -300,17 +299,16 @@ def _basis_report(name, kind, nmax, m, caps):
         for k, coeff in enumerate(stirling_row(kind, n, m)):
             p = basis[k]
             if kind == "D" and k == n > 0:
-                p = _times_linear(basis[n - 1], n - 1)
+                p = _times_linear(basis[n - 1], _roots("D", n, n)[-1])
             for i, c in enumerate(p):
                 rhs[i] += coeff * c
         if kind == "D" and n >= 1:
             for i, (c, d) in enumerate(zip(power, basis[n - 1])):
                 rhs[i] += n * (c - d)
             power = _times_linear(power, 1)
-        rhs = IntPolynomial(tuple(rhs))
         params = [("n", n)] + ([("m", m)] if kind == "G" else [])
         instances.append(
-            IdentityCheck(name, tuple(params), monomial(n).coeffs, rhs.coeffs)
+            IdentityCheck(name, tuple(params), (0,) * n + (1,), tuple(rhs))
         )
     return VerificationReport(name, tuple(instances))
 

@@ -26,7 +26,7 @@ Keep these dumb on purpose.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add, gt, index, mul
 
 from bdstirling.errors import (
@@ -48,7 +48,6 @@ from bdstirling.groups import (
 )
 from bdstirling.identities import IdentityCheck, VerificationReport
 from bdstirling.partitions import BPartition, DPartition, stirling_row
-from bdstirling.polynomials import IntPolynomial, monomial
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +625,16 @@ def falling_factorial_roots(kind, k, n=None, m=None):
     return roots
 
 
+def falling_factorial_value(x, kind, k, n=None, m=None):
+    """p_k(x) as the product of (x - root) over the roots spelled out above."""
+    return prod(x - r for r in falling_factorial_roots(kind, k, n, m))
+
+
+def value_of(coeffs, x):
+    """An ascending coefficient tuple summed term by term at x."""
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
 def _times(p, q):
     """Schoolbook product of two ascending coefficient lists."""
     out = [0] * (len(p) + len(q) - 1)
@@ -669,7 +678,5 @@ def basis_report_by_products(name, kind, nmax, m):
             )
             rhs = _plus(rhs, correction, n)
         params = [("n", n)] + ([("m", m)] if kind == "G" else [])
-        instances.append(IdentityCheck(
-            name, tuple(params), monomial(n).coeffs, IntPolynomial(rhs).coeffs
-        ))
+        instances.append(IdentityCheck(name, tuple(params), (0,) * n + (1,), tuple(rhs)))
     return VerificationReport(name, tuple(instances))

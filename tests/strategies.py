@@ -28,5 +28,3 @@ def colored_perms(draw, min_n=1, max_n=5, max_m=4):
     colors = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
     return ColoredPermutation(m, tuple(zip(perm, colors)))
 
-
-small_polys = st.lists(st.integers(-50, 50), min_size=0, max_size=6).map(tuple)

@@ -17,9 +17,13 @@ from hypothesis import strategies as st
 
 from bdstirling import cli
 from bdstirling.geometry import missing_point_count
+from bdstirling.partitions import stirling_row
 
 CLI = [sys.executable, "-m", "bdstirling"]
 README = Path(__file__).resolve().parents[1] / "README.md"
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7"
+)
 
 
 def run_in_process(argv, stdin=""):
@@ -94,6 +98,37 @@ class TestTables:
         assert res.returncode == 0
         assert res.stderr == ""
         assert res.stdout.splitlines()[1].startswith("600,1,")
+
+    @needs_digit_limit
+    def test_rows_past_the_digit_limit_are_written_in_full(self):
+        # row 144 of G at m = 10**30 holds integers of more than 4300 digits
+        res = run_cli("tables", "stirling", "--kind", "G", "--m", str(10**30),
+                      "--n", "144", "--format", "json")
+        assert (res.returncode, res.stderr) == (0, "")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            values = json.loads(res.stdout)["rows"][0]["values"]
+            longest = max(len(str(v)) for v in values)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert values == list(stirling_row("G", 144, 10**30))
+        assert longest > 4300
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_digit_limit_is_lifted_for_the_output_alone(self, fmt):
+        old = sys.get_int_max_str_digits()
+        code, out, err = run_in_process(["tables", "stirling", "--kind", "G", "--m",
+                                         str(10**30), "--n", "144", "--format", fmt])
+        assert (code, err) == (0, "")
+        assert len(out) > 4300 * 2
+        assert sys.get_int_max_str_digits() == old
+        # input is still read under the limit
+        code, out, err = run_in_process(["tables", "stirling", "--kind", "G", "--m",
+                                         "9" * 5000, "--n", "1"])
+        assert (code, out) == (2, "") and "invalid int value" in err
+        assert sys.get_int_max_str_digits() == old
 
     def test_zero_colors_is_one_line_usage_error(self):
         res = run_cli("tables", "stirling", "--kind", "G", "--m", "0")
@@ -371,13 +406,13 @@ class TestCensus:
         from bdstirling import geometry
 
         calls = []
-        real = geometry.falling_factorial
+        real = geometry._value_at
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "falling_factorial", counted)
+        monkeypatch.setattr(geometry, "_value_at", counted)
         code, out, err = run_in_process(["census", "--kind", "B", "--n", "4", "--m", "2"])
         assert (code, err) == (0, "")
         assert len(out.splitlines()) > 4 + 1

@@ -14,6 +14,8 @@ from bdstirling.identities import descent_histogram, flag_histogram
 from bdstirling.partitions import stirling_row
 from bdstirling.polynomials import falling_factorial
 
+from .oracles import falling_factorial_value, value_of
+
 KINDS = [("A", None), ("B", None), ("D", None), ("G", 1), ("G", 3), ("G", 4)]
 
 
@@ -132,9 +134,9 @@ def test_falling_factorial_roots_step_by_a_from_b(kind, m):
     for k in range(7):
         n = k + 1  # below the top, where type D steps like type B
         poly = falling_factorial(kind, k, n=n, m=m)
-        assert len(poly.coeffs) == k + 1  # degree k
-        assert all(poly(b + a * i) == 0 for i in range(k))
-        assert poly(b + a * k) != 0
+        assert len(poly) == k + 1  # degree k
+        assert all(value_of(poly, b + a * i) == 0 for i in range(k))
+        assert value_of(poly, b + a * k) != 0
 
 
 def test_classical_name_is_kind_a():
@@ -153,9 +155,9 @@ def test_classical_name_is_kind_a():
 )
 def test_free_points_need_x_congruent_to_b_mod_a(kind, m, accepted, rejected):
     for x in accepted:
-        assert free_point_count(kind, 2, x, m=m) == falling_factorial(
-            kind, 2, n=2, m=m
-        )(x)
+        assert free_point_count(kind, 2, x, m=m) == falling_factorial_value(
+            x, kind, 2, n=2, m=m
+        )
     for x in rejected:
         with pytest.raises(BadIndex):
             free_point_count(kind, 2, x, m=m)
