@@ -156,6 +156,8 @@ def _table_row(args, n: int, caps: EnumerationCaps):
 
 
 def cmd_tables(args) -> _Result:
+    if args.table == "stirling" and args.cap is not None:
+        raise _Usage("tables stirling walks no group and takes no --cap")
     caps = _caps_from_args(args, "signed_group")
     ns = [args.n] if args.n is not None else range(args.nmax + 1)
     # Eulerian rows sum one cached tally of S_n, itself one walk of S_{n-1};
