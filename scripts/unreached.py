@@ -2,7 +2,8 @@
 """List the functions in src/bdstirling that no ordinary run enters.
 
 Under a sys.setprofile hook, in this process, it runs:
-- the CLI: every subcommand, every kind, and every output format;
+- the CLI: every row of the golden corpus, tests/golden/cli.txt, with its
+  stdin, checked against the outcome the row records;
 - scripts/verify_all.py and scripts/census_report.py;
 - one checked pass of each benchmark workload (perfbench/workloads.py),
   and the layer probe (perfbench/probe.py).
@@ -19,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import inspect
 import io
-import json
 import os
 import runpy
 import sys
@@ -28,49 +28,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import bdstirling  # noqa: E402
-from bdstirling.cli import main as cli_main  # noqa: E402
-from bdstirling.identities import IDENTITIES  # noqa: E402
-from bdstirling.oeis import SEQUENCES  # noqa: E402
+import golden  # noqa: E402
 
 # Functions no ordinary run enters, each for a stated reason.
 ALLOWED = {
-    # They name the first fault in outside input; valid input takes the
-    # one-pass accept check instead.
+    # They name the first fault in a partition built from outside input;
+    # valid input takes the one-pass accept check instead.
     "partitions._canonical_pairs",
     "partitions._canonical_orbits",
-    "bijections._diagnosed_blocks",
-    # Only a usage error reaches them.
-    "cli._one_line",
-    "cli._Parser.error",
     # The paper's rank r of an ordered partition, named as on BPartition
     # and GPartition and read by the README quick tour; the procedures
     # count its class blocks directly.
     "bijections.OrderedPartition.r",
 }
 
-KINDS = ("A", "B", "D", "G", "Bstar")
-FORMATS = ("md", "csv", "json")
-DOC_B = {"kind": "B", "n": 2, "blocks": [[-1, 1], [2], [-2]]}
-DOC_D = {"n": 3, "blocks": [[1], [-1], [2, 3], [-2, -3]]}
-DOC_D_UNREACHABLE = {"kind": "D", "n": 2, "blocks": [[1], [-1], [-2], [2]]}
-CLI_RUNS = [
-    *(["tables", table, "--kind", kind, "--nmax", "4", "--m", "3"]
-      for table in ("stirling", "eulerian") for kind in KINDS),
-    *(["tables", "stirling", "--kind", "B", "--n", "5", "--format", fmt]
-      for fmt in FORMATS),
-    ["tables", "eulerian", "--kind", "D", "--n", "5", "--cap", "100000"],
-    *(["verify", "--identity", name] for name in sorted(IDENTITIES)),
-    ["verify", "--identity", "thm-4.1", "--format", "json"],
-    ["bijection", "forward", "--kind", "B", "--perm", "-2,3,5,1,-4", "--spots", "1,2"],
-    ["bijection", "forward", "--kind", "D", "--perm", "-2,3,5,1,-4", "--spots", "0"],
-    ["bijection", "inverse", "--doc", json.dumps(DOC_B)],
-    ["bijection", "inverse", "--kind", "D", "--doc", json.dumps(DOC_D)],
-    ["bijection", "inverse", "--doc", json.dumps(DOC_D_UNREACHABLE)],
-    ["census", "--kind", "B", "--n", "3", "--m", "2"],
-    ["census", "--kind", "D", "--n", "3", "--m", "2", "--format", "csv"],
-    ["census", "--kind", "G", "--n", "2", "--m", "3", "--t", "2", "--format", "json"],
-    *(["oeis", "--seq", seq] for seq in sorted(SEQUENCES)),
-]
 SCRIPTS = ("verify_all.py", "census_report.py")
 
 
@@ -103,11 +74,12 @@ def run_everything() -> list[str]:
 
     failures = []
     sink = io.StringIO()
-    for argv in CLI_RUNS:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = cli_main(argv)
-        if code != 0:
-            failures.append(f"cli {' '.join(argv)} exited {code}")
+    for line in golden.CORPUS.read_text(encoding="utf-8").splitlines():
+        if golden.is_row(line):
+            row = golden.parse(line)
+            got = golden.run(row)
+            if got != row.result:
+                failures.append(f"{golden.render(row)} now gives {got}")
     for script in SCRIPTS:
         path = os.path.join(ROOT, "scripts", script)
         saved, sys.argv = sys.argv, [path]

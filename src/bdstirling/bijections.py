@@ -24,16 +24,14 @@ from math import factorial
 from operator import eq, index, neg
 
 from .errors import (
+    BadIndex,
     FlavorMismatch,
-    InvalidOrderedPartition,
     InvariantViolation,
     MalformedDocument,
     NotAPartition,
-    NotTypeD,
     OddNegativeCount,
-    RepeatedValueInBlock,
+    SingletonZeroBlock,
     SpotCollision,
-    TooManySeparators,
     UnknownKind,
     UnreachableForm,
 )
@@ -172,17 +170,15 @@ def _diagnosed_blocks(
         support = frozenset(v for v in blocks[0] if v > 0)
         pairs = blocks[1:]
     if len(pairs) % 2:
-        raise InvalidOrderedPartition("dangling block without its mirror")
+        raise NotAPartition("dangling block without its mirror")
     spots = set(support)
     count = len(support)
     for c, mirror in zip(pairs[::2], pairs[1::2]):
         absolute = set(map(abs, c))
         if len(absolute) != len(c):
-            raise RepeatedValueInBlock(
-                f"block {sorted(c)} repeats an absolute value"
-            )
+            raise NotAPartition(f"block {sorted(c)} repeats an absolute value")
         if mirror != _mirror(c):
-            raise InvalidOrderedPartition(
+            raise NotAPartition(
                 f"block {sorted(mirror)} is not the mirror of {sorted(c)}"
             )
         spots |= absolute
@@ -192,7 +188,7 @@ def _diagnosed_blocks(
         covered = sorted([*support, *(abs(v) for c in pairs[::2] for v in c)])
         raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
     if kind == "D" and len(support) == 1:
-        raise NotTypeD(f"zero support {sorted(support)} has size 1")
+        raise SingletonZeroBlock(f"zero support {sorted(support)} has size 1")
     return n, blocks, support
 
 
@@ -265,7 +261,7 @@ def _procedure(kind: str, element: SignedPermutation, artificial) -> OrderedPart
     artificial = set(map(index, artificial))
     for g in artificial:
         if not 0 <= g < n:
-            raise TooManySeparators(f"separator at gap {g} but gaps run 0..{n - 1}")
+            raise BadIndex(f"separator at gap {g} but gaps run 0..{n - 1}")
         if g in separators:
             raise SpotCollision(f"gap {g} already holds a descent")
     separators = separators.union(artificial)

@@ -127,50 +127,51 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _caps_from_args(args, field: str) -> EnumerationCaps:
-    """The default caps with --cap in the one field the subcommand reads;
-    a cap above that field's default needs --allow-large."""
-    cap = args.cap
-    if cap is None:
-        return DEFAULT_CAPS
-    if cap > getattr(DEFAULT_CAPS, field) and not args.allow_large:
-        raise _Usage(
-            f"--cap {cap} raises the default limit; acknowledge with --allow-large"
-        )
-    return replace(DEFAULT_CAPS, **{field: cap})
+    """The default caps, or --cap in the one field the subcommand reads."""
+    return DEFAULT_CAPS if args.cap is None else replace(DEFAULT_CAPS, **{field: args.cap})
+
+
+def _colors(args, kind: str, what: str) -> int:
+    """--m for kind G, 2 when left out; any other kind has no colors."""
+    if kind != "G" and args.m is not None:
+        raise _Usage(f"{what} has no colors and takes no --m")
+    return args.m or 2
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _table_row(args, n: int, caps: EnumerationCaps):
+def _table_row(args, n: int, m: int, caps: EnumerationCaps):
     if args.table == "stirling":
         if args.kind == "Bstar":
             return flag_stirling_row(n)
-        return stirling_row(args.kind, n, args.m)
+        return stirling_row(args.kind, n, m)
     if args.kind == "Bstar":
         return flag_histogram(n, caps=caps)
     if args.kind == "A":
         return descent_histogram("A", n, caps=caps)[: max(n, 1)]
-    return descent_histogram(args.kind, n, args.m, caps=caps)
+    return descent_histogram(args.kind, n, m, caps=caps)
 
 
 def cmd_tables(args) -> _Result:
     if args.table == "stirling" and args.cap is not None:
         raise _Usage("tables stirling walks no group and takes no --cap")
     caps = _caps_from_args(args, "signed_group")
-    ns = [args.n] if args.n is not None else range(args.nmax + 1)
+    m = _colors(args, args.kind, f"kind {args.kind}")
+    nmax = 6 if args.nmax is None else args.nmax
+    ns = [args.n] if args.n is not None else range(nmax + 1)
     # Eulerian rows sum one cached tally of S_n, itself one walk of S_{n-1};
     # largest first, a size over the cap fails before any walk.  Stirling
     # rows build on smaller ones.
     walk = ns if args.table == "stirling" else ns[::-1]
-    rows = {n: _table_row(args, n, caps) for n in walk}
+    rows = {n: _table_row(args, n, m, caps) for n in walk}
     width = max(len(rows[n]) for n in ns)
     return _Result(
         {
             "table": args.table,
             "kind": args.kind,
-            "m": args.m if args.kind == "G" else None,
+            "m": m if args.kind == "G" else None,
             "rows": [{"n": n, "values": rows[n]} for n in ns],
         },
         header=("n", *map(str, range(width))),
@@ -180,7 +181,8 @@ def cmd_tables(args) -> _Result:
 
 def cmd_verify(args) -> _Result:
     caps = _caps_from_args(args, "signed_group")
-    report = verify_identity(args.identity, args.nmax, args.m, caps=caps)
+    m = _colors(args, IDENTITIES[args.identity]["kind"], args.identity)
+    report = verify_identity(args.identity, args.nmax, m, caps=caps)
     failures = sum(1 for inst in report.instances if not inst.ok)
     summary = (
         f"{report.identity}: {'PASS' if report.passed else 'FAIL'}"
@@ -343,23 +345,25 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=_at_least(0), default=None,
                            help="override the enumeration cap")
-            p.add_argument("--allow-large", action="store_true",
-                           help="acknowledge caps above the defaults")
 
     p = sub.add_parser("tables", help="emit Stirling or Eulerian triangles")
     p.add_argument("table", choices=("stirling", "eulerian"))
     p.add_argument("--kind", choices=("A", "B", "D", "G", "Bstar"), required=True)
-    p.add_argument("--nmax", type=_at_least(0), default=6)
-    p.add_argument("--n", type=_at_least(0), default=None,
-                   help="single row instead of 0..nmax")
-    p.add_argument("--m", type=_at_least(1), default=2, help="colors for kind G")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--nmax", type=_at_least(0), default=None,
+                      help="rows 0..nmax (default 6)")
+    rows.add_argument("--n", type=_at_least(0), default=None,
+                      help="single row instead of 0..nmax")
+    p.add_argument("--m", type=_at_least(1), default=None,
+                   help="colors for kind G (default 2)")
     add_common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run one identity over a parameter range")
     p.add_argument("--identity", choices=sorted(IDENTITIES), required=True)
     p.add_argument("--nmax", type=_at_least(0), default=None)
-    p.add_argument("--m", type=_at_least(1), default=2)
+    p.add_argument("--m", type=_at_least(1), default=None,
+                   help="colors for a kind G identity (default 2)")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -13,16 +13,11 @@ __all__ = [
     "OddNegativeCount",
     "NotAPartition",
     "SingletonZeroBlock",
-    "RepeatedValueInBlock",
     "SpotCollision",
-    "TooManySeparators",
-    "InvalidOrderedPartition",
-    "NotTypeD",
     "UnreachableForm",
     "BadIndex",
     "UnknownKind",
     "InvariantViolation",
-    "UnknownSequence",
     "MalformedBFile",
 ]
 
@@ -48,31 +43,17 @@ class OddNegativeCount(ValueError):
 
 
 class NotAPartition(ValueError):
-    """Blocks overlap, miss ground-set elements, or are empty."""
+    """Blocks overlap, miss ground-set elements, or are empty; a block uses
+    the same spot twice (both signs, or two colors); or an ordered block
+    sequence leaves a block without its mirror next to it."""
 
 
 class SingletonZeroBlock(ValueError):
     """Zero support of size exactly 1 where the even-signed kind forbids it."""
 
 
-class RepeatedValueInBlock(ValueError):
-    """A block uses the same spot twice (both signs, or two colors)."""
-
-
 class SpotCollision(ValueError):
     """An artificial separator landed on a gap already holding a descent."""
-
-
-class TooManySeparators(ValueError):
-    """A separator was placed outside the gaps 0..n-1."""
-
-
-class InvalidOrderedPartition(ValueError):
-    """Block sequence is not an ordered mirror partition of the right shape."""
-
-
-class NotTypeD(InvalidOrderedPartition):
-    """Ordered partition claims the even-signed kind but has zero support of size 1."""
 
 
 class UnreachableForm(ValueError):
@@ -87,19 +68,17 @@ class UnreachableForm(ValueError):
 
 
 class BadIndex(ValueError):
-    """Index outside the meaningful range of a table, row, or basis."""
+    """Index outside the meaningful range of a table, row, or basis, or a
+    separator outside the gaps 0..n-1."""
 
 
 class UnknownKind(ValueError):
-    """A kind name the called function does not handle."""
+    """A name the called function does not handle: a kind, an identity, a
+    statistic, an order or an OEIS sequence."""
 
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed: a bug, not bad input."""
-
-
-class UnknownSequence(ValueError):
-    """An OEIS sequence the package has no triangle or fixture for."""
 
 
 class MalformedBFile(ValueError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import MalformedBFile, UnknownSequence
+from .errors import MalformedBFile, UnknownKind
 from .partitions import stirling_row
 
 __all__ = [
@@ -38,7 +38,7 @@ def triangle_terms(seq: str, rows: int) -> list[int]:
 
 def _entry(seq: str) -> dict:
     if seq not in SEQUENCES:
-        raise UnknownSequence(
+        raise UnknownKind(
             f"unknown sequence {seq!r}; known: {', '.join(sorted(SEQUENCES))}"
         )
     return SEQUENCES[seq]

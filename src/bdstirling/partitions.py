@@ -28,7 +28,6 @@ from .config import _size, _weights
 from .errors import (
     BadIndex,
     NotAPartition,
-    RepeatedValueInBlock,
     SingletonZeroBlock,
     UnknownKind,
 )
@@ -241,9 +240,7 @@ def _canonical_pairs(n, zero_support, pair_reps):
         if any(v == 0 or abs(v) > n for v in rep):
             raise NotAPartition(f"block {sorted(rep)} outside +-1..+-{n}")
         if len({abs(v) for v in rep}) != len(rep):
-            raise RepeatedValueInBlock(
-                f"block {sorted(rep)} repeats an absolute value"
-            )
+            raise NotAPartition(f"block {sorted(rep)} repeats an absolute value")
         if min(rep, key=abs) < 0:
             rep = frozenset(-v for v in rep)
         reps.append(rep)
@@ -366,7 +363,7 @@ def _canonical_orbits(n, m, zero_support, orbit_reps):
         if any(a < 1 or a > n for a in values):
             raise NotAPartition(f"block values {sorted(values)} outside 1..{n}")
         if len(set(values)) != len(values):
-            raise RepeatedValueInBlock(f"block {sorted(rep)} repeats a value")
+            raise NotAPartition(f"block {sorted(rep)} repeats a value")
         anchor = min(rep)[1]
         reps.append(frozenset((a, (z - anchor) % m) for a, z in rep))
     reps.sort(key=lambda rep: min(rep)[0])

@@ -31,10 +31,7 @@ from operator import add, gt, index, mul
 
 from bdstirling.errors import (
     BadIndex,
-    InvalidOrderedPartition,
     NotAPartition,
-    NotTypeD,
-    RepeatedValueInBlock,
     SingletonZeroBlock,
     UnknownKind,
 )
@@ -417,16 +414,16 @@ def ordered_partition_reference(kind, n, blocks):
         start = 1
     pairs = blocks[start:]
     if len(pairs) % 2:
-        raise InvalidOrderedPartition("dangling block without its mirror")
+        raise NotAPartition("dangling block without its mirror")
     covered = list(support)
     for i in range(0, len(pairs), 2):
         c = pairs[i]
         if len({abs(v) for v in c}) != len(c):
-            raise RepeatedValueInBlock(
+            raise NotAPartition(
                 f"block {sorted(c)} repeats an absolute value"
             )
         if pairs[i + 1] != mirror(c):
-            raise InvalidOrderedPartition(
+            raise NotAPartition(
                 f"block {sorted(pairs[i + 1])} is not the mirror of {sorted(c)}"
             )
         covered.extend(abs(v) for v in c)
@@ -435,7 +432,7 @@ def ordered_partition_reference(kind, n, blocks):
             f"spots covered {sorted(covered)} do not tile 1..{n}"
         )
     if kind == "D" and len(support) == 1:
-        raise NotTypeD(f"zero support {support} has size 1")
+        raise SingletonZeroBlock(f"zero support {support} has size 1")
     return blocks
 
 
@@ -510,7 +507,7 @@ def signed_partition_reference(kind, n, zero_support, pair_reps):
             if v == 0 or abs(v) > n:
                 raise NotAPartition(f"block {sorted(rep)} outside +-1..+-{n}")
         if len({abs(v) for v in rep}) != len(rep):
-            raise RepeatedValueInBlock(
+            raise NotAPartition(
                 f"block {sorted(rep)} repeats an absolute value"
             )
         least = sorted(rep, key=abs)[0]
@@ -556,7 +553,7 @@ def colored_partition_reference(n, m, zero_support, orbit_reps):
             if a < 1 or a > n:
                 raise NotAPartition(f"block values {sorted(values)} outside 1..{n}")
         if len(set(values)) != len(values):
-            raise RepeatedValueInBlock(f"block {sorted(rep)} repeats a value")
+            raise NotAPartition(f"block {sorted(rep)} repeats a value")
         least, anchor = sorted(rep)[0]
         reps.append((least, frozenset((a, (z - anchor) % m) for a, z in rep)))
     reps = [rep for _, rep in sorted(reps, key=lambda pair: pair[0])]

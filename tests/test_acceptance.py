@@ -19,7 +19,7 @@ from bdstirling.bijections import (
     d_unreachable_count,
     free_gaps,
 )
-from bdstirling.errors import NotTypeD
+from bdstirling.errors import SingletonZeroBlock
 from bdstirling.geometry import census, free_point_count, torus_census
 from bdstirling.groups import descent_set, enumerate_group
 from bdstirling.identities import descent_histogram, eulerian_from_stirling, verify_identity
@@ -125,7 +125,7 @@ def test_criterion_05_procedures_are_bijective():
                 for art in combinations(gaps, k):
                     try:
                         op = d_procedure(gamma, art)
-                    except NotTypeD:
+                    except SingletonZeroBlock:
                         ok = ok and n == 1 and art == ()
                         continue
                     ok = ok and op not in images

@@ -1,6 +1,8 @@
 """The golden CLI corpus, tests/golden/cli.txt: every row run again and
 compared byte for byte, and the corpus checked to cover the CLI.  The rows
 are written by scripts/golden.py; no test writes them."""
+import argparse
+
 import pytest
 
 import golden
@@ -35,3 +37,8 @@ def test_corpus_covers_the_cli():
              for argv in passing}
     assert {(name, fmt) for name in golden.subcommands()
             for fmt in golden.formats(name) or [None]} <= shown
+    # every option of every subcommand, help aside, is pinned by some row
+    given = {(row.argv[0], word.partition("=")[0]) for row in ROWS for word in row.argv[1:]}
+    assert {(name, option) for name, parser in golden.subcommands().items()
+            for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings} <= given

@@ -1,6 +1,6 @@
 import pytest
 
-from bdstirling.errors import MalformedBFile, UnknownSequence
+from bdstirling.errors import MalformedBFile, UnknownKind
 from bdstirling.oeis import (
     SEQUENCES,
     OeisReport,
@@ -58,10 +58,10 @@ class TestFixtures:
 
     def test_unknown_sequence(self):
         with pytest.raises(
-            UnknownSequence, match=r"^unknown sequence 'A000001'; known: A039755, A039760$"
+            UnknownKind, match=r"^unknown sequence 'A000001'; known: A039755, A039760$"
         ):
             load_fixture("A000001")
-        assert issubclass(UnknownSequence, ValueError)
+        assert issubclass(UnknownKind, ValueError)
 
 
 class TestComparison:

@@ -16,7 +16,6 @@ from bdstirling.config import _weights
 from bdstirling.errors import (
     BadIndex,
     NotAPartition,
-    RepeatedValueInBlock,
     SingletonZeroBlock,
     UnknownKind,
 )
@@ -335,7 +334,7 @@ class TestPartitionObjects:
             GPartition(2, 3, frozenset(), (frozenset({(1, 0), (2.0, 1)}),))
 
     def test_repeated_absolute_value_rejected(self):
-        with pytest.raises(RepeatedValueInBlock):
+        with pytest.raises(NotAPartition, match=r"^block \[-1, 1\] repeats an absolute value$"):
             BPartition(2, frozenset(), (frozenset({1, -1}), frozenset({2}),))
 
     def test_even_signed_rejects_single_zero_value(self):
@@ -356,7 +355,7 @@ class TestPartitionObjects:
         assert p.r == 1
 
     def test_colored_partition_value_injectivity(self):
-        with pytest.raises(RepeatedValueInBlock):
+        with pytest.raises(NotAPartition, match=r"^block \[\(1, 0\), \(1, 2\)\] repeats a value$"):
             GPartition(1, 4, frozenset(), (frozenset({(1, 0), (1, 2)}),))
 
     def test_colored_text(self):
