@@ -215,6 +215,10 @@ def cmd_verify(args) -> _Result:
 
 
 def cmd_bijection(args) -> _Result:
+    unread = ("doc",) if args.direction == "forward" else ("kind", "perm", "spots")
+    for option in unread:  # inverse reads the document, kind included
+        if getattr(args, option) is not None:
+            raise _Usage(f"bijection {args.direction} takes no --{option}")
     if args.direction == "forward":
         if args.perm is None:
             raise _Usage("forward needs --perm")
@@ -235,15 +239,6 @@ def cmd_bijection(args) -> _Result:
         raise _Usage(f"document is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise _Usage("document must be a JSON object")
-    doc_kind = data.get("kind")
-    if args.kind and doc_kind and args.kind != doc_kind:
-        raise _Usage(
-            f"--kind {args.kind} disagrees with document kind {doc_kind}"
-        )
-    if doc_kind is None:
-        if not args.kind:
-            raise _Usage("no kind in document and no --kind given")
-        data = dict(data, kind=args.kind)
     try:
         op = OrderedPartition.from_doc(data)
     except TypeError as e:
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("direction", choices=("forward", "inverse"))
     p.add_argument("--kind", choices=("B", "D"), default=None)
     p.add_argument("--perm", default=None, help="window, e.g. -2,3,5,1,-4")
-    p.add_argument("--spots", default="", help="artificial separator gaps, e.g. 0,3")
+    p.add_argument("--spots", default=None, help="artificial separator gaps, e.g. 0,3")
     p.add_argument("--doc", default=None,
                    help="ordered partition JSON (default: stdin) for inverse")
     p.set_defaults(func=cmd_bijection, format="json")

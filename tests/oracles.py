@@ -675,5 +675,5 @@ def basis_report_by_products(name, kind, nmax, m):
             )
             rhs = _plus(rhs, correction, n)
         params = [("n", n)] + ([("m", m)] if kind == "G" else [])
-        instances.append(IdentityCheck(name, tuple(params), (0,) * n + (1,), tuple(rhs)))
+        instances.append(IdentityCheck(tuple(params), (0,) * n + (1,), tuple(rhs)))
     return VerificationReport(name, tuple(instances))

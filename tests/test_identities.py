@@ -1,5 +1,7 @@
 import hashlib
 import re
+import subprocess
+import sys
 from math import factorial
 
 import pytest
@@ -9,6 +11,7 @@ from bdstirling.errors import BadIndex, SizeOverflow, UnknownKind
 from bdstirling.groups import des_stat, enumerate_group, group_order
 from bdstirling.identities import (
     IDENTITIES,
+    _basis_report,
     _standard_tally,
     descent_histogram,
     eulerian,
@@ -290,9 +293,31 @@ class TestVerification:
 
     def test_even_signed_identities_skip_n1(self):
         for name in ("thm-4.2", "cor-4.4"):
-            report = verify_identity(name, nmax=3)
-            assert "n=1" in report.skipped
-            assert all(dict(c.params)["n"] != 1 for c in report.instances)
+            for nmax, skipped in [(0, ()), (1, ("n=1",)), (3, ("n=1",))]:
+                report = verify_identity(name, nmax=nmax)
+                assert report.skipped == skipped
+                assert all(dict(c.params)["n"] != 1 for c in report.instances)
+
+    def test_a_size_over_the_cap_fails_before_nmax(self):
+        # A basis change walks no group, so only the others meet the cap.  A
+        # child with 1 GiB of address space fails with MemoryError, not by
+        # filling the machine, if the sizes are ever listed before the walk.
+        names = [name for name, entry in sorted(IDENTITIES.items())
+                 if entry["build"] is not _basis_report]
+        program = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from bdstirling.errors import SizeOverflow\n"
+            "from bdstirling.identities import verify_identity\n"
+            "for name in sys.argv[1:]:\n"
+            "    try:\n"
+            "        verify_identity(name, nmax=10**20, m=3)\n"
+            "    except SizeOverflow:\n"
+            "        print(name)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", program, *names],
+                             capture_output=True, text=True, timeout=60)
+        assert res.stdout.split() == names, res.stderr
 
     def test_flag_report_is_not_asserted(self):
         report = verify_identity("thm-6.11-report", nmax=2)
@@ -320,21 +345,23 @@ class TestVerification:
         with pytest.raises(ValueError):
             verify_identity("thm-0.0")
 
-    # SHA-256 of repr(report), recorded when every entry was read through
-    # stirling(kind, n, r) inside the r or k loop; each report now reads
-    # its Stirling rows once per n and must keep every instance.
+    # SHA-256 of the identity, skipped, asserted and each instance's params,
+    # lhs, rhs and note, recorded when every builder made its own report
+    # and each instance named its identity; every instance must stay.
     @pytest.mark.parametrize("name, nmax, digest", [
         ("thm-4.2", None,
-         "8ece5160e56e6fb30b2696d5e032eb97858512a154dddb3384511b420372d94f"),
+         "26cb6eeeb955dcb17e4d08f0344043abb397b744804a58c56d6e3cc2cb5da611"),
         ("cor-4.4", None,
-         "a51a5bdf6412a191f295b3da10717cec3c1b7426499296381e343432a282c35d"),
+         "f57f50cb108dcc50f05458718d269ad57d35c11775f045d338e62805fab30832"),
         ("thm-5.3", 12,
-         "63ac70f1ac072ecf0e282ff5e385fbffbf4f1b77ba83e99282c8a971ff3309b6"),
+         "0fbef25ba9b53019288f10982c5eb12ce32548aba4d25db048547e1dfc6ba5b7"),
     ])
     def test_even_signed_reports_keep_their_instances(self, name, nmax, digest):
         report = verify_identity(name, nmax=nmax)
         assert report.passed
-        assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+        shown = repr((report.identity, report.skipped, report.asserted,
+                      [(c.params, c.lhs, c.rhs, c.note) for c in report.instances]))
+        assert hashlib.sha256(shown.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["thm-1.2", "thm-5.1", "thm-5.3", "thm-6.10"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
