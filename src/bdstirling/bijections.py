@@ -15,10 +15,17 @@ slides to gap 0.  The inverse then splits on whether a zero block exists
 and on the parity of negatives across the class blocks; ordered partitions
 with no zero block, an odd number of class negatives, and a singleton
 first block have no preimage at all.
+
+Two memos of size 8 serve a round trip: the signed descent sets, keyed on
+the window and the flavor (in groups), and the cut, keyed on the window and
+the separator set.  An inverse that follows its forward call reuses both;
+any window or separator set they have not just seen is cut afresh, so the
+inverse's comparison of its preimage's cut with its input keeps its power.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, repeat
 from math import factorial
 from operator import eq, index, neg
@@ -200,6 +207,7 @@ def free_gaps(element: SignedPermutation, flavor: str) -> frozenset[int]:
 _Cut = tuple[frozenset[int], tuple[frozenset[int], ...]]
 
 
+@lru_cache(maxsize=8)
 def _cut(window: tuple[int, ...], separators: frozenset[int]) -> _Cut:
     """The zero support and the class blocks of the window cut at the gaps.
 

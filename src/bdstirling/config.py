@@ -13,9 +13,11 @@ class EnumerationCaps:
     """Hard limits on how many objects a single call may walk.
 
     signed_group bounds the order of every group walked, S_n, B_n, D_n and
-    G_{m,n} alike (default |B_8| = |G_{2,8}|); it keeps its name because
-    benchmark probes read it.  census_points bounds the x^n points a census
-    counts, x read as at least 2 (it walks keys, not points).
+    G_{m,n} alike (default |B_8| = |G_{2,8}|), and the coefficient products
+    of a basis change, sum of (n + 1)(n + 2) / 2 over n <= nmax (nmax 393
+    at the default); it keeps its name because benchmark probes read it.
+    census_points bounds the x^n points a census counts, x read as at least
+    2 (it walks keys, not points).
     """
 
     signed_group: int = 2**8 * 40320

@@ -12,7 +12,7 @@ color 0 last and values increasing inside each color class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -142,16 +142,22 @@ def descent_set(element, flavor: str) -> frozenset[int]:
         return frozenset(i for i in range(1, len(keys)) if keys[i - 1] > keys[i])
     if not isinstance(element, SignedPermutation):
         raise FlavorMismatch(f"flavor {flavor!r} needs a SignedPermutation")
-    w = element.window
+    return _signed_descents(element.window, flavor)
+
+
+@lru_cache(maxsize=8)
+def _signed_descents(w: tuple[int, ...], flavor: str) -> frozenset[int]:
+    """descent_set of a signed window, kept for the last 8 asked; a fault
+    is raised on every call, as lru_cache stores no exception."""
     n = len(w)
     des = {i for i in range(1, n) if w[i - 1] > w[i]}
     if flavor == "B":
         if n and w[0] < 0:
             des.add(0)
     elif flavor == "D":
-        if not element.is_even_signed():
+        if sum(map((0).__gt__, w)) % 2:
             raise OddNegativeCount(
-                f"{element.to_text()!r} has an odd number of negative entries"
+                f"{','.join(map(str, w))!r} has an odd number of negative entries"
             )
         if n >= 2 and w[0] + w[1] < 0:
             des.add(0)

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .bijections import d_unreachable_count
 from .config import DEFAULT_CAPS, EnumerationCaps, _check_group_cap, _size, _weights
-from .errors import BadIndex, UnknownKind
+from .errors import BadIndex, SizeOverflow, UnknownKind
 from .partitions import _entry, flag_stirling_row, stirling_row
 from .polynomials import _roots, _times_linear
 
@@ -279,14 +279,21 @@ def _basis_report(kind, sizes, m, caps):
     top entry is S(n, n) = 1.  For D, the top member (p_{n-1} times the
     factor for _roots' top root) and the correction n ((x - 1)^(n-1) -
     p_{n-1}) come from the same basis and a running power of (x - 1).
+    Size n costs (n + 1)(n + 2) / 2 coefficient products; their running sum
+    meets the group cap as the lazy sizes are read, so a huge nmax stops.
     """
-    sizes = list(sizes)  # a basis change meets no cap, so a lazy walk stops nothing
-    nmax = max(sizes)
+    listed, products, cap = [], 0, caps.signed_group
+    for n in sizes:
+        products += (n + 1) * (n + 2) // 2
+        if products > cap:
+            raise SizeOverflow(f"basis change of {products} coefficient products exceeds cap {cap}")
+        listed.append(n)
+    nmax = max(listed)
     roots = _roots(kind, nmax, n=nmax + 1, m=m)  # every D member below its top
     basis = list(itertools.accumulate(roots, _times_linear, initial=(1,)))
     power = (1,)  # a power of (x - 1) for D
     instances = []
-    for n in sizes:
+    for n in listed:
         rhs = [0] * (n + 1)
         for k, coeff in enumerate(stirling_row(kind, n, m)):
             p = basis[k]

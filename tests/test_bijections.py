@@ -5,14 +5,14 @@ import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations, product, zip_longest
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdstirling import bijections
+from bdstirling import bijections, groups
 from bdstirling.bijections import (
     OrderedPartition,
     b_procedure,
@@ -39,6 +39,7 @@ from bdstirling.partitions import enumerate_partitions, stirling
 
 from .oracles import (
     blocks_from_cut_window,
+    descents_signed,
     ordered_partition_reference,
     ordered_to_unordered,
     slid_blocks,
@@ -774,6 +775,81 @@ class TestSweeps:
         assert d_unreachable_count(3, 2) == 12
         assert d_unreachable_count(3, 0) == 0
         assert d_unreachable_count(0, 1) == 0
+
+
+PROCEDURES = {
+    "B": (b_procedure, b_procedure_inverse, blocks_from_cut_window),
+    "D": (d_procedure, d_procedure_inverse, slid_blocks),
+}
+
+
+def gap_subsets(element, kind):
+    gaps = sorted(free_gaps(element, kind))
+    return [frozenset(c) for k in range(len(gaps) + 1) for c in combinations(gaps, k)]
+
+
+class TestMemos:
+    """The cut and the signed descent sets keep their last few results; a
+    kept result must be the result, and the inverse's check must keep its
+    power for any window or gap set it has not just seen."""
+
+    def test_memos_are_bounded(self):
+        assert bijections._cut.cache_info().maxsize is not None
+        assert groups._signed_descents.cache_info().maxsize is not None
+
+    def test_every_round_trip_of_b4_and_d4_matches_the_unmemoized_calls(self, monkeypatch):
+        def checked(module, name):
+            memo = getattr(module, name)
+
+            def call(*key):
+                got = memo(*key)
+                assert got == memo.__wrapped__(*key)
+                return got
+
+            monkeypatch.setattr(module, name, call)
+            return memo
+
+        memos = [checked(bijections, "_cut"), checked(groups, "_signed_descents")]
+        before = [memo.cache_info() for memo in memos]
+        # B and D elements taken in turn; for each, every forward, then
+        # every inverse from the last forward back, so both hits and misses
+        for pair in zip_longest(enumerate_group("B", 4), enumerate_group("D", 4)):
+            for kind, g in zip("BD", pair):
+                if g is None:
+                    continue
+                procedure, inverse, oracle = PROCEDURES[kind]
+                descents = descent_set(g, kind)
+                assert descents == descents_signed(g.window, kind)
+                subsets = gap_subsets(g, kind)
+                images = []
+                for art in subsets:
+                    op = procedure(g, art)
+                    assert op.blocks == oracle(g.window, descents | art)
+                    images.append(op)
+                for op, art in reversed([*zip(images, subsets)]):
+                    assert inverse(op) == (g, art)
+        for memo, old in zip(memos, before):
+            new = memo.cache_info()
+            assert new.hits > old.hits and new.misses > old.misses
+
+    @pytest.mark.parametrize("kind", ["B", "D"])
+    def test_a_wrong_preimage_is_refused_right_after_its_forward_call(self, kind, monkeypatch):
+        # The procedures are injective, so no other window of 1..4, nor the
+        # true window with one more artificial gap, cuts back to op.
+        true_preimage = bijections._preimage_window
+        make = None
+        monkeypatch.setattr(bijections, "_preimage_window",
+                            lambda op, odd: make(*true_preimage(op, odd)))
+        procedure, inverse, _ = PROCEDURES[kind]
+        for g in enumerate_group(kind, 4):
+            for art in gap_subsets(g, kind):
+                makers = [lambda window, cuts: ([window[1], window[0], *window[2:]], cuts)]
+                if extra := free_gaps(g, kind) - art:
+                    makers.append(lambda window, cuts: (window, [*cuts, min(extra)]))
+                for make in makers:
+                    op = procedure(g, art)  # the true window and cut are now kept
+                    with pytest.raises(InvariantViolation):
+                        inverse(op)
 
 
 @given(signed_perms(max_n=5), st.data())

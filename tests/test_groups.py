@@ -1,10 +1,12 @@
 import gc
 import re
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bdstirling import groups
 from bdstirling.config import EnumerationCaps
 from bdstirling.errors import (
     BadIndex,
@@ -156,6 +158,43 @@ class TestDescentSets:
     @given(colored_perms())
     def test_colored_descents_match_oracle(self, g):
         assert des_stat(g, "desG") == oracles.descents_colored(g.entries, g.m)
+
+
+def _interleaved(*groups_):
+    """The elements of the groups taken in turn, one from each while it lasts."""
+    return [g for row in zip_longest(*groups_) for g in row if g is not None]
+
+
+class TestDescentMemo:
+    """descent_set keeps the last signed sets; a kept set must be the set."""
+
+    def test_memo_is_bounded(self):
+        assert groups._signed_descents.cache_info().maxsize is not None
+
+    def test_every_element_of_b4_and_d4_matches_the_unmemoized_set(self):
+        memo = groups._signed_descents
+        before = memo.cache_info()
+        elements = _interleaved(enumerate_group("B", 4), enumerate_group("D", 4))
+        for i, g in enumerate(elements):
+            # each window is asked again a few calls later, after others
+            for h in (g, elements[i - 1], elements[i - 3], g):
+                for flavor in ("B", "A") + (("D",) if h.is_even_signed() else ()):
+                    got = descent_set(h, flavor)
+                    assert got == memo.__wrapped__(h.window, flavor)
+                    want = oracles.descents_signed(h.window, "B" if flavor == "A" else flavor)
+                    assert got == (want - {0} if flavor == "A" else want)
+        after = memo.cache_info()
+        assert after.hits > before.hits and after.misses > before.misses
+
+    def test_an_odd_window_is_refused_on_every_call(self):
+        # right after the same window under flavor B, and right after even
+        # windows of the same magnitudes under flavor D
+        for window, flavor in (("-1,2", "B"), ("1,2", "D"), ("-1,-2", "D")):
+            descent_set(S(window), flavor)
+            for _ in range(3):
+                with pytest.raises(OddNegativeCount) as err:
+                    descent_set(S("-1,2"), "D")
+                assert str(err.value) == "'-1,2' has an odd number of negative entries"
 
 
 class TestFlagStatistic:

@@ -299,11 +299,10 @@ class TestVerification:
                 assert all(dict(c.params)["n"] != 1 for c in report.instances)
 
     def test_a_size_over_the_cap_fails_before_nmax(self):
-        # A basis change walks no group, so only the others meet the cap.  A
-        # child with 1 GiB of address space fails with MemoryError, not by
-        # filling the machine, if the sizes are ever listed before the walk.
-        names = [name for name, entry in sorted(IDENTITIES.items())
-                 if entry["build"] is not _basis_report]
+        # A child with 1 GiB of address space fails with MemoryError, not by
+        # filling the machine, if the sizes are ever listed before the walk
+        # or, for a basis change, before its running count meets the cap.
+        names = sorted(IDENTITIES)
         program = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
@@ -318,6 +317,21 @@ class TestVerification:
         res = subprocess.run([sys.executable, "-c", program, *names],
                              capture_output=True, text=True, timeout=60)
         assert res.stdout.split() == names, res.stderr
+
+    @pytest.mark.parametrize(
+        "name", [name for name, entry in sorted(IDENTITIES.items())
+                 if entry["build"] is _basis_report])
+    def test_a_basis_change_counts_its_products_against_the_cap(self, name):
+        # sizes 0..3 cost 1 + 3 + 6 + 10 = 20 coefficient products, size 4 15 more
+        caps = EnumerationCaps(signed_group=20)
+        assert verify_identity(name, nmax=3, m=3, caps=caps).passed
+        with pytest.raises(SizeOverflow) as err:
+            verify_identity(name, nmax=4, m=3, caps=caps)
+        assert str(err.value) == "basis change of 35 coefficient products exceeds cap 20"
+        with pytest.raises(SizeOverflow) as err:
+            verify_identity(name, nmax=10**20, m=3)
+        assert str(err.value) == (
+            "basis change of 10349790 coefficient products exceeds cap 10321920")
 
     def test_flag_report_is_not_asserted(self):
         report = verify_identity("thm-6.11-report", nmax=2)
