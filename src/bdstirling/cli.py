@@ -36,7 +36,7 @@ from .config import DEFAULT_CAPS, EnumerationCaps
 from .errors import InvariantViolation, SizeOverflow, UnreachableForm
 from .geometry import census, torus_census
 from .groups import SignedPermutation
-from .identities import IDENTITIES, descent_histogram, flag_histogram, verify_identity
+from .identities import IDENTITIES, descent_histogram, verify_identity
 from .partitions import flag_stirling_row, stirling_row
 
 
@@ -147,8 +147,6 @@ def _table_row(args, n: int, m: int, caps: EnumerationCaps):
         if args.kind == "Bstar":
             return flag_stirling_row(n)
         return stirling_row(args.kind, n, m)
-    if args.kind == "Bstar":
-        return flag_histogram(n, caps=caps)
     if args.kind == "A":
         return descent_histogram("A", n, caps=caps)[: max(n, 1)]
     return descent_histogram(args.kind, n, m, caps=caps)
@@ -237,8 +235,6 @@ def cmd_bijection(args) -> _Result:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise _Usage(f"document is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise _Usage("document must be a JSON object")
     try:
         op = OrderedPartition.from_doc(data)
     except TypeError as e:

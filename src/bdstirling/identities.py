@@ -64,67 +64,50 @@ def _standard_tally(n: int) -> MappingProxyType:
     return MappingProxyType(tally)  # cached, so read-only
 
 
-def _first_gap_sum(
-    n: int, weights: list[int], step: int, size: int
-) -> tuple[int, ...]:
-    """Counts by step * des(pi) + [pi_1 < j] over the tally of S_n.
+def _gap_zero_sum(n: int, total: int, down, step: int, size: int) -> tuple[int, ...]:
+    """Counts by step * des(pi) + [gap 0 descends] over the tally of S_n.
 
-    weights[j] counts the ways to choose j letters that take the j lowest
-    ranks and make gap 0 a descent when one of them comes first.
+    Each tallied permutation stands for ``total`` choices of the letters
+    it arranges, and ``down(first, second)`` of them, read by its first two
+    ranks, make the gap in front of its first letter a descent.
     """
-    below = list(itertools.accumulate(weights))  # gap 0 ascends: j <= pi_1
     counts = [0] * size
-    for (d, first, _), count in _standard_tally(n).items():
-        counts[step * d] += count * below[first]
-        counts[step * d + 1] += count * (below[-1] - below[first])
-    return tuple(counts)
-
-
-def _even_signed_sum(n: int) -> tuple[int, ...]:
-    """hist_D over the even signings L of 1..n and the tally of S_n.
-
-    With L sorted, gap 0 is a descent iff L[pi_1] + L[pi_2] < 0.
-    """
-    signings = [
-        sorted(map(mul, signs, range(1, n + 1)))
-        for signs in itertools.product((1, -1), repeat=n)
-        if signs.count(-1) % 2 == 0
-    ]
-    drops = {
-        (first, second): sum(L[first] + L[second] < 0 for L in signings)
-        for first, second in itertools.permutations(range(n), 2)
-    }
-    counts = [0] * (n + 1)
     for (d, first, second), count in _standard_tally(n).items():
-        down = drops[first, second]
-        counts[d] += count * (len(signings) - down)
-        counts[d + 1] += count * down
+        drops = down(first, second)
+        counts[step * d] += count * (total - drops)
+        counts[step * d + 1] += count * drops
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _descent_histogram(kind: str, n: int, m: int) -> tuple[int, ...]:
     if n == 0 or (kind == "D" and n == 1):  # the identity alone, no descents
         return (1,) + (0,) * n
     if kind == "A":
         # The first letter is rank j; the rest standardizes to S_{n-1},
         # and gap 1 descends iff the rest starts below j.
-        return _first_gap_sum(n - 1, [1] * n, 1, n + 1)
+        return _gap_zero_sum(n - 1, n, lambda first, _: n - 1 - first, 1, n + 1)
     if kind == "D":
-        return _even_signed_sum(n)
+        # With an even signing L of 1..n sorted, gap 0 descends iff
+        # L[pi_1] + L[pi_2] < 0.
+        signings = [
+            sorted(map(mul, signs, range(1, n + 1)))
+            for signs in itertools.product((1, -1), repeat=n)
+            if signs.count(-1) % 2 == 0
+        ]
+        drops = {
+            (first, second): sum(L[first] + L[second] < 0 for L in signings)
+            for first, second in itertools.permutations(range(n), 2)
+        }
+        return _gap_zero_sum(n, len(signings), lambda *pair: drops[pair], 1, n + 1)
     # j letters signed (colored nonzero) in C(n, j) (m - 1)^j ways; they
-    # take the j lowest ranks, in the natural and the color order alike.
+    # take the j lowest ranks, in the natural and the color order alike,
+    # so gap 0 descends iff pi_1 is one of them.  Bstar is B with each
+    # descent counted twice: fdes = 2 des + [negative first].
     weights = [comb(n, j) * (m - 1) ** j for j in range(n + 1)]
-    return _first_gap_sum(n, weights, 1, n + 1)
-
-
-@lru_cache(maxsize=None)
-def _flag_histogram(n: int, order: str) -> tuple[int, ...]:
-    if n == 0:
-        return tuple([1])  # a new tuple per order, like every other entry
-    # fdes = 2 des + [negative first]; the negative letters are the lowest
-    # ranks in either order, so the orders count alike.
-    return _first_gap_sum(n, [comb(n, j) for j in range(n + 1)], 2, 2 * n)
+    above = [m**n - low for low in itertools.accumulate(weights)]
+    step = 2 if kind == "Bstar" else 1  # the top statistic is step (n - 1) + 1
+    return _gap_zero_sum(n, m**n, lambda first, _: above[first], step, step * (n - 1) + 2)
 
 
 def descent_histogram(
@@ -133,17 +116,19 @@ def descent_histogram(
     """Counts of elements by descent statistic, index 0..n.
 
     Kind A uses plain descents of S_n, B/D/G their flavored statistics
-    over the corresponding groups.  Each element is a choice of signed
-    (or colored) letters plus an arrangement, and the arrangement
-    standardizes to a permutation with the same descents at gaps 1..n-1;
-    so every histogram is a weighted sum over one cached tally of S_n
-    (S_{n-1} for kind A, past its first letter), counted by descents and
-    first two ranks, which one walk of S_{n-1} (S_{n-2}) fills.  The walks
-    over whole groups are kept as test oracles in ``tests/oracles.py``.  The cap still bounds the group
-    order.  Calls that differ only in ``caps``, or in ``m`` outside kind
-    G, share one cache entry.
+    over the corresponding groups, and Bstar the flag descents of B_n,
+    index 0..max(2n - 1, 0).  Each element is a choice of signed (or
+    colored) letters plus an arrangement, and the arrangement standardizes
+    to a permutation with the same descents at gaps 1..n-1; so every
+    histogram is a weighted sum over one cached tally of S_n (S_{n-1} for
+    kind A, past its first letter), counted by descents and first two
+    ranks, which one walk of S_{n-1} (S_{n-2}) fills.  Only gap 0 depends
+    on the letters chosen.  The walks over whole groups are kept as test
+    oracles in ``tests/oracles.py``.  The cap still bounds the group order,
+    B's for Bstar.  Calls that differ only in ``caps``, or in ``m`` outside
+    kind G, share one entry of a memo of the last 64 histograms.
     """
-    _check_group_cap(kind, n, m, caps)
+    _check_group_cap("B" if kind == "Bstar" else kind, n, m, caps)
     return _descent_histogram(kind, n, m if kind == "G" else 2)
 
 
@@ -152,22 +137,18 @@ def flag_histogram(
 ) -> tuple[int, ...]:
     """Counts of B_n elements by flag descents, index 0..max(2n-1, 0).
 
-    A weighted sum over the tally of S_n, like ``descent_histogram``, with
-    each descent counted twice.  Both orders put the negative letters
-    lowest, so they give equal counts, each under its own cache entry.
-    ``fdes`` reads the natural order; the elementwise color-order
-    statistic is the test oracle ``fdes_color``.
+    Both orders put the negative letters lowest, so they give equal
+    counts: either order is ``descent_histogram("Bstar", n)``, the same
+    cached tuple.  ``fdes`` reads the natural order; the elementwise
+    color-order statistic is the test oracle ``fdes_color``.
     """
     if order not in ("natural", "color"):
         raise UnknownKind(f"unknown fdes order {order!r}")
-    _check_group_cap("B", n, None, caps)
-    return _flag_histogram(n, order)
+    return descent_histogram("Bstar", n, caps=caps)
 
 
-descent_histogram.cache_info = _descent_histogram.cache_info
-descent_histogram.cache_clear = _descent_histogram.cache_clear
-flag_histogram.cache_info = _flag_histogram.cache_info
-flag_histogram.cache_clear = _flag_histogram.cache_clear
+flag_histogram.cache_info = descent_histogram.cache_info = _descent_histogram.cache_info
+flag_histogram.cache_clear = descent_histogram.cache_clear = _descent_histogram.cache_clear
 
 
 def eulerian(
@@ -175,16 +156,13 @@ def eulerian(
 ) -> int:
     """Eulerian number read from the standardized tally of S_n.
 
-    The row is ``descent_histogram`` (``flag_histogram`` for Bstar), a
-    weighted sum over that cached tally; no group is walked.  Kinds A and
-    Bstar are one-based (k - 1 descents, A(0,0) = 1); kinds B, D, G count
-    elements whose statistic equals k.  An index outside the row gives 0.
-    Every row, n = 0 included, meets the kind's cap.
+    The row is ``descent_histogram``, a weighted sum over that cached
+    tally; no group is walked.  Kinds A and Bstar are one-based (k - 1
+    descents, A(0,0) = 1); kinds B, D, G count elements whose statistic
+    equals k.  An index outside the row gives 0.  Every row, n = 0
+    included, meets the kind's cap.
     """
-    if kind == "Bstar":
-        hist = flag_histogram(n, caps=caps)
-    else:
-        hist = descent_histogram(kind, n, m, caps=caps)
+    hist = descent_histogram(kind, n, m, caps=caps)
     i = k - 1 if kind == "Bstar" or (kind == "A" and n > 0) else k
     return _entry(hist, i)
 
@@ -312,22 +290,25 @@ def _basis_report(kind, sizes, m, caps):
 
 
 def _flag_report(kind, sizes, m, caps):
-    orders = {"natural": [], "color": []}
+    """Each (n, r) checked once, listed under the natural order, then
+    again under the color order, whose counts are equal."""
+    checks = []
     for n in sizes:
         row = flag_stirling_row(n)
-        for order, instances in orders.items():
-            hist = flag_histogram(n, order, caps=caps)
-            for r in range(2 * n + 1):
-                half = r // 2
-                lhs = 2**half * factorial(half) * row[r]
-                rhs = sum(
-                    hist[k - 1] * _binom(n - (k + 1) // 2, (r - k) // 2)
-                    for k in range(1, r + 1)
-                )
-                params = (("order", order), ("n", n), ("r", r))
-                note = "match" if lhs == rhs else "mismatch"
-                instances.append(IdentityCheck(params, lhs, rhs, note))
-    return orders["natural"] + orders["color"]
+        hist = descent_histogram(kind, n, caps=caps)
+        for r in range(2 * n + 1):
+            half = r // 2
+            lhs = 2**half * factorial(half) * row[r]
+            rhs = sum(
+                hist[k - 1] * _binom(n - (k + 1) // 2, (r - k) // 2)
+                for k in range(1, r + 1)
+            )
+            checks.append((n, r, lhs, rhs, "match" if lhs == rhs else "mismatch"))
+    return [
+        IdentityCheck((("order", order), ("n", n), ("r", r)), lhs, rhs, note)
+        for order in ("natural", "color")
+        for n, r, lhs, rhs, note in checks
+    ]
 
 
 # build(kind, sizes, m, caps) returns the instances for the sizes, in

@@ -57,8 +57,13 @@ class TestDescentHistograms:
         for n in range(5):
             hist = flag_histogram(n)
             assert sum(hist) == group_order("B", n)
-            assert flag_histogram(n, order="color") is not hist
+            assert flag_histogram(n, order="color") is hist
             assert sum(flag_histogram(n, order="color")) == group_order("B", n)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_flag_orders_read_the_bstar_histogram(self, n):
+        hist = descent_histogram("Bstar", n)
+        assert all(flag_histogram(n, order) is hist for order in ("natural", "color"))
 
     def test_flag_histogram_small(self):
         assert flag_histogram(1) == (1, 1)
@@ -175,6 +180,12 @@ class TestHistogramCache:
         assert descent_histogram("B", 5, caps=DEFAULT_CAPS) is first
         assert descent_histogram.cache_info().misses - before == 1
 
+    def test_memo_is_bounded(self):
+        # one entry per m would grow without bound over a sweep of m
+        for m in range(1, 201):
+            assert sum(descent_histogram("G", 1, m)) == m
+        assert descent_histogram.cache_info().currsize <= 64
+
     def test_colored_entries_keep_m(self):
         assert descent_histogram("G", 3, 2) != descent_histogram("G", 3, 3)
 
@@ -189,6 +200,15 @@ class TestHistogramCache:
         tens = EnumerationCaps(signed_group=10, census_points=10)
         with pytest.raises(SizeOverflow):
             flag_histogram(3, caps=tens)
+
+    def test_bstar_is_refused_as_b(self):
+        tens = EnumerationCaps(signed_group=10)
+        refusals = []
+        for kind in ("B", "Bstar"):
+            with pytest.raises(SizeOverflow) as info:
+                descent_histogram(kind, 3, caps=tens)
+            refusals.append(str(info.value))
+        assert refusals[0] == refusals[1] == "group of order 48 exceeds cap 10"
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
