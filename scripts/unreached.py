@@ -9,9 +9,11 @@ Under a sys.setprofile hook, in this process, it runs:
   and the layer probe (perfbench/probe.py).
 
 It then prints each function defined in src/bdstirling, nested ones
-included, that was never entered.  The exit status is 1 when one of them is
-not in ALLOWED, or when a run fails its own check; else 0.  It takes some
-10 s on one core of a 2-core x86 VM:
+included, that was never entered, and each entry of ALLOWED that was
+entered or names no function, since such an entry hides nothing.  The exit
+status is 1 when an unreached function is not in ALLOWED, when an entry of
+ALLOWED is printed, or when a run fails its own check; else 0.  It takes
+some 10 s on one core of a 2-core x86 VM:
 
     python scripts/unreached.py
 """
@@ -32,9 +34,9 @@ import golden  # noqa: E402
 
 # Functions no ordinary run enters, each for a stated reason.
 ALLOWED = {
-    # They name the first fault in a partition built from outside input;
-    # valid input takes the one-pass accept check instead.
-    "partitions._canonical_pairs",
+    # It names the first fault in a colored partition built from outside
+    # input, which no CLI run takes; valid input takes the one-pass accept
+    # check instead.
     "partitions._canonical_orbits",
     # The paper's rank r of an ordered partition, named as on BPartition
     # and GPartition and read by the README quick tour; the procedures
@@ -119,18 +121,30 @@ def main() -> int:
         (os.path.realpath(c.co_filename), c.co_firstlineno, c.co_qualname)
         for c in entered
     }
-    unexpected = 0
-    for (path, line, qualname), name in sorted(defined_functions().items()):
-        if (path, line, qualname) in reached:
-            continue
-        allowed = name in ALLOWED
-        unexpected += not allowed
-        where = os.path.relpath(path, ROOT)
-        print(f"{where}:{line}: {name}{'  (allowed)' if allowed else ''}")
+    return verdict(defined_functions(), reached, failures)
+
+
+def verdict(defined: dict, reached: set, failures: list[str]) -> int:
+    """Print the unreached functions, the entries of ALLOWED that hide
+    nothing and the failed checks; return the exit status."""
+    unexpected = stale = 0
+    for key, name in sorted(defined.items()):
+        where = f"{os.path.relpath(key[0], ROOT)}:{key[1]}: {name}"
+        if key not in reached:
+            allowed = name in ALLOWED
+            unexpected += not allowed
+            print(f"{where}{'  (allowed)' if allowed else ''}")
+        elif name in ALLOWED:
+            stale += 1
+            print(f"{where}  (allowed, but reached)")
+    for name in sorted(ALLOWED - set(defined.values())):
+        stale += 1
+        print(f"allowed {name} names no function")
     for failure in failures:
         print(f"check failed: {failure}")
-    print(f"{unexpected} unreached outside the allowlist, {len(failures)} failed checks")
-    return 1 if unexpected or failures else 0
+    print(f"{unexpected} unreached outside the allowlist, {stale} stale allowlist"
+          f" entries, {len(failures)} failed checks")
+    return 1 if unexpected or stale or failures else 0
 
 
 if __name__ == "__main__":

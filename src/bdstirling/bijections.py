@@ -37,13 +37,12 @@ from .errors import (
     MalformedDocument,
     NotAPartition,
     OddNegativeCount,
-    SingletonZeroBlock,
     SpotCollision,
     UnknownKind,
     UnreachableForm,
 )
 from .groups import _INT, SignedPermutation, descent_set
-from .partitions import _FROZENSET, _NO_SPOTS, stirling
+from .partitions import _FROZENSET, _NO_SPOTS, BPartition, DPartition, stirling
 
 __all__ = [
     "OrderedPartition",
@@ -79,7 +78,9 @@ class OrderedPartition:
     serve equality and hashing; the blocks are kept beside them for repr
     and documents.  The constructor accepts valid blocks in one pass of
     whole-collection checks; only blocks that pass refuses go through the
-    ordered checks of _diagnosed_blocks, which name the first fault.
+    ordered checks of _diagnosed_blocks, which name the first fault of the
+    layout and leave the tiling and D's lone zero to BPartition and
+    DPartition.
     """
 
     kind: str
@@ -157,7 +158,9 @@ class OrderedPartition:
 def _diagnosed_blocks(
     kind: str, n, blocks
 ) -> tuple[int, tuple[frozenset[int], ...], frozenset[int]]:
-    """Validate one rule at a time and raise on the first fault.
+    """Check the ordered layout one rule at a time and raise on the first
+    fault; the unordered partition of the layout then names a tiling fault
+    or, for kind D, a lone zero.
 
     Returns n as an int, the blocks as frozensets of ints and the zero
     support.
@@ -178,24 +181,14 @@ def _diagnosed_blocks(
         pairs = blocks[1:]
     if len(pairs) % 2:
         raise NotAPartition("dangling block without its mirror")
-    spots = set(support)
-    count = len(support)
     for c, mirror in zip(pairs[::2], pairs[1::2]):
-        absolute = set(map(abs, c))
-        if len(absolute) != len(c):
+        if len(set(map(abs, c))) != len(c):
             raise NotAPartition(f"block {sorted(c)} repeats an absolute value")
         if mirror != _mirror(c):
             raise NotAPartition(
                 f"block {sorted(mirror)} is not the mirror of {sorted(c)}"
             )
-        spots |= absolute
-        count += len(c)
-    # Spots lie in 1..n, so n distinct ones tile it; n < 0 never tiles.
-    if not count == len(spots) == n:
-        covered = sorted([*support, *(abs(v) for c in pairs[::2] for v in c)])
-        raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
-    if kind == "D" and len(support) == 1:
-        raise SingletonZeroBlock(f"zero support {sorted(support)} has size 1")
+    (DPartition if kind == "D" else BPartition)(n, support, pairs[::2])
     return n, blocks, support
 
 

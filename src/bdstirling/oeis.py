@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from math import isqrt
 
 from .errors import MalformedBFile, UnknownKind
 from .partitions import stirling_row
@@ -87,10 +88,13 @@ class OeisReport:
 def compare(seq: str, reference: list[tuple[int, int]], rows: int = 12) -> OeisReport:
     """Compare our triangle prefix against reference (index, value) pairs.
 
-    Only indices both sides cover are checked; the report records the
+    Only indices both sides cover are checked, so no row past the one that
+    holds the reference's largest index is built; the report records the
     first disagreement by b-file index.
     """
-    ours = triangle_terms(seq, rows)
+    top = max((idx for idx, _ in reference if idx >= 0), default=-1)
+    last = min(rows, (isqrt(8 * top + 1) - 1) // 2) if top >= 0 else -1
+    ours = triangle_terms(seq, last)
     checked = 0
     first = None
     for idx, value in sorted(reference):

@@ -245,8 +245,9 @@ def _canonical_pairs(n, zero_support, pair_reps):
             rep = frozenset(-v for v in rep)
         reps.append(rep)
     reps.sort(key=lambda rep: min(abs(v) for v in rep))
-    covered = [abs(v) for rep in reps for v in rep] + sorted(zs)
-    if sorted(covered) != list(range(1, n + 1)):
+    # Spots lie in 1..n, so n distinct ones tile it; n < 0 never tiles.
+    covered = [abs(v) for rep in reps for v in rep] + [*zs]
+    if not len(covered) == len(set(covered)) == n:
         raise NotAPartition(f"spots covered {sorted(covered)} do not tile 1..{n}")
     return n, zs, tuple(reps)
 
@@ -367,8 +368,8 @@ def _canonical_orbits(n, m, zero_support, orbit_reps):
         anchor = min(rep)[1]
         reps.append(frozenset((a, (z - anchor) % m) for a, z in rep))
     reps.sort(key=lambda rep: min(rep)[0])
-    covered = [a for rep in reps for a, _ in rep] + sorted(zs)
-    if sorted(covered) != list(range(1, n + 1)):
+    covered = [a for rep in reps for a, _ in rep] + [*zs]
+    if not len(covered) == len(set(covered)) == n:
         raise NotAPartition(f"values covered {sorted(covered)} do not tile 1..{n}")
     return n, m, zs, tuple(reps)
 

@@ -489,9 +489,9 @@ def signed_partition_reference(kind, n, zero_support, pair_reps):
     n an integer (operator.index, so 2.0 is refused and True reads as 1),
     the zero support inside 1..n, then per block in the given order: its
     values integers, nonempty, inside +-1..+-n, no absolute value twice;
-    the spots tiling 1..n; for kind D a zero support of any size but 1.
-    Each block is flipped so its least absolute value is positive, and
-    the blocks are sorted by that value.
+    the spots tiling 1..n (never for a negative n); for kind D a zero
+    support of any size but 1.  Each block is flipped so its least
+    absolute value is positive, and the blocks are sorted by that value.
     """
     n = index(n)
     zs = frozenset(index(v) for v in zero_support)
@@ -516,7 +516,7 @@ def signed_partition_reference(kind, n, zero_support, pair_reps):
         reps.append((abs(least), rep))
     reps = [rep for _, rep in sorted(reps, key=lambda pair: pair[0])]
     covered = sorted([abs(v) for rep in reps for v in rep] + list(zs))
-    if covered != list(range(1, n + 1)):
+    if n < 0 or covered != list(range(1, n + 1)):
         raise NotAPartition(f"spots covered {covered} do not tile 1..{n}")
     if kind == "D" and len(zs) == 1:
         raise SingletonZeroBlock(f"zero support {sorted(zs)} has size 1")
@@ -531,7 +531,8 @@ def colored_partition_reference(n, m, zero_support, orbit_reps):
     same input.  The checks run in this order: m an integer of at least 1,
     n an integer, the zero support inside 1..n, then per block in the given
     order: its (value, color) pairs integers with colors read mod m,
-    nonempty, values inside 1..n, no value twice; the values tiling 1..n.
+    nonempty, values inside 1..n, no value twice; the values tiling 1..n
+    (never for a negative n).
     Each block is recolored so its least value has color 0, and the blocks
     are sorted by that value.
     """
@@ -558,7 +559,7 @@ def colored_partition_reference(n, m, zero_support, orbit_reps):
         reps.append((least, frozenset((a, (z - anchor) % m) for a, z in rep)))
     reps = [rep for _, rep in sorted(reps, key=lambda pair: pair[0])]
     covered = sorted([a for rep in reps for a, _ in rep] + list(zs))
-    if covered != list(range(1, n + 1)):
+    if n < 0 or covered != list(range(1, n + 1)):
         raise NotAPartition(f"values covered {covered} do not tile 1..{n}")
     return n, m, zs, tuple(reps)
 

@@ -132,20 +132,31 @@ class TestOrderedPartition:
             OrderedPartition(kind, n, ())
 
     def test_huge_size_is_refused_without_building_its_spots(self):
-        # VmHWM: the child's own peak, not the one ru_maxrss inherits
-        code = (
-            "from bdstirling.bijections import OrderedPartition\n"
-            "from bdstirling.errors import NotAPartition\n"
-            "try:\n"
-            "    OrderedPartition('B', 10**7, ())\n"
-            "except NotAPartition:\n"
-            "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "               if line.startswith('VmHWM:')))\n"
-        )
-        res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert int(res.stdout) < 100 * 1024  # KiB on Linux
+        # A child with 1 GiB of address space fails with MemoryError at
+        # n = 10**12 if it lists 1..n; VmHWM is its own peak, not the one
+        # ru_maxrss inherits, so it shows an n = 10**7 list as well.
+        peaks = {}
+        for call in ("OrderedPartition('B', n, ())", "BPartition(n, frozenset(), ())",
+                     "DPartition(n, frozenset(), ())", "GPartition(n, 2, frozenset(), ())"):
+            code = (
+                "import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                "from bdstirling.bijections import OrderedPartition\n"
+                "from bdstirling.errors import NotAPartition\n"
+                "from bdstirling.partitions import BPartition, DPartition, GPartition\n"
+                "for n in (10**12, 10**7):\n"
+                "    try:\n"
+                f"        {call}\n"
+                "    except NotAPartition:\n"
+                "        continue\n"
+                "    raise SystemExit(f'n = {n} was accepted')\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n"
+            )
+            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert res.returncode == 0, (call, res.stderr)
+            peaks[call] = int(res.stdout)
+        assert max(peaks.values()) < 100 * 1024, peaks  # KiB on Linux
 
     def test_derived_support_stays_out_of_identity(self):
         op = OrderedPartition("B", 2, (fs(1, -1), fs(2), fs(-2)))

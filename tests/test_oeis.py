@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from bdstirling import oeis
 from bdstirling.errors import MalformedBFile, UnknownKind
 from bdstirling.oeis import (
     SEQUENCES,
@@ -9,7 +13,7 @@ from bdstirling.oeis import (
     parse_bfile,
     triangle_terms,
 )
-from bdstirling.partitions import stirling
+from bdstirling.partitions import stirling, stirling_row
 
 
 class TestBfileParsing:
@@ -88,3 +92,45 @@ class TestComparison:
         r = OeisReport("A039755", 5, None)
         assert r.ok
         assert not OeisReport("A039755", 5, (1, 2, 3)).ok
+
+
+class TestRowsBuilt:
+    """compare builds no row past the one holding the reference's largest
+    nonnegative index."""
+
+    @pytest.mark.parametrize("reference, rows, built", [
+        ([(0, 1), (4, 4)], 12, [0, 1, 2]),
+        ([(3, 1)], 12, [0, 1, 2]),
+        ([(2, 1)], 12, [0, 1]),
+        ([(0, 1), (27, 1)], 3, [0, 1, 2, 3]),
+        ([(-5, 1)], 12, []),
+        ([], 12, []),
+    ])
+    def test_rows_stop_at_the_largest_index(self, reference, rows, built, monkeypatch):
+        asked = []
+
+        def counted(kind, n):
+            asked.append(n)
+            return stirling_row(kind, n)
+
+        monkeypatch.setattr(oeis, "stirling_row", counted)
+        report = compare("A039755", reference, rows=rows)
+        assert asked == built
+        assert report.ok == bool(built)
+
+    def test_huge_nmax_prints_what_nmax_12_does(self):
+        # A child with 1 GiB of address space ends in MemoryError if the
+        # rows up to --nmax are built.
+        program = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from bdstirling.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        runs = [
+            subprocess.run([sys.executable, "-c", program, "oeis", "--seq", "A039755",
+                            "--nmax", nmax], capture_output=True, text=True, timeout=60)
+            for nmax in (str(10**20), "12")
+        ]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+        assert runs[0].stdout == runs[1].stdout

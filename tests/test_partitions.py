@@ -694,6 +694,9 @@ class TestAcceptPassAgainstReference:
         ("G", (2, 2, frozenset({-1}), (frozenset({(2, 0)}),))),
         ("G", (2, 2, frozenset(), (frozenset({(1, 0), (1, 1)}),))),
         ("G", (3, 2, frozenset({3}), (frozenset({(1, 0)}), frozenset({(1, 1)})))),
+        # a negative n never tiles, for every kind
+        ("D", (-2, frozenset(), ())),
+        ("G", (-3, 2, frozenset(), ())),
     ])
     def test_each_rule(self, kind, args):
         assert_constructs_like_reference(kind, args)

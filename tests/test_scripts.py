@@ -134,6 +134,31 @@ def test_bench_pairs_unpacks_both_sides_as_siblings(tmp_path, monkeypatch):
     assert not (change / "untracked.txt").exists()
 
 
+def test_unreached_fails_on_an_allowlist_entry_that_hides_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # unreached.py prepends to it
+    import unreached
+
+    mod = os.path.join(unreached.ROOT, "src", "bdstirling", "mod.py")
+    f, g = (mod, 1, "f"), (mod, 9, "g")
+    defined = {f: "mod.f", g: "mod.g"}
+    monkeypatch.setattr(unreached, "ALLOWED", {"mod.g"})
+    assert unreached.verdict(defined, {f}, []) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "src/bdstirling/mod.py:9: mod.g  (allowed)",
+        "0 unreached outside the allowlist, 0 stale allowlist entries, 0 failed checks",
+    ]
+    monkeypatch.setattr(unreached, "ALLOWED", {"mod.f", "mod.h"})
+    assert unreached.verdict(defined, {f}, []) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "src/bdstirling/mod.py:1: mod.f  (allowed, but reached)",
+        "src/bdstirling/mod.py:9: mod.g",
+        "allowed mod.h names no function",
+        "1 unreached outside the allowlist, 2 stale allowlist entries, 0 failed checks",
+    ]
+    monkeypatch.setattr(unreached, "ALLOWED", {"mod.f"})
+    assert unreached.verdict(defined, {f, g}, []) == 1
+
+
 class TestLiteralColoredRule:
     """The literal colored count behind census_report.py's side note."""
 
