@@ -39,8 +39,8 @@ ALLOWED = {
     # check instead.
     "partitions._canonical_orbits",
     # The paper's rank r of an ordered partition, named as on BPartition
-    # and GPartition and read by the README quick tour; the procedures
-    # count its class blocks directly.
+    # and GPartition; tests/test_exports.py reads it after it runs the
+    # README quick tour, and the procedures count its class blocks directly.
     "bijections.OrderedPartition.r",
 }
 

@@ -7,6 +7,8 @@ from operator import index
 
 from .errors import BadIndex, SizeOverflow, UnknownKind
 
+__all__ = ["DEFAULT_CAPS", "EnumerationCaps", "group_order"]
+
 
 @dataclass(frozen=True)
 class EnumerationCaps:

@@ -32,7 +32,6 @@ __all__ = [
     "descent_set",
     "des_stat",
     "fdes",
-    "group_order",
     "enumerate_group",
 ]
 

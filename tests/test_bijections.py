@@ -2,8 +2,6 @@ import copy
 import pickle
 import random
 import re
-import subprocess
-import sys
 from dataclasses import FrozenInstanceError
 from itertools import chain, combinations, permutations, product, zip_longest
 from math import factorial
@@ -37,6 +35,7 @@ from bdstirling.errors import (
 from bdstirling.groups import SignedPermutation, descent_set, enumerate_group
 from bdstirling.partitions import enumerate_partitions, stirling
 
+from .children import run_child
 from .oracles import (
     blocks_from_cut_window,
     descents_signed,
@@ -133,14 +132,12 @@ class TestOrderedPartition:
 
     def test_huge_size_is_refused_without_building_its_spots(self):
         # A child with 1 GiB of address space fails with MemoryError at
-        # n = 10**12 if it lists 1..n; VmHWM is its own peak, not the one
-        # ru_maxrss inherits, so it shows an n = 10**7 list as well.
+        # n = 10**12 if it lists 1..n; its own peak shows an n = 10**7 list
+        # as well.
         peaks = {}
         for call in ("OrderedPartition('B', n, ())", "BPartition(n, frozenset(), ())",
                      "DPartition(n, frozenset(), ())", "GPartition(n, 2, frozenset(), ())"):
             code = (
-                "import resource\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
                 "from bdstirling.bijections import OrderedPartition\n"
                 "from bdstirling.errors import NotAPartition\n"
                 "from bdstirling.partitions import BPartition, DPartition, GPartition\n"
@@ -150,10 +147,8 @@ class TestOrderedPartition:
                 "    except NotAPartition:\n"
                 "        continue\n"
                 "    raise SystemExit(f'n = {n} was accepted')\n"
-                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-                "           if line.startswith('VmHWM:')))\n"
             )
-            res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            res = run_child(code, bounded=True, peak=True)
             assert res.returncode == 0, (call, res.stderr)
             peaks[call] = int(res.stdout)
         assert max(peaks.values()) < 100 * 1024, peaks  # KiB on Linux
@@ -598,9 +593,7 @@ class TestCutAgainstOracle:
             "        except ValueError as e:\n"
             "            print(name, type(e).__name__, e)\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
+        res = run_child(code, optimize=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == 2 * [
             "lost NotAPartition spots covered [1] do not tile 1..2"
@@ -657,9 +650,7 @@ class TestInverse:
             "    except InvariantViolation as e:\n"
             "        print(kind, 'raised:', e)\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
+        res = run_child(code, optimize=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "".join(
             f"{kind} raised: preimage maps to {{'kind': '{kind}', 'n': 2, "

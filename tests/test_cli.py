@@ -22,6 +22,8 @@ from bdstirling.geometry import missing_point_count
 from bdstirling.partitions import stirling_row
 from golden import run_in_process, subcommands
 
+from .children import run_child
+
 CLI = [sys.executable, "-m", "bdstirling"]
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before 3.10.7"
@@ -81,10 +83,7 @@ class TestBijection:
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         doc = '{"kind":"B","n":2,"blocks":[[1,-1],[2],[-2]]}'
-        res = subprocess.run(
-            [sys.executable, "-c", code, "bijection", "inverse", "--doc", doc],
-            capture_output=True, text=True,
-        )
+        res = run_child(code, "bijection", "inverse", "--doc", doc)
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr.splitlines() == [
@@ -110,10 +109,7 @@ class TestBijection:
             "bijections._cut = lambda w, s: (frozenset(), cut(w, s)[1][-1:])\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", program, "bijection", *argv],
-            capture_output=True, text=True,
-        )
+        res = run_child(program, "bijection", *argv, optimize=True)
         assert (res.returncode, res.stdout) == (code, "")
         assert res.stderr.splitlines() == [line]
 
@@ -144,11 +140,8 @@ class TestBijection:
         )
         mirror = sorted(-v for v in pair)
         doc = {"kind": kind, "n": n, "blocks": [zero, pair, mirror]}
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", program, "bijection", "inverse",
-             "--doc", json.dumps(doc)],
-            capture_output=True, text=True,
-        )
+        res = run_child(program, "bijection", "inverse", "--doc", json.dumps(doc),
+                        optimize=True)
         assert (res.returncode, res.stdout) == (4, "")
         # either way the last entry is lost from the recut's last block
         image = {"kind": kind, "n": n - shrink, "blocks": [zero, pair[:1], mirror[1:]]}
@@ -178,11 +171,8 @@ class TestBijection:
             "bijections._preimage_window = past\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", program, "bijection", "inverse",
-             "--doc", json.dumps(doc)],
-            capture_output=True, text=True,
-        )
+        res = run_child(program, "bijection", "inverse", "--doc", json.dumps(doc),
+                        optimize=True)
         assert (res.returncode, res.stdout) == (4, "")
         expected = {**doc, "blocks": [sorted(b) for b in doc["blocks"]]}
         assert res.stderr.splitlines() == [
@@ -205,11 +195,8 @@ class TestBijection:
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         doc = {"kind": "D", "n": 4, "blocks": [[1, -1, 2, -2], [3, 4], [-3, -4]]}
-        res = subprocess.run(
-            [sys.executable, *optimize, "-c", program, "bijection", "inverse",
-             "--doc", json.dumps(doc)],
-            capture_output=True, text=True,
-        )
+        res = run_child(program, "bijection", "inverse", "--doc", json.dumps(doc),
+                        optimize=bool(optimize))
         assert (res.returncode, res.stdout) == (4, "")
         canonical = {"kind": "D", "n": 4, "blocks": [[-2, -1, 1, 2], [3, 4], [-4, -3]]}
         assert res.stderr.splitlines() == [
@@ -284,10 +271,7 @@ class TestErrorLines:
             "cli.cmd_census = boom\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-c", code, "census", "--kind", "B", "--n", "1", "--m", "1"],
-            capture_output=True, text=True,
-        )
+        res = run_child(code, "census", "--kind", "B", "--n", "1", "--m", "1")
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: internal error: KeyError: 'x'"]

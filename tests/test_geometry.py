@@ -1,5 +1,3 @@
-import subprocess
-import sys
 from functools import lru_cache
 from itertools import product
 from unittest import mock
@@ -29,6 +27,7 @@ from bdstirling.geometry import (
 )
 from bdstirling.partitions import BPartition, DPartition, stirling_row
 
+from .children import run_child
 from .oracles import census_by_points, child_keys_backward, falling_factorial_value
 
 
@@ -660,9 +659,9 @@ class TestCensusInvariant:
         "every-key": "census lost points: 20 != 3**3",
     }
 
-    def _census_with(self, patched, *flags):
+    def _census_with(self, patched, optimize=False):
         # under -O this assert shows that asserts are off
-        asserts_off = "assert False, 'asserts must be off'\n" if flags else ""
+        asserts_off = "assert False, 'asserts must be off'\n" if optimize else ""
         code = self.DRIFTING[patched] + asserts_off + (
             "from bdstirling.errors import InvariantViolation\n"
             "try:\n"
@@ -670,10 +669,7 @@ class TestCensusInvariant:
             "except InvariantViolation as e:\n"
             "    print('raised:', e)\n"
         )
-        res = subprocess.run(
-            [sys.executable, *flags, "-c", code],
-            capture_output=True, text=True,
-        )
+        res = run_child(code, optimize=optimize)
         assert res.returncode == 0, res.stderr
         assert res.stdout == f"raised: {self.RAISED[patched]}\n"
 
@@ -683,7 +679,7 @@ class TestCensusInvariant:
 
     @pytest.mark.parametrize("patched", sorted(DRIFTING))
     def test_drifting_children_raise_under_optimize(self, patched):
-        self._census_with(patched, "-O")
+        self._census_with(patched, optimize=True)
 
     def test_lost_point_raises(self):
         with pytest.raises(InvariantViolation):
@@ -699,8 +695,6 @@ class TestCensusInvariant:
             "except InvariantViolation as e:\n"
             "    print('raised:', e)\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True
-        )
+        res = run_child(code, optimize=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "raised: census lost points: 8 != 3**2\n"

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import pytest
 
 from bdstirling import oeis
@@ -14,6 +11,8 @@ from bdstirling.oeis import (
     triangle_terms,
 )
 from bdstirling.partitions import stirling, stirling_row
+
+from .children import run_child
 
 
 class TestBfileParsing:
@@ -122,14 +121,13 @@ class TestRowsBuilt:
         # A child with 1 GiB of address space ends in MemoryError if the
         # rows up to --nmax are built.
         program = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "import sys\n"
             "from bdstirling.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         runs = [
-            subprocess.run([sys.executable, "-c", program, "oeis", "--seq", "A039755",
-                            "--nmax", nmax], capture_output=True, text=True, timeout=60)
+            run_child(program, "oeis", "--seq", "A039755", "--nmax", nmax,
+                      bounded=True, timeout=60)
             for nmax in (str(10**20), "12")
         ]
         assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2

@@ -1,7 +1,5 @@
 import operator
 import re
-import subprocess
-import sys
 from contextlib import contextmanager
 from itertools import product
 from unittest import mock
@@ -33,6 +31,7 @@ from bdstirling.partitions import (
 )
 
 from . import oracles
+from .children import run_child
 
 TABLE_B = [
     (1,),
@@ -190,17 +189,11 @@ class TestStirlingRows:
             assert [len(r) for r in past] == [400, 401]
 
     def test_cold_thousandth_row_keeps_memory_small(self):
-        # VmHWM is the child's own peak; its ru_maxrss starts at the peak of
-        # the test process that spawned it, so it depends on earlier tests.
         code = (
             "from bdstirling.partitions import stirling_row\n"
             "assert len(stirling_row('D', 1000)) == 1001\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "           if line.startswith('VmHWM:')))\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
+        res = run_child(code, peak=True, check=True)
         assert int(res.stdout) < 100 * 1024  # KiB on Linux
 
     def test_sweep_past_the_prefix_keeps_memory_small(self):
@@ -210,15 +203,11 @@ class TestStirlingRows:
             "from bdstirling.partitions import _TRIANGLES, flag_stirling_row, stirling_row\n"
             "for n in range(601):\n"
             "    stirling_row('B', n), stirling_row('D', n), flag_stirling_row(n)\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "           if line.startswith('VmHWM:')))\n"
             "for key in ((2, 1), (2, 0)):\n"
             "    print(*(len(r) for r in _TRIANGLES[key]))\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        peak, *triangles = res.stdout.splitlines()
+        res = run_child(code, peak=True, check=True)
+        *triangles, peak = res.stdout.splitlines()
         assert int(peak) < 40 * 1024  # KiB on Linux
         for line in triangles:
             lengths = list(map(int, line.split()))
@@ -232,14 +221,10 @@ class TestStirlingRows:
             "from bdstirling.partitions import _KEPT_TRIANGLES, _TRIANGLES, stirling_row\n"
             "for m in range(1, 201):\n"
             "    stirling_row('G', 127, m)\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "           if line.startswith('VmHWM:')))\n"
             "print(_KEPT_TRIANGLES, *(a for a, b in _TRIANGLES))\n"
         )
-        res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        peak, triangles = res.stdout.splitlines()
+        res = run_child(code, peak=True, check=True)
+        triangles, peak = res.stdout.splitlines()
         assert int(peak) < 60 * 1024  # KiB on Linux; keeping all 200 takes ~190 MB
         kept, *colors = map(int, triangles.split())
         assert 4 <= kept == len(colors)
