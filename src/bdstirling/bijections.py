@@ -21,6 +21,7 @@ the window and the flavor (in groups), and the cut, keyed on the window and
 the separator set.  An inverse that follows its forward call reuses both;
 any window or separator set they have not just seen is cut afresh, so the
 inverse's comparison of its preimage's cut with its input keeps its power.
+Every tiling test compares with the one spot set 1..n, groups._spots.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .errors import (
     UnknownKind,
     UnreachableForm,
 )
-from .groups import _INT, SignedPermutation, descent_set
+from .groups import _INT, SignedPermutation, _signed_descents, _spots, descent_set
 from .partitions import _FROZENSET, _NO_SPOTS, BPartition, DPartition, stirling
 
 __all__ = [
@@ -77,7 +78,9 @@ class OrderedPartition:
     order.  Kind, n, the zero support and the class blocks (each pair's C)
     serve equality and hashing; the blocks are kept beside them for repr
     and documents.  The constructor accepts valid blocks in one pass of
-    whole-collection checks; only blocks that pass refuses go through the
+    whole-collection checks (2n distinct ints in all, whose absolute values
+    lie in the one spot set 1..n, groups._spots, and blocks that pair up as
+    mirrors); only blocks that pass refuses go through the
     ordered checks of _diagnosed_blocks, which name the first fault of the
     layout and leave the tiling and D's lone zero to BPartition and
     DPartition.
@@ -90,8 +93,9 @@ class OrderedPartition:
     blocks: tuple[frozenset[int], ...] = field(compare=False)
 
     def __init__(self, kind: str, n: int, blocks: tuple[frozenset[int], ...]):
-        # 2n disjoint exact ints, none 0, all within +-n, are +-1..+-n, so
-        # once the blocks pair up as mirrors the spots tile 1..n.
+        # 2n disjoint exact ints whose absolute values lie in the spots 1..n
+        # are +-1..+-n, each spot having two signs, so once the blocks pair
+        # up as mirrors the spots tile 1..n.
         if (
             kind in ("B", "D")
             and type(n) is int
@@ -103,9 +107,7 @@ class OrderedPartition:
             if (
                 sum(map(len, blocks)) == len(union) == 2 * n > 0
                 and _INT.issuperset(map(type, union))
-                and 0 not in union
-                and -n <= min(union)
-                and max(union) <= n
+                and _spots(n).issuperset(map(abs, union))
             ):
                 lead = blocks[0]
                 support = _NO_SPOTS
@@ -249,16 +251,19 @@ def d_procedure(gamma: SignedPermutation, artificial=()) -> OrderedPartition:
 def _procedure(kind: str, element: SignedPermutation, artificial) -> OrderedPartition:
     """Cut the window at its descents plus the artificial separators.
 
-    Artificial gaps are checked one at a time; the first bad one is named.
-    The cut is accepted when its n > 0 spots are distinct, none below 1 and
-    none above n, so they tile 1..n and no class repeats one; other cuts go
-    to the constructor with their blocks, which raises, or for n = 0 accepts.
+    The element is type-checked here, so its descents are read straight
+    from the memo groups._signed_descents.  Artificial gaps are checked one at a time; the first bad one is named.
+    The cut is accepted when it counts n > 0 spots and the zero support and
+    the absolute values of the classes make up the one spot set 1..n
+    (groups._spots), so the spots are distinct, tile 1..n, no class repeats
+    one and the zero support is positive; other cuts go to the constructor
+    with their blocks, which raises, or for n = 0 accepts.
     """
     if not isinstance(element, SignedPermutation):
         raise FlavorMismatch("the block procedure needs a SignedPermutation")
     window = element.window
     n = len(window)
-    separators = descent_set(element, kind)
+    separators = _signed_descents(window, kind)
     artificial = set(map(index, artificial))
     for g in artificial:
         if not 0 <= g < n:
@@ -268,12 +273,10 @@ def _procedure(kind: str, element: SignedPermutation, artificial) -> OrderedPart
     separators = separators.union(artificial)
     support, classes = (_cut if kind == "B" else _slid_cut)(window, separators)
     blocks = _blocks_of(support, classes)
-    spots = support.union(map(abs, chain.from_iterable(classes)))
     if (
         all(classes)
-        and len(support) + sum(map(len, classes)) == len(spots) == n > 0
-        and 0 < min(spots)
-        and max(spots) <= n
+        and len(support) + sum(map(len, classes)) == n > 0
+        and support.union(map(abs, chain.from_iterable(classes))) == _spots(n)
         and (kind == "B" or len(support) != 1)
     ):
         op = object.__new__(OrderedPartition)
@@ -358,7 +361,7 @@ def _inverse(op: OrderedPartition, odd: bool) -> tuple[SignedPermutation, frozen
     preimage = object.__new__(SignedPermutation)
     vars(preimage)["window"] = window = tuple(window)
     try:
-        descents = descent_set(preimage, op.kind)
+        descents = _signed_descents(window, op.kind)
     except OddNegativeCount as fault:  # D parity: the window itself is faulty
         raise InvariantViolation(f"preimage {fault}, so it cannot map to {op.to_doc()}") from None
     artificial = frozenset(cuts) - descents

@@ -153,6 +153,11 @@ def cmd_tables(args) -> _Result:
     m = _colors(args, args.kind, f"kind {args.kind}")
     nmax = 6 if args.nmax is None else args.nmax
     ns = [args.n] if args.n is not None else range(nmax + 1)
+    if args.table == "stirling":
+        # rows 0..n are built, (n + 1)(n + 2) / 2 entries in all
+        cap, entries = DEFAULT_CAPS.signed_group, (ns[-1] + 1) * (ns[-1] + 2) // 2
+        if entries > cap:
+            raise SizeOverflow(f"Stirling triangle of {entries} entries exceeds cap {cap}")
     # Eulerian rows sum one cached tally of S_n, itself one walk of S_{n-1};
     # largest first, a size over the cap fails before any walk.  Stirling
     # rows build on smaller ones.

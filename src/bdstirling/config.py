@@ -14,10 +14,12 @@ __all__ = ["DEFAULT_CAPS", "EnumerationCaps", "group_order"]
 class EnumerationCaps:
     """Hard limits on how many objects a single call may walk.
 
-    signed_group bounds the order of every group walked, S_n, B_n, D_n and
-    G_{m,n} alike (default |B_8| = |G_{2,8}|), and the coefficient products
-    of a basis change, sum of (n + 1)(n + 2) / 2 over n <= nmax (nmax 393
-    at the default); it keeps its name because benchmark probes read it.
+    signed_group bounds three units: the order of every group walked, S_n,
+    B_n, D_n and G_{m,n} alike (default |B_8| = |G_{2,8}|); the coefficient
+    products of a basis change, sum of (n + 1)(n + 2) / 2 over n <= nmax
+    (nmax 393 at the default); and, at its default, the (n + 1)(n + 2) / 2
+    Stirling triangle entries of rows 0..n that `tables stirling` builds
+    (n 4542 at most).  It keeps its name because benchmark probes read it.
     census_points bounds the x^n points a census counts, x read as at least
     2 (it walks keys, not points).
     """

@@ -39,6 +39,14 @@ __all__ = [
 _INT = frozenset({int})
 
 
+@lru_cache(maxsize=16)
+def _spots(n: int) -> frozenset[int]:
+    """The spots 1..n, the one set every tiling test compares with, kept
+    for the last 16 sizes asked for.  Each caller first ties n to the size
+    of what it tests, so no huge n is ever built."""
+    return frozenset(range(1, n + 1))
+
+
 def _read_ints(text: str, fault: Callable[[str], Exception]) -> tuple[int, ...]:
     """Comma-separated ints, with U+2212 read as a minus sign; a blank text
     gives ().  A token that is no int raises fault(the stripped text)."""
@@ -51,7 +59,12 @@ def _read_ints(text: str, fault: Callable[[str], Exception]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Element of B_n in window notation."""
+    """Element of B_n in window notation.
+
+    A window of length n is accepted when the set of its absolute values is
+    the spot set 1..n (_spots): n entries with n distinct absolute values,
+    none 0 and none past n.
+    """
 
     window: tuple[int, ...]
 
@@ -59,7 +72,7 @@ class SignedPermutation:
         window = self.window
         if type(window) is not tuple or not _INT.issuperset(map(type, window)):
             vars(self)["window"] = window = tuple(map(index, window))
-        if sorted(map(abs, window)) != list(range(1, len(window) + 1)):
+        if set(map(abs, window)) != _spots(len(window)):
             raise NotAPermutation(f"window {window!r} is not a signed permutation")
 
     @property
@@ -72,7 +85,7 @@ class SignedPermutation:
 
     def is_even_signed(self) -> bool:
         """True when the element lies in D_n."""
-        return self.negative_count % 2 == 0
+        return _even_signed(self.window)
 
     @classmethod
     def from_text(cls, text: str) -> "SignedPermutation":
@@ -107,7 +120,7 @@ class ColoredPermutation:
         if self.m < 1:
             raise BadIndex("m must be at least 1")
         n = len(self.entries)
-        if sorted(a for a, _ in self.entries) != list(range(1, n + 1)):
+        if set(map(itemgetter(0), self.entries)) != _spots(n):
             raise NotAPermutation("values must form a permutation of 1..n")
         if any(not 0 <= z < self.m for _, z in self.entries):
             raise BadIndex("colors must lie in 0..m-1")
@@ -217,24 +230,33 @@ def enumerate_group(
     _check_group_cap(kind, n, m, caps)
     if kind == "G":
         letters = [(a, z) for a in range(1, n + 1) for z in range(m)]
-        return _windows(n, letters, itemgetter(0), partial(ColoredPermutation, m))
-    signed = _windows(n, [*range(-n, 0), *range(1, n + 1)], abs, SignedPermutation)
-    return signed if kind == "B" else (b for b in signed if b.is_even_signed())
+        return map(partial(ColoredPermutation, m), _windows(n, letters, itemgetter(0)))
+    windows = _windows(n, [*range(-n, 0), *range(1, n + 1)], abs)
+    if kind == "D":  # parity read on the raw window, before any is built
+        windows = filter(_even_signed, windows)
+    return map(SignedPermutation, windows)
 
 
-def _windows(n: int, letters: Sequence, value: Callable, make: Callable) -> Iterator:
-    """make(window) for every window of n letters whose values are 1..n,
-    each once, in lexicographic order: letters is sorted, and each prefix
-    takes every letter in turn whose value it does not hold yet."""
-    return _extend((), frozenset(range(1, n + 1)), letters, value, make)
+def _even_signed(window: tuple[int, ...]) -> bool:
+    return not sum(map((0).__gt__, window)) % 2
 
 
-def _extend(prefix: tuple, remaining: frozenset[int], letters, value, make):
+def _windows(n: int, letters: Sequence, value: Callable) -> Iterator[tuple]:
+    """Every window of n letters whose values are 1..n, each once, in
+    lexicographic order: letters is sorted, and each prefix takes every
+    letter in turn whose value it does not hold yet."""
+    return _extend((), frozenset(range(1, n + 1)), letters, value) if n else iter([()])
+
+
+def _extend(prefix: tuple, remaining: frozenset[int], letters, value):
     """The windows of _windows that start with prefix, remaining the values
-    still to place; a module-level generator, so it leaves no cycle."""
-    if not remaining:
-        yield make(prefix)
-        return
+    still to place (at least one); the last letter is yielded here, one
+    generator level short of the window.  A module-level generator, so it
+    leaves no cycle."""
+    last = len(remaining) == 1
     for letter in letters:
         if (v := value(letter)) in remaining:
-            yield from _extend(prefix + (letter,), remaining - {v}, letters, value, make)
+            if last:
+                yield prefix + (letter,)
+            else:
+                yield from _extend(prefix + (letter,), remaining - {v}, letters, value)

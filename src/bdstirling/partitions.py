@@ -32,7 +32,7 @@ from .errors import (
     SingletonZeroBlock,
     UnknownKind,
 )
-from .groups import _INT
+from .groups import _INT, _spots
 
 __all__ = [
     "BPartition",
@@ -153,7 +153,9 @@ class BPartition:
 
     pair_reps holds one block per mirror pair, the one whose minimum
     absolute value is positive, sorted by that minimum.  Canonical input is
-    accepted by one pass of whole-collection checks; any other input goes
+    accepted by one pass of whole-collection checks, whose tiling test
+    compares the zero support and the blocks' absolute values with the one
+    spot set 1..n (groups._spots); any other input goes
     through the per-block checks of _canonical_pairs, which canonicalize
     sign choice and order or name the first fault, so equal partitions
     compare equal.  n is read as an int (a bool becomes one, a float is
@@ -184,7 +186,7 @@ class BPartition:
                 leads = list(map(min, map(map, itertools.repeat(abs), reps)))
                 if (
                     len(union) == sum(map(len, reps)) + len(zs) == n
-                    and zs.union(map(abs, union)) == frozenset(range(1, n + 1))
+                    and zs.union(map(abs, union)) == _spots(n)
                     and union.issuperset(leads)
                     and leads == sorted(leads)
                 ):
@@ -276,7 +278,9 @@ class GPartition:
     Each representative block maps values injectively to colors, carries
     color 0 on its minimum value, and the representatives are sorted by
     minimum value.  As for BPartition, canonical input is accepted in one
-    pass and any other goes through the per-block checks of
+    pass, whose tiling test compares the zero support and the blocks'
+    values with the one spot set 1..n, and any other goes through the
+    per-block checks of
     _canonical_orbits; n and m are read as ints.
     """
 
@@ -307,7 +311,7 @@ class GPartition:
                     leads = list(map(min, reps))
                     if (
                         sum(map(len, reps)) + len(zs) == n
-                        and zs.union(values) == frozenset(range(1, n + 1))
+                        and zs.union(values) == _spots(n)
                         and 0 <= min(colors, default=0)
                         and max(colors, default=0) < m
                         and not any(map(itemgetter(1), leads))

@@ -13,11 +13,12 @@ checked against a walk of S_{n-2} for every pair of first two ranks, the
 route its one shared walk of S_{n-1} replaced.  Censuses classify every
 point on its own, the route the keyed tally replaced, and the census's
 child keys find each magnitude's first spot by a backward dict build, the
-route its forward scan replaced; partition objects
-are validated block by block, the route the constructors' one-pass accept
-check replaced; and the separation procedures' cut builds every block and
-its mirror, the route the ordered partition's stored zero support and
-class blocks replaced.  The basis-change reports rebuild every falling
+route its forward scan replaced; partition objects are validated block
+by block, the route the constructors' one-pass accept check replaced, and
+the accept checks themselves are kept as they were written before every
+tiling test compared with one cached spot set; and the separation
+procedures' cut builds every block and its mirror, the route the ordered
+partition's stored zero support and class blocks replaced.  The basis-change reports rebuild every falling
 factorial from its roots through the generic polynomial multiply, the
 route the once-built basis replaced.
 Keep these dumb on purpose.
@@ -25,7 +26,7 @@ Keep these dumb on purpose.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import comb, factorial, prod
 from operator import add, gt, index, mul
 
@@ -463,6 +464,122 @@ def slid_blocks(window, separators):
         window = (-window[0],) + window[1:]
         separators = (separators - {1}) | {0}
     return blocks_from_cut_window(window, separators)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass accept tests as written before they shared one spot set
+
+
+def signed_window_tiles(window):
+    """SignedPermutation's test: the absolute values, sorted, are 1..n."""
+    return sorted(map(abs, window)) == list(range(1, len(window) + 1))
+
+
+def colored_values_tile(values):
+    """ColoredPermutation's test: the values, sorted, are 1..n."""
+    return sorted(values) == list(range(1, len(values) + 1))
+
+
+def forward_cut_accepts(kind, n, support, classes):
+    """The separation procedures' accept test of a cut of a window of
+    length n: no empty class, n > 0 distinct spots, none below 1 and none
+    above n, and for D no lone zero."""
+    spots = support.union(map(abs, chain.from_iterable(classes)))
+    return (
+        all(classes)
+        and len(support) + sum(map(len, classes)) == len(spots) == n > 0
+        and 0 < min(spots)
+        and max(spots) <= n
+        and (kind == "B" or len(support) != 1)
+    )
+
+
+def ordered_accepts(kind, n, blocks):
+    """OrderedPartition's one-pass accept: 2n distinct exact ints in
+    nonempty frozensets, 0 not among them and all within +-n, then an
+    optional self-mirrored zero block, blocks that pair up as mirrors, and
+    for D no lone zero."""
+    if not (
+        kind in ("B", "D")
+        and type(n) is int
+        and type(blocks) is tuple
+        and all(type(b) is frozenset and b for b in blocks)
+    ):
+        return False
+    union = frozenset().union(*blocks)
+    if not (
+        sum(map(len, blocks)) == len(union) == 2 * n > 0
+        and all(type(v) is int for v in union)
+        and 0 not in union
+        and -n <= min(union)
+        and max(union) <= n
+    ):
+        return False
+    support, pairs = frozenset(), blocks
+    if blocks[0] == frozenset(-v for v in blocks[0]):
+        support, pairs = frozenset(v for v in blocks[0] if v > 0), blocks[1:]
+    return (
+        len(pairs) % 2 == 0
+        and all(b == frozenset(-v for v in a) for a, b in zip(pairs[::2], pairs[1::2]))
+        and (kind == "B" or len(support) != 1)
+    )
+
+
+def b_partition_accepts(n, zs, reps):
+    """BPartition's one-pass accept, its tiling tested against
+    frozenset(range(1, n + 1)): the zero support and the blocks disjoint,
+    exact ints, their magnitudes with the zero support making up 1..n, and
+    each block led by its least magnitude as a positive spot, the leads
+    ascending."""
+    if not (
+        type(n) is int
+        and type(zs) is frozenset
+        and type(reps) is tuple
+        and all(type(b) is frozenset and b for b in reps)
+    ):
+        return False
+    union = zs.union(*reps)
+    if not all(type(v) is int for v in union):
+        return False
+    leads = [min(abs(v) for v in b) for b in reps]
+    return (
+        len(union) == sum(map(len, reps)) + len(zs) == n
+        and zs.union(map(abs, union)) == frozenset(range(1, n + 1))
+        and union.issuperset(leads)
+        and leads == sorted(leads)
+    )
+
+
+def g_partition_accepts(n, m, zs, reps):
+    """GPartition's one-pass accept, its tiling tested against
+    frozenset(range(1, n + 1)): exact int (value, color) pairs, n spots in
+    all whose values with the zero support make up 1..n, colors in 0..m-1,
+    and each block led by its least value in color 0, the leads ascending."""
+    if not (
+        type(n) is int
+        and type(m) is int
+        and m >= 1
+        and type(zs) is frozenset
+        and type(reps) is tuple
+        and all(type(b) is frozenset and b for b in reps)
+    ):
+        return False
+    union = frozenset().union(*reps)
+    if not all(type(p) is tuple and len(p) == 2 for p in union):
+        return False
+    values = [a for a, _ in union]
+    colors = [z for _, z in union]
+    if not all(type(v) is int for v in (*values, *colors, *zs)):
+        return False
+    leads = [min(b) for b in reps]
+    return (
+        sum(map(len, reps)) + len(zs) == n
+        and zs.union(values) == frozenset(range(1, n + 1))
+        and 0 <= min(colors, default=0)
+        and max(colors, default=0) < m
+        and not any(z for _, z in leads)
+        and leads == sorted(leads)
+    )
 
 
 # ---------------------------------------------------------------------------

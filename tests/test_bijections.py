@@ -601,29 +601,75 @@ class TestCutAgainstOracle:
             "repeated NotAPartition block [-1, 1] repeats an absolute value"
         ]
 
-    @pytest.mark.parametrize("classes, error", [
-        ((fs(1),), NotAPartition),
-        ((fs(2), fs(1, -1)), NotAPartition),
-        ((fs(2), frozenset()), NotAPartition),
-        ((fs(2), fs(1, 3)), NotAPartition),
-        ((fs(2), fs(-1)), None),
+    @pytest.mark.parametrize("n, support, classes, error", [
+        (2, frozenset(), (fs(1),), NotAPartition),
+        (2, frozenset(), (fs(2), fs(1, -1)), NotAPartition),
+        (2, frozenset(), (fs(2), frozenset()), NotAPartition),
+        (2, frozenset(), (fs(2), fs(1, 3)), NotAPartition),
+        (2, frozenset(), (fs(2), fs(-1)), None),
+        # zero supports: a negative spot, whose zero block {-1, 1} is that
+        # of spot 1, so the constructor stores spot 1; 0; a spot a class
+        # also holds; a spot past n
+        (3, fs(-1, 2), (fs(3),), None),
+        (3, fs(-1), (fs(2), fs(3)), {"B": None, "D": SingletonZeroBlock}),
+        (3, fs(0, 1), (fs(2),), NotAPartition),
+        (3, fs(1, 2), (fs(2),), NotAPartition),
+        (3, fs(1, 4), (fs(2),), NotAPartition),
     ])
     @pytest.mark.parametrize("kind", ["B", "D"])
     def test_failed_cut_raises_what_the_constructor_raises(
-        self, kind, classes, error, monkeypatch
+        self, kind, n, support, classes, error, monkeypatch
     ):
-        monkeypatch.setattr(bijections, "_cut", lambda window, separators: (frozenset(), classes))
-        blocks = tuple(chain.from_iterable((c, frozenset(-v for v in c)) for c in classes))
+        monkeypatch.setattr(bijections, "_cut", lambda window, separators: (support, classes))
+        element = S(",".join(map(str, range(1, n + 1))))
+        blocks = bijections._blocks_of(support, classes)
         procedure = b_procedure if kind == "B" else d_procedure
+        error = error[kind] if isinstance(error, dict) else error
         if error is None:
-            assert procedure(S("1,2"), {0, 1}) == OrderedPartition(kind, 2, blocks)
+            op = procedure(element, ())
+            assert op == OrderedPartition(kind, n, blocks)
+            assert all(v > 0 for v in op.zero_support)
             return
         with pytest.raises(error) as got:
-            procedure(S("1,2"), {0, 1})
+            procedure(element, ())
         with pytest.raises(error) as expected:
-            OrderedPartition(kind, 2, blocks)
+            OrderedPartition(kind, n, blocks)
         assert type(got.value) is type(expected.value) is error
         assert str(got.value) == str(expected.value)
+
+    def test_failed_cut_with_a_zero_support_raises_under_optimize(self):
+        cases = [(fs(0, 1), (fs(2),)), (fs(1, 2), (fs(2),)), (fs(1, 4), (fs(2),)),
+                 (fs(-1), (fs(2), fs(3)))]
+        code = (
+            "import sys\n"
+            "from bdstirling import bijections\n"
+            "from bdstirling.bijections import OrderedPartition, b_procedure, d_procedure\n"
+            "from bdstirling.groups import SignedPermutation\n"
+            "assert False, 'asserts must be off'\n"
+            "for support, classes in eval(sys.argv[1]):\n"
+            "    bijections._cut = lambda w, s: (frozenset(support), tuple(map(frozenset, classes)))\n"
+            "    for procedure in (b_procedure, d_procedure):\n"
+            "        try:\n"
+            "            op = procedure(SignedPermutation((1, 2, 3)), ())\n"
+            "            print(op.kind, sorted(op.zero_support), [sorted(c) for c in op.class_blocks])\n"
+            "        except ValueError as e:\n"
+            "            print(type(e).__name__, e)\n"
+        )
+        res = run_child(code, repr([(sorted(z), [sorted(c) for c in cs]) for z, cs in cases]),
+                        optimize=True)
+        assert res.returncode == 0, res.stderr
+        expected = []
+        for support, classes in cases:
+            for kind in "BD":
+                try:
+                    op = OrderedPartition(kind, 3, bijections._blocks_of(support, classes))
+                    expected.append(f"{kind} {sorted(op.zero_support)} "
+                                    f"{[sorted(c) for c in op.class_blocks]}")
+                except ValueError as e:
+                    expected.append(f"{type(e).__name__} {e}")
+        assert res.stdout.splitlines() == expected
+        assert expected[-2:] == ["B [1] [[2], [3]]",
+                                 "SingletonZeroBlock zero support [1] has size 1"]
 
 
 class TestInverse:
@@ -796,18 +842,20 @@ class TestMemos:
     power for any window or gap set it has not just seen."""
 
     def test_every_round_trip_of_b4_and_d4_matches_the_unmemoized_calls(self, monkeypatch):
-        def checked(module, name):
-            memo = getattr(module, name)
+        def checked(name, *modules):
+            memo = getattr(modules[0], name)
 
             def call(*key):
                 got = memo(*key)
                 assert got == memo.__wrapped__(*key)
                 return got
 
-            monkeypatch.setattr(module, name, call)
+            for module in modules:  # the procedures call the descent memo directly
+                monkeypatch.setattr(module, name, call)
             return memo
 
-        memos = [checked(bijections, "_cut"), checked(groups, "_signed_descents")]
+        memos = [checked("_cut", bijections),
+                 checked("_signed_descents", groups, bijections)]
         before = [memo.cache_info() for memo in memos]
         # B and D elements taken in turn; for each, every forward, then
         # every inverse from the last forward back, so both hits and misses

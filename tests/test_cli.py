@@ -66,6 +66,23 @@ class TestTables:
         assert (code, out) == (2, "") and "invalid int value" in err
         assert sys.get_int_max_str_digits() == old
 
+    @pytest.mark.parametrize("kind", ["A", "B", "D", "G", "Bstar"])
+    @pytest.mark.parametrize("option", ["--n", "--nmax"])
+    def test_stirling_rows_are_held_to_the_group_cap(self, kind, option, monkeypatch):
+        # rows 0..4542 hold 10321696 entries, rows 0..4543 hold 10326240,
+        # and the cap is 10321920; the rows are stubbed, as row 4542 of B
+        # alone takes seconds
+        built = []
+        monkeypatch.setattr(cli, "stirling_row", lambda kind, n, m: built.append(n) or (1,))
+        monkeypatch.setattr(cli, "flag_stirling_row", lambda n: built.append(n) or (1,))
+        argv = ["tables", "stirling", "--kind", kind, option]
+        assert run_in_process(argv + ["4542"]) == (0, mock.ANY, "")
+        assert built[-1] == 4542
+        built.clear()
+        code, out, err = run_in_process(argv + ["4543"])
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: Stirling triangle of 10326240 entries exceeds cap 10321920\n"
+
 
 class TestBijection:
     def test_round_trip_through_cli(self):

@@ -24,6 +24,7 @@ CALLS = {
     "bdstirling.bijections._cut": ((1, -2, 3), frozenset({1})),
     "bdstirling.geometry._reading": (2, 1),
     "bdstirling.groups._signed_descents": ((-2, -1, 3), "D"),
+    "bdstirling.groups._spots": (3,),
     "bdstirling.identities._descent_histogram": ("B", 3, 2),
     "bdstirling.identities._standard_tally": (4,),
     "bdstirling.partitions._triangle": (2, 1),
